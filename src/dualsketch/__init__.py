@@ -7,7 +7,6 @@ iterating the recovery on the residual drives the error down geometrically.
 """
 
 from .concentration import (
-    BoundQuery,
     ConcentrationReport,
     full_rank_sample_bound,
     ridge_identity_deviation,
@@ -17,7 +16,6 @@ from .concentration import (
 from .config import ConfigError, DatasetIOError, ExperimentConfig, validate_config
 from .data import (
     Dataset,
-    Problem,
     SpectrumInfo,
     effective_rank,
     gram,
@@ -62,7 +60,6 @@ from .solve import (
     primal_objective,
     ridge_closed_form,
     solve_primal,
-    solve_shifted,
 )
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@ inline flags; flags given explicitly override the file.  Reports go to
 ``--output`` or stdout as JSON or CSV.
 
 Exit status: 0 when every trial ran (bound violations are data, not
-errors), 1 when some trials failed to converge, 2 for an invalid config,
-3 for a dataset/spectrum I/O failure, 4 when every trial failed.
+errors), 1 when some trials failed to converge, 2 for an invalid config
+(including a bad DUALSKETCH_WORKERS value or an unwritable ``--output``),
+3 for a dataset/spectrum I/O failure (including non-finite CSV values),
+4 when every trial failed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import DATA_KINDS, FORMATS, LABEL_RULES
 from .config import ConfigError, DatasetIOError, config_from_mapping, validate_config
 from .experiments import run_experiment
 
@@ -38,14 +41,14 @@ _SUBCOMMANDS = [
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key = value config file")
     p.add_argument("--output", metavar="FILE", help="report destination (default stdout)")
-    p.add_argument("--format", choices=["json", "csv"], help="report format")
+    p.add_argument("--format", choices=FORMATS, help="report format")
     p.add_argument("--trials", type=int, help="number of trials")
     p.add_argument("--seed", type=int, help="base seed; trial t uses seed + t")
-    p.add_argument("--data", choices=["low_rank", "decaying", "csv"], help="dataset source")
+    p.add_argument("--data", choices=DATA_KINDS, help="dataset source")
     p.add_argument("--d", type=int, help="feature dimension")
     p.add_argument("--n", type=int, help="number of examples")
     p.add_argument("--rank", type=int, help="planted (or assumed) rank")
-    p.add_argument("--label-rule", choices=["random", "sign_of_plant"], help="synthetic labels")
+    p.add_argument("--label-rule", choices=LABEL_RULES, help="synthetic labels")
     p.add_argument("--decay", type=float, help="spectrum decay exponent")
     p.add_argument("--top-singular", type=float, help="largest planted singular value")
     p.add_argument("--csv", metavar="FILE", help="dataset CSV (label, then features, per row)")
@@ -139,8 +142,12 @@ def main(argv=None) -> int:
 
     text = report.to_csv() if cfg.format == "csv" else report.to_json()
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"output error: cannot write {cfg.output}: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
     else:
         print(text)
 

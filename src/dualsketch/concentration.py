@@ -20,7 +20,6 @@ import scipy.linalg
 from .data import effective_rank
 
 __all__ = [
-    "BoundQuery",
     "ConcentrationReport",
     "sample_size_bound",
     "full_rank_sample_bound",
@@ -39,24 +38,6 @@ FULL_RANK_C = 1.0 / 32.0
 
 class LinearAlgebraFailure(RuntimeError):
     """An eigendecomposition needed by a concentration check failed."""
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Parameters of a sketch-size question: accuracy, confidence, constant."""
-
-    epsilon: float
-    delta: float
-    c: float = LOW_RANK_C
-    rank_or_effective_rank: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
 
 
 @dataclass(frozen=True)

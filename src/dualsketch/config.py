@@ -11,7 +11,8 @@ is echoed into every report.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import get_type_hints
 
 __all__ = ["ExperimentConfig", "ConfigError", "DatasetIOError", "validate_config", "config_from_mapping"]
 
@@ -130,8 +131,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for key, value in positive_floats.items():
         if value <= 0:
             raise ConfigError(f"key '{key}': must be positive, got {value}")
-    if cfg.sketch_dim < 0:
-        raise ConfigError(f"key 'sketch_dim': must be nonnegative, got {cfg.sketch_dim}")
+    for key, value in {"sketch_dim": cfg.sketch_dim, "seed": cfg.seed}.items():
+        if value < 0:
+            raise ConfigError(f"key '{key}': must be nonnegative, got {value}")
     if not 0.0 < cfg.epsilon <= 1.0:
         raise ConfigError(f"key 'epsilon': must lie in (0, 1], got {cfg.epsilon}")
     if not 0.0 < cfg.delta < 1.0:
@@ -148,6 +150,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             "key 'sketch_dim': required (or set from_bound/identity_sketch) for this experiment"
         )
+    if cfg.experiment == "full_rank" and cfg.data == "low_rank":
+        raise ConfigError("key 'data': full_rank needs full-rank data (decaying or csv)")
     if cfg.experiment == "recover" and cfg.method == "ridge_closed" and cfg.loss != "square":
         raise ConfigError("key 'method': ridge_closed requires the square loss")
     if cfg.data == "csv":
@@ -172,16 +176,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def config_from_mapping(entries: dict) -> ExperimentConfig:
     """Build and validate a config from already-parsed key/value pairs."""
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
-    type_of = {"experiment": str, "data": str, "label_rule": str, "csv": str, "loss": str,
-               "method": str, "spectrum": str, "output": str, "format": str,
-               "d": int, "n": int, "rank": int, "max_iters": int, "sketch_dim": int,
-               "iters": int, "trials": int, "seed": int,
-               "decay": float, "top_singular": float, "lam": float, "tol": float,
-               "reference_tol": float, "epsilon": float, "delta": float, "c": float,
-               "from_bound": bool, "identity_sketch": bool, "early_stop": bool,
-               "full_rank": bool, "find_min_m": bool}
-    assert set(type_of) == set(known)
+    type_of = get_type_hints(ExperimentConfig)
     resolved = {}
     for key, value in entries.items():
         name = _KEY_ALIASES.get(key, key)

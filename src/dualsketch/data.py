@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "SpectrumInfo",
-    "Problem",
     "make_low_rank",
     "make_decaying_spectrum",
     "spectrum",
@@ -72,19 +71,6 @@ class SpectrumInfo:
     def top_left_basis(self) -> np.ndarray:
         """Left singular vectors spanning the (thresholded-rank) column space."""
         return self.left_vectors[:, : self.rank]
-
-
-@dataclass(frozen=True)
-class Problem:
-    """A regularized ERM instance: dataset, loss, and ridge weight."""
-
-    dataset: Dataset
-    loss: object
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("regularization weight must be positive")
 
 
 def make_low_rank(d: int, n: int, r: int, label_rule: str = "random", seed: int = 0) -> Dataset:
@@ -209,6 +195,7 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
     A header row is optional and detected by a non-numeric first cell.
+    Every value must be finite; ``nan`` and ``inf`` cells are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -226,4 +213,6 @@ def load_csv(path) -> Dataset:
     if width < 2 or any(r.size != width for r in rows):
         raise ValueError("every row must contain a label followed by d feature values")
     table = np.vstack(rows)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("dataset contains a non-finite value (nan or inf)")
     return Dataset(features=table[:, 1:].T.copy(), labels=table[:, 0].copy())

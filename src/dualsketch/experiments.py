@@ -27,6 +27,7 @@ from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank, nume
 from .losses import LossSpec, parse_loss
 from .sketch import gaussian_sketch, identity_sketch
 from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
+from .solve import dual_from_primal, primal_from_dual
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
 
@@ -139,12 +140,6 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
         raise DatasetIOError(f"bad dataset file {cfg.csv}: {exc}") from exc
 
 
-def _build_sketch(cfg: ExperimentConfig, data: Dataset, m: int, seed: int):
-    if cfg.identity_sketch:
-        return identity_sketch(data)
-    return gaussian_sketch(data, m, seed)
-
-
 def _planted_singular_values(cfg: ExperimentConfig) -> np.ndarray:
     k = min(cfg.d, cfg.n)
     return cfg.top_singular * np.arange(1, k + 1, dtype=float) ** (-cfg.decay)
@@ -168,13 +163,15 @@ def _sketch_dim(cfg: ExperimentConfig) -> int:
     return m
 
 
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
-
-
-def _with_reference(cfg: ExperimentConfig, data: Dataset, loss: LossSpec):
-    ref = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol)
-    return ref.weights
+def _setup(cfg: ExperimentConfig, t: int):
+    """Trial t's seed, dataset, loss, sketch, reference weights and solver config."""
+    seed = cfg.seed + t
+    data = _build_dataset(cfg, seed)
+    loss = parse_loss(cfg.loss)
+    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, _sketch_dim(cfg), seed)
+    w_star = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol).weights
+    solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
+    return seed, data, loss, sk, w_star, solver
 
 
 def _naive_lower_bound(cfg: ExperimentConfig, d: int) -> float:
@@ -186,13 +183,7 @@ def _naive_lower_bound(cfg: ExperimentConfig, d: int) -> float:
 # --- per-trial workers -------------------------------------------------
 
 def _trial_recover(cfg: ExperimentConfig, t: int) -> dict:
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
-    loss = parse_loss(cfg.loss)
-    m = _sketch_dim(cfg)
-    sk = _build_sketch(cfg, data, m, seed)
-    w_star = _with_reference(cfg, data, loss)
-    solver = _solver_config(cfg)
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
     eps = cfg.epsilon
     if cfg.method == "naive":
         z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
@@ -218,14 +209,9 @@ def _trial_recover(cfg: ExperimentConfig, t: int) -> dict:
 
 
 def _trial_iterate(cfg: ExperimentConfig, t: int) -> dict:
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
-    loss = parse_loss(cfg.loss)
-    m = _sketch_dim(cfg)
-    sk = _build_sketch(cfg, data, m, seed)
-    w_star = _with_reference(cfg, data, loss)
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
     result, trace = rec.recover_iterative(
-        data, loss, cfg.lam, sk, cfg.iters, _solver_config(cfg),
+        data, loss, cfg.lam, sk, cfg.iters, solver,
         reference=w_star, early_stop=cfg.early_stop,
     )
     eps = cfg.epsilon
@@ -239,32 +225,21 @@ def _trial_iterate(cfg: ExperimentConfig, t: int) -> dict:
 
 
 def _trial_naive_vs_drp(cfg: ExperimentConfig, t: int) -> dict:
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
-    loss = parse_loss(cfg.loss)
-    m = _sketch_dim(cfg)
-    sk = _build_sketch(cfg, data, m, seed)
-    w_star = _with_reference(cfg, data, loss)
-    solver = _solver_config(cfg)
-    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
-    naive = rec.recover_naive(sk.matrix_r, z_sol.weights, sk.m)
-    drp = rec.recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
-    naive_rel = rec.relative_error(naive, w_star)
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
+    z = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver).weights
+    naive_rel = rec.relative_error(rec.recover_naive(sk.matrix_r, z, sk.m), w_star)
+    dual = dual_from_primal(sk.sketched_features, data.labels, loss, z)
+    drp_rel = rec.relative_error(primal_from_dual(data.features, data.labels, cfg.lam, dual), w_star)
     return {
         "trial": t, "seed": seed, "m": sk.m,
-        "naive_rel_error": naive_rel, "drp_rel_error": drp.rel_error,
-        "ratio": naive_rel / drp.rel_error if drp.rel_error > 0 else math.inf,
+        "naive_rel_error": naive_rel, "drp_rel_error": drp_rel,
+        "ratio": naive_rel / drp_rel if drp_rel > 0 else math.inf,
     }
 
 
 def _trial_measurement(cfg: ExperimentConfig, t: int) -> dict:
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
-    loss = parse_loss(cfg.loss)
-    m = _sketch_dim(cfg)
-    sk = _build_sketch(cfg, data, m, seed)
-    w_star = _with_reference(cfg, data, loss)
-    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, _solver_config(cfg))
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
+    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
     ratio = rec.measurement_error(z_sol.weights, sk.matrix_r, sk.m, w_star)
     eps = cfg.epsilon
     bound_value = math.sqrt(2.0) * eps / math.sqrt(1.0 - eps)
@@ -276,13 +251,8 @@ def _trial_measurement(cfg: ExperimentConfig, t: int) -> dict:
 
 
 def _trial_span_error(cfg: ExperimentConfig, t: int) -> dict:
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
-    loss = parse_loss(cfg.loss)
-    m = _sketch_dim(cfg)
-    sk = _build_sketch(cfg, data, m, seed)
-    w_star = _with_reference(cfg, data, loss)
-    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, _solver_config(cfg))
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
+    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
     naive = rec.recover_naive(sk.matrix_r, z_sol.weights, sk.m)
     spec = spectrum(data)
     w_norm = float(np.linalg.norm(w_star))
@@ -299,8 +269,6 @@ def _trial_span_error(cfg: ExperimentConfig, t: int) -> dict:
 
 
 def _trial_full_rank(cfg: ExperimentConfig, t: int) -> dict:
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
     loss = parse_loss(cfg.loss)
     sv = _planted_singular_values(cfg)
     nu = math.sqrt(cfg.lam / loss.gamma)
@@ -309,10 +277,8 @@ def _trial_full_rank(cfg: ExperimentConfig, t: int) -> dict:
         raise ConfigError(
             "top_singular must exceed sqrt(lambda/gamma) for the full-rank bound to apply"
         )
-    m = _sketch_dim(cfg)
-    sk = _build_sketch(cfg, data, m, seed)
-    w_star = _with_reference(cfg, data, loss)
-    result = rec.recover_drp(data, loss, cfg.lam, sk, _solver_config(cfg), reference=w_star)
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
+    result = rec.recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
     spec = spectrum(data)
     top_k = spec.left_vectors[:, :k]
     w_norm = float(np.linalg.norm(w_star))
@@ -443,6 +409,18 @@ def _run_bounds(cfg: ExperimentConfig) -> list:
     }]
 
 
+def _pool_size(jobs: int) -> int:
+    """DUALSKETCH_WORKERS capped at the job count, since the pool starts every worker up front."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return min(workers, jobs)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     """Execute the configured experiment and assemble its report.
 
@@ -455,8 +433,8 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
         records = _run_bounds(cfg)
     else:
         jobs = [(cfg, t) for t in range(cfg.trials)]
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-        if workers > 1 and len(jobs) > 1:
+        workers = _pool_size(len(jobs))
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_run_one, jobs))
         else:

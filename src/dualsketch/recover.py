@@ -28,11 +28,11 @@ from .losses import LossSpec
 from .sketch import ProjectionSketch
 from .solve import (
     ConvergenceError,
-    DualSolution,
     LinearSolveError,
     SolverConfig,
+    dual_from_primal,
+    primal_from_dual,
     solve_primal,
-    solve_shifted,
 )
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "measurement_error",
     "relative_error",
 ]
-
-METHODS = ("naive", "drp", "drp_iterative", "ridge_closed")
-
 
 @dataclass(frozen=True)
 class RecoveryResult:
@@ -117,9 +114,8 @@ def recover_drp(
     if sketch.sketched_features.shape != (sketch.m, data.n):
         raise ValueError("sketch does not match the dataset")
     z_sol = solve_primal(sketch.sketched_features, data.labels, loss, lam, config)
-    margins = data.labels * (sketch.sketched_features.T @ z_sol.weights)
-    alphas = np.asarray(loss.grad(margins), dtype=float)
-    recovered = -(data.features @ (data.labels * alphas)) / lam
+    dual = dual_from_primal(sketch.sketched_features, data.labels, loss, z_sol.weights)
+    recovered = primal_from_dual(data.features, data.labels, lam, dual)
     return _scored(recovered, "drp", reference)
 
 
@@ -184,8 +180,8 @@ def recover_iterative(
         dots = data.features.T @ w
         offset = (sketch.matrix_r.T @ w) / sqrt_m
         try:
-            z_sol = solve_shifted(
-                xs, data.labels, loss, lam, offset, data.labels * dots, config
+            z_sol = solve_primal(
+                xs, data.labels, loss, lam, config, offset=offset, margin_shift=data.labels * dots
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"pass {t}: {exc}", exc.best) from exc

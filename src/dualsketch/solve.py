@@ -5,8 +5,8 @@ The primal problem in a space of dimension p is
     min_w  lam/2 ||w||^2 + sum_i l(y_i x_i' w)
 
 over the columns x_i of a p x n feature matrix.  ``solve_primal`` also
-covers the sketched problem (pass the sketched features) and, internally,
-the shifted variants used by iterative recovery.  The contract is a
+covers the sketched problem (pass the sketched features) and the shifted
+variants used by iterative recovery.  The contract is a
 gradient-norm certificate: a returned solution always satisfies
 ||grad|| <= tolerance, where the gradient is evaluated in the space the
 caller handed in; failure to certify raises ``ConvergenceError`` carrying
@@ -36,7 +36,6 @@ __all__ = [
     "ConvergenceError",
     "LinearSolveError",
     "solve_primal",
-    "solve_shifted",
     "ridge_closed_form",
     "dual_from_primal",
     "primal_from_dual",
@@ -228,13 +227,20 @@ def solve_primal(
     loss: LossSpec,
     lam: float,
     config: SolverConfig = SolverConfig(),
+    offset=None,
+    margin_shift=None,
 ) -> PrimalSolution:
     """Minimize the regularized ERM objective with a gradient-norm certificate.
 
     Works for the original problem (pass the d x n features) and the
-    sketched one (pass the m x n sketched features).  Raises
-    ``ConvergenceError`` carrying the best iterate when the certificate
-    cannot be met within ``config.max_iterations``.
+    sketched one (pass the m x n sketched features).  With ``offset`` and
+    ``margin_shift`` it solves the shifted problem used by iterative
+    recovery,
+
+        min_z lam/2 ||z + offset||^2 + sum_i l(y_i z' x_i + margin_shift_i).
+
+    Raises ``ConvergenceError`` carrying the best iterate when the
+    certificate cannot be met within ``config.max_iterations``.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -242,25 +248,6 @@ def solve_primal(
         raise ValueError("regularization weight must be positive")
     if features.ndim != 2 or labels.shape != (features.shape[1],):
         raise ValueError("features must be p x n with one label per column")
-    return _newton(features, labels, loss, lam, config)
-
-
-def solve_shifted(
-    features,
-    labels,
-    loss: LossSpec,
-    lam: float,
-    offset,
-    margin_shift,
-    config: SolverConfig = SolverConfig(),
-) -> PrimalSolution:
-    """Solve the shifted problem used by iterative recovery.
-
-    Minimizes lam/2 ||z + offset||^2 + sum_i l(y_i z' x_i + margin_shift_i);
-    with zero offset and shift this is exactly ``solve_primal``.
-    """
-    if lam <= 0:
-        raise ValueError("regularization weight must be positive")
     return _newton(features, labels, loss, lam, config, offset=offset, margin_shift=margin_shift)
 
 

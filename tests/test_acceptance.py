@@ -138,7 +138,7 @@ def test_criterion_3_naive_back_projection_fails(high_dim_naive_trials):
     mean_naive = float(trials["naive"].mean())
     mean_drp = float(trials["drp"].mean())
     ratio = mean_naive / mean_drp
-    # lower bound evaluated at the epsilon проxy implied by the measured
+    # lower bound evaluated at the epsilon proxy implied by the measured
     # dual-recovery error rho = eps/(1-eps)
     rho = float(np.median(trials["drp"]))
     eps_proxy = rho / (1.0 + rho)
@@ -176,7 +176,7 @@ def test_criterion_4_in_span_error_dichotomy(high_dim_naive_trials):
 def test_criterion_5_iterative_geometric_decay():
     # literal reading: with m chosen so the median single-shot error rho is
     # in [0.2, 0.4], every consecutive error ratio must stay below 1.2 rho
-    # in >= 18/20 trials and 8 передpasses must reach 1e-4 in >= 18/20.
+    # in >= 18/20 trials and 8 passes must reach 1e-4 in >= 18/20.
     #
     # The per-pass contraction provably (and measurably) approaches the
     # worst deviation eigenvalue eps/(1-eps) of the trial's projection,

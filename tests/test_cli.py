@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dualsketch import experiments, recover
 from dualsketch.cli import main
 from dualsketch.config import (
     ConfigError,
@@ -13,7 +14,14 @@ from dualsketch.config import (
     validate_config,
 )
 from dualsketch.data import make_low_rank, save_csv
-from dualsketch.experiments import run_experiment
+from dualsketch.experiments import run_experiment, solve_reference
+from dualsketch.losses import parse_loss
+from dualsketch.recover import recover_drp, recover_naive, relative_error
+from dualsketch.sketch import gaussian_sketch
+from dualsketch.solve import SolverConfig, solve_primal
+
+SMALL_RECOVER = ["recover", "--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6",
+                 "--trials", "2"]
 
 
 class TestValidateConfig:
@@ -215,6 +223,64 @@ class TestRunExperiment:
         pooled = run_experiment(cfg)
         assert pooled.records == serial.records
 
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("DUALSKETCH_WORKERS", "64")
+        cfg = config_from_mapping({
+            "experiment": "concentration", "rank": 2, "sketch_dim": 20, "trials": 3,
+        })
+        assert len(run_experiment(cfg).records) == 3
+        assert sizes == [3]
+
+    def test_naive_vs_drp_solves_once_per_problem(self, monkeypatch):
+        shapes = []
+
+        def counting_solve(features, *args, **kwargs):
+            shapes.append(np.shape(features))
+            return solve_primal(features, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_primal", counting_solve)
+        monkeypatch.setattr(recover, "solve_primal", counting_solve)
+        cfg = config_from_mapping({
+            "experiment": "naive_vs_drp", "d": 80, "n": 30, "rank": 3,
+            "sketch_dim": 20, "trials": 1, "seed": 3,
+        })
+        run_experiment(cfg)
+        assert shapes == [(80, 30), (20, 30)]  # the reference, then the sketch
+
+    def test_naive_vs_drp_matches_recovery_routes(self):
+        cfg = config_from_mapping({
+            "experiment": "naive_vs_drp", "d": 120, "n": 40, "rank": 3,
+            "sketch_dim": 30, "trials": 1, "seed": 9, "loss": "logistic",
+        })
+        record = run_experiment(cfg).records[0]
+        data = make_low_rank(120, 40, 3, "random", seed=9)
+        loss = parse_loss("logistic")
+        sk = gaussian_sketch(data, 30, seed=9)
+        w_star = solve_reference(data.features, data.labels, loss, cfg.lam,
+                                 cfg.reference_tol).weights
+        solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
+        z = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver).weights
+        drp = recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
+        assert record["drp_rel_error"] == drp.rel_error
+        assert record["naive_rel_error"] == relative_error(recover_naive(sk.matrix_r, z, sk.m),
+                                                           w_star)
+
 
 class TestCliProcess:
     def test_bounds_subcommand(self, capsys):
@@ -260,6 +326,30 @@ class TestCliProcess:
     def test_invalid_config_exits_two(self, capsys):
         code = main(["recover", "--trials", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, env, code", [
+        pytest.param(SMALL_RECOVER + ["--seed", "-5"], {}, 2, id="negative-seed"),
+        pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "abc"}, 2, id="workers-not-integer"),
+        pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "0"}, 2, id="workers-zero"),
+        pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/nan.csv", "--sketch-dim", "4"],
+                     {}, 3, id="csv-nan"),
+        pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/inf.csv", "--sketch-dim", "4"],
+                     {}, 3, id="csv-inf"),
+        pytest.param(SMALL_RECOVER + ["--output", "{tmp}/no-such-dir/report.json"], {}, 2,
+                     id="unwritable-output"),
+        pytest.param(["full-rank", "--d", "20", "--n", "10", "--top-singular", "4"], {}, 2,
+                     id="full-rank-low-rank-data"),
+    ])
+    def test_bad_input_exit_code(self, tmp_path, monkeypatch, capsys, argv, env, code):
+        save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
+        rows = (tmp_path / "good.csv").read_text().splitlines()
+        for name in ("nan", "inf"):
+            bad = rows[:2] + [rows[2].rsplit(",", 1)[0] + "," + name] + rows[3:]
+            (tmp_path / f"{name}.csv").write_text("\n".join(bad) + "\n")
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        assert capsys.readouterr().err
 
     def test_missing_dataset_exits_three(self, capsys):
         code = main(["recover", "--data", "csv", "--csv", "/no/such/file.csv",

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from dualsketch.concentration import (
-    BoundQuery,
     FULL_RANK_C,
-    LOW_RANK_C,
     full_rank_sample_bound,
     ridge_identity_deviation,
     run_deviation_trials,
@@ -180,17 +178,3 @@ class TestTrialRunner:
         assert rate >= 0.95
         assert m_star < sample_size_bound(2, 0.5, 0.1)
 
-
-class TestBoundQuery:
-    def test_valid_construction(self):
-        q = BoundQuery(epsilon=0.5, delta=0.1)
-        assert q.c == LOW_RANK_C
-
-    @pytest.mark.parametrize("kwargs", [
-        {"epsilon": 0.0, "delta": 0.1}, {"epsilon": 1.5, "delta": 0.1},
-        {"epsilon": 0.5, "delta": 0.0}, {"epsilon": 0.5, "delta": 1.0},
-        {"epsilon": 0.5, "delta": 0.1, "c": 0.0},
-    ])
-    def test_rejects_bad_ranges(self, kwargs):
-        with pytest.raises(ValueError):
-            BoundQuery(**kwargs)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dualsketch.data import (
     Dataset,
-    Problem,
     effective_rank,
     gram,
     load_csv,
@@ -17,7 +16,6 @@ from dualsketch.data import (
     save_csv,
     spectrum,
 )
-from dualsketch.losses import square_loss
 
 EPS = np.finfo(float).eps
 
@@ -39,12 +37,6 @@ class TestDataset:
     def test_shape_accessors(self):
         data = Dataset(np.ones((4, 2)), np.array([1.0, -1.0]))
         assert (data.d, data.n) == (4, 2)
-
-    def test_problem_requires_positive_weight(self):
-        data = Dataset(np.eye(2), np.array([1.0, -1.0]))
-        Problem(data, square_loss(), 0.5)
-        with pytest.raises(ValueError):
-            Problem(data, square_loss(), 0.0)
 
 
 class TestLowRankGenerator:

@@ -15,7 +15,7 @@ from dualsketch.recover import (
     span_restricted_error,
 )
 from dualsketch.sketch import gaussian_sketch, identity_sketch, project
-from dualsketch.solve import SolverConfig, solve_primal, solve_shifted
+from dualsketch.solve import SolverConfig, solve_primal
 
 TOL = 1e-10
 CFG = SolverConfig(tolerance=TOL)
@@ -163,8 +163,8 @@ class TestIterative:
         w1 = -(data.features @ (data.labels * trace1.duals)) / lam
         dots = data.features.T @ w1
         offset = sk.matrix_r.T @ w1 / np.sqrt(sk.m)
-        z2 = solve_shifted(sk.sketched_features, data.labels, loss, lam,
-                           offset, data.labels * dots, CFG)
+        z2 = solve_primal(sk.sketched_features, data.labels, loss, lam, CFG,
+                          offset=offset, margin_shift=data.labels * dots)
         margins = data.labels * (sk.sketched_features.T @ z2.weights) + data.labels * dots
         rebuilt = np.asarray(loss.grad(margins))
         np.testing.assert_allclose(trace2.duals, rebuilt, atol=1e-8)

@@ -19,7 +19,6 @@ from dualsketch.solve import (
     primal_objective,
     ridge_closed_form,
     solve_primal,
-    solve_shifted,
 )
 
 THREE_LOSSES = [square_loss(), logistic_loss(), smoothed_hinge_loss(1.0)]
@@ -125,8 +124,8 @@ class TestShiftedSolver:
         rng = np.random.default_rng(6)
         features, labels = random_instance(rng, 12, 18)
         plain = solve_primal(features, labels, logistic_loss(), 0.7)
-        shifted = solve_shifted(features, labels, logistic_loss(), 0.7,
-                                np.zeros(12), np.zeros(18))
+        shifted = solve_primal(features, labels, logistic_loss(), 0.7,
+                               offset=np.zeros(12), margin_shift=np.zeros(18))
         np.testing.assert_allclose(shifted.weights, plain.weights, atol=1e-9)
 
     def test_offset_only_translates_quadratic(self):
@@ -134,7 +133,8 @@ class TestShiftedSolver:
         features = np.zeros((4, 3))
         labels = np.array([1.0, 1.0, -1.0])
         offset = np.array([1.0, -2.0, 0.5, 0.0])
-        sol = solve_shifted(features, labels, square_loss(), 2.0, offset, np.zeros(3))
+        sol = solve_primal(features, labels, square_loss(), 2.0,
+                           offset=offset, margin_shift=np.zeros(3))
         np.testing.assert_allclose(sol.weights, -offset, atol=1e-10)
 
 
