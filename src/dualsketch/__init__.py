@@ -44,13 +44,10 @@ from .sketch import (
     gaussian_matrix,
     gaussian_sketch,
     identity_sketch,
-    load_sketch,
     project,
-    save_sketch,
 )
 from .solve import (
     ConvergenceError,
-    DualSolution,
     LinearSolveError,
     PrimalSolution,
     SolverConfig,

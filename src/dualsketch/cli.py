@@ -5,9 +5,10 @@ inline flags; flags given explicitly override the file.  Reports go to
 ``--output`` or stdout as JSON or CSV.
 
 Exit status: 0 when every trial ran (bound violations are data, not
-errors), 1 when some trials failed to converge, 2 for an invalid config
-(including a bad DUALSKETCH_WORKERS value or an unwritable ``--output``),
-3 for a dataset/spectrum I/O failure (including non-finite CSV values),
+errors), 1 when some trials failed (no convergence or a singular linear
+system), 2 for an invalid config (including a bad DUALSKETCH_WORKERS value
+or an unwritable ``--output``), 3 for a dataset/spectrum I/O failure
+(including non-finite values and an exactly zero reference solution),
 4 when every trial failed.
 """
 

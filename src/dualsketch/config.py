@@ -10,6 +10,7 @@ is echoed into every report.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import get_type_hints
@@ -126,6 +127,10 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for key, value in positive_ints.items():
         if value < 1:
             raise ConfigError(f"key '{key}': must be at least 1, got {value}")
+    for name, kind in get_type_hints(ExperimentConfig).items():
+        if kind is float and not math.isfinite(getattr(cfg, name)):
+            key = "lambda" if name == "lam" else name
+            raise ConfigError(f"key '{key}': must be finite, got {getattr(cfg, name)}")
     positive_floats = {"decay": cfg.decay, "top_singular": cfg.top_singular,
                        "lambda": cfg.lam, "tol": cfg.tol, "reference_tol": cfg.reference_tol}
     for key, value in positive_floats.items():
@@ -136,6 +141,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"key '{key}': must be nonnegative, got {value}")
     if not 0.0 < cfg.epsilon <= 1.0:
         raise ConfigError(f"key 'epsilon': must lie in (0, 1], got {cfg.epsilon}")
+    if cfg.epsilon == 1.0 and cfg.experiment in ("recover", "iterate", "measurement", "span_error",
+                                                 "full_rank"):
+        raise ConfigError("key 'epsilon': must be below 1 here, since this bound divides by 1 - epsilon")
     if not 0.0 < cfg.delta < 1.0:
         raise ConfigError(f"key 'delta': must lie in (0, 1), got {cfg.delta}")
     if cfg.c < 0.0:

@@ -26,7 +26,7 @@ from .config import ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank, numerical_rank, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import gaussian_sketch, identity_sketch
-from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
+from .solve import ConvergenceError, LinearSolveError, PrimalSolution, SolverConfig, solve_primal
 from .solve import dual_from_primal, primal_from_dual
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
@@ -140,24 +140,35 @@ def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
         raise DatasetIOError(f"bad dataset file {cfg.csv}: {exc}") from exc
 
 
-def _planted_singular_values(cfg: ExperimentConfig) -> np.ndarray:
+def _bound_spectrum(cfg: ExperimentConfig, data: Dataset, spec=None) -> np.ndarray:
+    """Singular values behind the full-rank k, m and bound: measured for CSV data, planted otherwise."""
+    if cfg.data == "csv":
+        return (spectrum(data) if spec is None else spec).singular_values
     k = min(cfg.d, cfg.n)
     return cfg.top_singular * np.arange(1, k + 1, dtype=float) ** (-cfg.decay)
 
 
-def _sketch_dim(cfg: ExperimentConfig) -> int:
-    if cfg.identity_sketch:
-        return cfg.d
+def _bound_m(cfg: ExperimentConfig, singular_values=None, d: int = 0) -> int:
+    """Analytic sketch size: the effective-rank bound for the singular values of
+    d-dimensional data when given, else the low-rank bound."""
+    try:
+        if singular_values is None:
+            return conc.sample_size_bound(cfg.rank, cfg.epsilon, cfg.delta, cfg.c or conc.LOW_RANK_C)
+        return conc.full_rank_sample_bound(
+            singular_values, cfg.lam, parse_loss(cfg.loss).gamma,
+            cfg.epsilon, cfg.delta, d, cfg.c or conc.FULL_RANK_C,
+        )
+    except ValueError as exc:  # epsilon above 1/2 for the low-rank bound
+        raise ConfigError(str(exc)) from None
+
+
+def _sketch_dim(cfg: ExperimentConfig, data: Dataset) -> int:
     if cfg.sketch_dim > 0:
         return cfg.sketch_dim
     if cfg.experiment == "full_rank" or (cfg.from_bound and cfg.data == "decaying"):
-        loss = parse_loss(cfg.loss)
-        m = conc.full_rank_sample_bound(
-            _planted_singular_values(cfg), cfg.lam, loss.gamma,
-            cfg.epsilon, cfg.delta, cfg.d, cfg.c or conc.FULL_RANK_C,
-        )
+        m = _bound_m(cfg, _bound_spectrum(cfg, data), data.d)
     else:
-        m = conc.sample_size_bound(cfg.rank, cfg.epsilon, cfg.delta, cfg.c or conc.LOW_RANK_C)
+        m = _bound_m(cfg)
     if m < 1:
         raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
     return m
@@ -168,16 +179,18 @@ def _setup(cfg: ExperimentConfig, t: int):
     seed = cfg.seed + t
     data = _build_dataset(cfg, seed)
     loss = parse_loss(cfg.loss)
-    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, _sketch_dim(cfg), seed)
+    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, _sketch_dim(cfg, data), seed)
     w_star = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol).weights
+    if np.linalg.norm(w_star) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
+        raise DatasetIOError("the reference solution has zero norm (X y = 0, or lambda so large "
+                             "that it underflows); relative errors are undefined")
     solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
     return seed, data, loss, sk, w_star, solver
 
 
-def _naive_lower_bound(cfg: ExperimentConfig, d: int) -> float:
+def _naive_lower_bound(cfg: ExperimentConfig, d: int, m: int) -> float:
     eps = cfg.epsilon
-    m = _sketch_dim(cfg)
-    return 0.5 * math.sqrt((d - cfg.rank) / m) * (1.0 - eps * math.sqrt(2.0 * (1.0 + eps)) / (1.0 - eps))
+    return 0.5 * math.sqrt(max(d - cfg.rank, 0) / m) * (1.0 - eps * math.sqrt(2.0 * (1.0 + eps)) / (1.0 - eps))
 
 
 # --- per-trial workers -------------------------------------------------
@@ -189,7 +202,7 @@ def _trial_recover(cfg: ExperimentConfig, t: int) -> dict:
         z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
         w = rec.recover_naive(sk.matrix_r, z_sol.weights, sk.m)
         rel = rec.relative_error(w, w_star)
-        bound_value = _naive_lower_bound(cfg, data.d)
+        bound_value = _naive_lower_bound(cfg, data.d, sk.m)
         ok = rel >= bound_value  # lower bound: failure to be bad is the anomaly
     elif cfg.method == "ridge_closed":
         w = rec.ridge_drp_closed_form(data, cfg.lam, sk)
@@ -269,17 +282,15 @@ def _trial_span_error(cfg: ExperimentConfig, t: int) -> dict:
 
 
 def _trial_full_rank(cfg: ExperimentConfig, t: int) -> dict:
-    loss = parse_loss(cfg.loss)
-    sv = _planted_singular_values(cfg)
-    nu = math.sqrt(cfg.lam / loss.gamma)
-    k = numerical_rank(sv, nu)
+    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
+    spec = spectrum(data)
+    sv = _bound_spectrum(cfg, data, spec)
+    k = numerical_rank(sv, math.sqrt(cfg.lam / loss.gamma))
     if k < 1:
         raise ConfigError(
-            "top_singular must exceed sqrt(lambda/gamma) for the full-rank bound to apply"
+            "the top singular value must exceed sqrt(lambda/gamma) for the full-rank bound to apply"
         )
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
     result = rec.recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
-    spec = spectrum(data)
     top_k = spec.left_vectors[:, :k]
     w_norm = float(np.linalg.norm(w_star))
     leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / w_norm)
@@ -295,9 +306,7 @@ def _trial_full_rank(cfg: ExperimentConfig, t: int) -> dict:
 
 def _trial_concentration(cfg: ExperimentConfig, t: int) -> dict:
     seed = cfg.seed + t
-    m = cfg.sketch_dim if cfg.sketch_dim > 0 else conc.sample_size_bound(
-        cfg.rank, cfg.epsilon, cfg.delta, cfg.c or conc.LOW_RANK_C
-    )
+    m = cfg.sketch_dim or _bound_m(cfg)
     dev = conc.spectral_deviation(cfg.rank, m, seed)
     return {
         "trial": t, "seed": seed, "m": m, "deviation": dev,
@@ -336,7 +345,7 @@ def _run_one(args) -> dict:
     try:
         record = _TRIALS[cfg.experiment](cfg, t)
         return {key: _py(val) for key, val in record.items()}
-    except ConvergenceError as exc:
+    except (ConvergenceError, LinearSolveError) as exc:
         return {"trial": t, "seed": cfg.seed + t, "error": str(exc)}
 
 
@@ -394,17 +403,15 @@ def _run_bounds(cfg: ExperimentConfig) -> list:
             raise DatasetIOError(f"cannot read spectrum {cfg.spectrum}: {exc}") from exc
         except ValueError as exc:
             raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: {exc}") from exc
-        loss = parse_loss(cfg.loss)
-        m = conc.full_rank_sample_bound(
-            sv, cfg.lam, loss.gamma, cfg.epsilon, cfg.delta, cfg.d, cfg.c or conc.FULL_RANK_C
-        )
+        if not np.all(np.isfinite(sv) & (sv >= 0)):
+            raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: values must be finite and nonnegative")
+        m = _bound_m(cfg, sv, cfg.d)
         return [{
             "trial": 0, "m": m, "kind": "full_rank", "epsilon": cfg.epsilon,
             "delta": cfg.delta, "c": cfg.c or conc.FULL_RANK_C, "d": cfg.d,
         }]
-    m = conc.sample_size_bound(cfg.rank, cfg.epsilon, cfg.delta, cfg.c or conc.LOW_RANK_C)
     return [{
-        "trial": 0, "m": m, "kind": "low_rank", "rank": cfg.rank,
+        "trial": 0, "m": _bound_m(cfg), "kind": "low_rank", "rank": cfg.rank,
         "epsilon": cfg.epsilon, "delta": cfg.delta, "c": cfg.c or conc.LOW_RANK_C,
     }]
 
@@ -425,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     """Execute the configured experiment and assemble its report.
 
     Bound violations are data, not errors; a record gains an ``error`` key
-    only when a trial's solver fails to converge.
+    only when a trial's solver fails to converge or a linear solve fails.
     """
     start = time.perf_counter()
     echo = asdict(cfg)

@@ -53,8 +53,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {KINDS}")
-        if self.smoothing <= 0:
-            raise ValueError("smoothing parameter must be positive")
+        if not 0 < self.smoothing < np.inf:
+            raise ValueError("smoothing parameter must be positive and finite")
         if self.kind == "square":
             gamma, domain = 1.0, (-np.inf, np.inf)
         elif self.kind == "logistic":

@@ -7,7 +7,8 @@ Three routes are implemented:
   poor approximation of the true weights.
 - ``recover_drp``: solve the sketched problem, read its dual vector off the
   loss gradient, and rebuild the weights through the *original* data
-  matrix, w = -(1/lam) X D(y) alpha.  Lands in the span of the data.
+  matrix, w = -(1/lam) X D(y) alpha.  Lands in the span of the data.  It
+  is the first pass of ``recover_iterative``.
 - ``recover_iterative``: repeat the dual recovery on the residual using
   shifted losses, reusing the single sketch; the error contracts
   geometrically per pass.
@@ -26,14 +27,7 @@ import scipy.linalg
 from .data import Dataset, SpectrumInfo
 from .losses import LossSpec
 from .sketch import ProjectionSketch
-from .solve import (
-    ConvergenceError,
-    LinearSolveError,
-    SolverConfig,
-    dual_from_primal,
-    primal_from_dual,
-    solve_primal,
-)
+from .solve import ConvergenceError, LinearSolveError, SolverConfig, primal_from_dual, solve_primal
 
 __all__ = [
     "RecoveryResult",
@@ -49,11 +43,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """A recovered weight vector, optionally scored against a reference."""
+    """A recovered weight vector and, when a reference was given, its relative error."""
 
     recovered: np.ndarray
-    method: str
-    reference: np.ndarray | None = None
     rel_error: float | None = None
 
 
@@ -77,17 +69,6 @@ def relative_error(recovered, reference) -> float:
     return float(np.linalg.norm(np.asarray(recovered) - np.asarray(reference)) / ref_norm)
 
 
-def _scored(recovered, method, reference):
-    if reference is None:
-        return RecoveryResult(recovered=recovered, method=method)
-    return RecoveryResult(
-        recovered=recovered,
-        method=method,
-        reference=np.asarray(reference, dtype=float),
-        rel_error=relative_error(recovered, reference),
-    )
-
-
 def recover_naive(r_matrix, z_star, m: int) -> np.ndarray:
     """Back-projection R z / sqrt(m) of a sketched solution."""
     r_matrix = np.asarray(r_matrix, dtype=float)
@@ -105,18 +86,13 @@ def recover_drp(
     config: SolverConfig = SolverConfig(),
     reference=None,
 ) -> RecoveryResult:
-    """Dual recovery from one sketched solve.
+    """Dual recovery from one sketched solve: pass 1 of ``recover_iterative``.
 
     Solves the m-dimensional sketched problem, forms the dual vector
     alpha_i = grad l(y_i xhat_i' z), and maps it back through the original
     features.  No d-dimensional optimization problem is ever solved.
     """
-    if sketch.sketched_features.shape != (sketch.m, data.n):
-        raise ValueError("sketch does not match the dataset")
-    z_sol = solve_primal(sketch.sketched_features, data.labels, loss, lam, config)
-    dual = dual_from_primal(sketch.sketched_features, data.labels, loss, z_sol.weights)
-    recovered = primal_from_dual(data.features, data.labels, lam, dual)
-    return _scored(recovered, "drp", reference)
+    return recover_iterative(data, loss, lam, sketch, 1, config, reference)[0]
 
 
 def ridge_drp_closed_form(data: Dataset, lam: float, sketch: ProjectionSketch) -> np.ndarray:
@@ -187,12 +163,12 @@ def recover_iterative(
             raise ConvergenceError(f"pass {t}: {exc}", exc.best) from exc
         margins = data.labels * (xs.T @ z_sol.weights) + data.labels * dots
         alphas = np.asarray(loss.grad(margins), dtype=float)
-        w = -(data.features @ (data.labels * alphas)) / lam
+        w = primal_from_dual(data.features, data.labels, lam, alphas)
         errors.append(relative_error(w, ref) if ref is not None else np.nan)
         if early_stop and np.linalg.norm(z_sol.weights) <= 1e-12 * np.linalg.norm(w):
             break
     trace = IterationTrace(per_iteration_errors=np.array(errors), duals=alphas)
-    return _scored(w, "drp_iterative", ref), trace
+    return RecoveryResult(w, None if ref is None else errors[-1]), trace
 
 
 def span_restricted_error(spec: SpectrumInfo, w_a, w_b) -> float:

@@ -10,7 +10,6 @@ recorded so any sketch can be rebuilt exactly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +22,7 @@ __all__ = [
     "project",
     "gaussian_sketch",
     "identity_sketch",
-    "save_sketch",
-    "load_sketch",
 ]
-
-SKETCH_MAGIC = b"SKB1"
-_HEADER = struct.Struct("<4sIII")  # magic, d, m, seed: 16 bytes
 
 
 @dataclass(frozen=True)
@@ -78,38 +72,3 @@ def identity_sketch(data: Dataset) -> ProjectionSketch:
     m = data.d
     return project(data, np.sqrt(m) * np.eye(data.d), m, seed=None)
 
-
-def save_sketch(path, sk: ProjectionSketch) -> None:
-    """Persist the projection matrix: 16-byte header then column-major float64.
-
-    The header packs (magic, d, m, seed) as little-endian uint32 fields, so
-    the seed must fit in 32 bits; injected sketches (seed None) store 0.
-    """
-    d = sk.matrix_r.shape[0]
-    seed = 0 if sk.seed is None else int(sk.seed)
-    if not 0 <= seed < 2**32:
-        raise ValueError("sketch file seeds must fit in an unsigned 32-bit field")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SKETCH_MAGIC, d, sk.m, seed))
-        fh.write(np.asfortranarray(sk.matrix_r).tobytes(order="F"))
-
-
-def load_sketch(path, data: Dataset) -> ProjectionSketch:
-    """Load a persisted projection and re-derive the sketched features."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"truncated sketch file: {path}")
-        magic, d, m, seed = _HEADER.unpack(raw)
-        if magic != SKETCH_MAGIC:
-            raise ValueError(f"not a sketch file (bad magic): {path}")
-        if d != data.d:
-            raise ValueError(
-                f"sketch was built for feature dimension {d}, dataset has {data.d}"
-            )
-        body = fh.read()
-    expected = d * m * 8
-    if len(body) != expected:
-        raise ValueError(f"sketch file body has {len(body)} bytes, expected {expected}")
-    r_matrix = np.frombuffer(body, dtype="<f8").reshape((d, m), order="F")
-    return project(data, r_matrix, m, seed)

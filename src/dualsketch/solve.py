@@ -32,7 +32,6 @@ from .losses import LossSpec
 __all__ = [
     "SolverConfig",
     "PrimalSolution",
-    "DualSolution",
     "ConvergenceError",
     "LinearSolveError",
     "solve_primal",
@@ -84,13 +83,6 @@ class PrimalSolution:
         )
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    """Dual vector, one component per example, each in the loss's dual domain."""
-
-    alphas: np.ndarray
-
-
 class ConvergenceError(RuntimeError):
     """Raised when the gradient certificate cannot be met; carries the best iterate."""
 
@@ -109,14 +101,33 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _newton(features, labels, loss, lam, config, offset=None, margin_shift=None):
-    """Damped Newton on the (possibly shifted) primal.
+def solve_primal(
+    features,
+    labels,
+    loss: LossSpec,
+    lam: float,
+    config: SolverConfig = SolverConfig(),
+    offset=None,
+    margin_shift=None,
+) -> PrimalSolution:
+    """Minimize the regularized ERM objective with a gradient-norm certificate.
 
-    Minimizes  lam/2 ||z + offset||^2 + sum_i l(y_i z' x_i + margin_shift_i)
-    and certifies the gradient in the caller's space.
+    Works for the original problem (pass the d x n features) and the
+    sketched one (pass the m x n sketched features).  With ``offset`` and
+    ``margin_shift`` it solves the shifted problem used by iterative
+    recovery,
+
+        min_z lam/2 ||z + offset||^2 + sum_i l(y_i z' x_i + margin_shift_i).
+
+    Raises ``ConvergenceError`` carrying the best iterate when the
+    certificate cannot be met within ``config.max_iterations``.
     """
     x_full = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
+    if lam <= 0:
+        raise ValueError("regularization weight must be positive")
+    if x_full.ndim != 2 or y.shape != (x_full.shape[1],):
+        raise ValueError("features must be p x n with one label per column")
     p, n = x_full.shape
     u_full = np.zeros(p) if offset is None else np.asarray(offset, dtype=float)
     shift = np.zeros(n) if margin_shift is None else np.asarray(margin_shift, dtype=float)
@@ -221,36 +232,6 @@ def _newton(features, labels, loss, lam, config, offset=None, margin_shift=None)
         iters += 1
 
 
-def solve_primal(
-    features,
-    labels,
-    loss: LossSpec,
-    lam: float,
-    config: SolverConfig = SolverConfig(),
-    offset=None,
-    margin_shift=None,
-) -> PrimalSolution:
-    """Minimize the regularized ERM objective with a gradient-norm certificate.
-
-    Works for the original problem (pass the d x n features) and the
-    sketched one (pass the m x n sketched features).  With ``offset`` and
-    ``margin_shift`` it solves the shifted problem used by iterative
-    recovery,
-
-        min_z lam/2 ||z + offset||^2 + sum_i l(y_i z' x_i + margin_shift_i).
-
-    Raises ``ConvergenceError`` carrying the best iterate when the
-    certificate cannot be met within ``config.max_iterations``.
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if lam <= 0:
-        raise ValueError("regularization weight must be positive")
-    if features.ndim != 2 or labels.shape != (features.shape[1],):
-        raise ValueError("features must be p x n with one label per column")
-    return _newton(features, labels, loss, lam, config, offset=offset, margin_shift=margin_shift)
-
-
 def ridge_closed_form(features, labels, lam: float) -> np.ndarray:
     """Exact ridge solution via whichever of the two normal systems is smaller.
 
@@ -274,26 +255,26 @@ def ridge_closed_form(features, labels, lam: float) -> np.ndarray:
         raise LinearSolveError(f"ridge system could not be solved: {exc}") from exc
 
 
-def dual_from_primal(features, labels, loss: LossSpec, weights) -> DualSolution:
-    """Dual vector read off a primal solution: alpha_i = grad l(y_i x_i' w)."""
+def dual_from_primal(features, labels, loss: LossSpec, weights) -> np.ndarray:
+    """Dual vector read off a primal solution: alpha_i = grad l(y_i x_i' w), one per example."""
     margins = np.asarray(labels, dtype=float) * (np.asarray(features, dtype=float).T @ weights)
-    return DualSolution(alphas=np.asarray(loss.grad(margins), dtype=float))
+    return np.asarray(loss.grad(margins), dtype=float)
 
 
-def primal_from_dual(features, labels, lam: float, dual: DualSolution) -> np.ndarray:
+def primal_from_dual(features, labels, lam: float, alphas) -> np.ndarray:
     """Map a dual vector back to weights: w = -(1/lam) sum_i alpha_i y_i x_i."""
     if lam <= 0:
         raise ValueError("regularization weight must be positive")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    return -(x @ (y * dual.alphas)) / lam
+    return -(x @ (y * np.asarray(alphas, dtype=float))) / lam
 
 
-def dual_objective(gram_matrix, loss: LossSpec, lam: float, dual: DualSolution) -> float:
+def dual_objective(gram_matrix, loss: LossSpec, lam: float, alphas) -> float:
     """Value of the concave dual: -sum_i l*(alpha_i) - alpha' G alpha / (2 lam)."""
     if lam <= 0:
         raise ValueError("regularization weight must be positive")
-    alphas = dual.alphas
+    alphas = np.asarray(alphas, dtype=float)
     conj = loss.conjugate(alphas)  # raises on a domain violation
     quad = float(alphas @ (np.asarray(gram_matrix, dtype=float) @ alphas))
     return float(-np.sum(conj) - quad / (2.0 * lam))

@@ -1,9 +1,13 @@
 """Config validation, experiment reports, and the command-line surface."""
 
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualsketch import experiments, recover
 from dualsketch.cli import main
@@ -13,15 +17,76 @@ from dualsketch.config import (
     config_from_mapping,
     validate_config,
 )
-from dualsketch.data import make_low_rank, save_csv
+from dualsketch.concentration import FULL_RANK_C, full_rank_sample_bound
+from dualsketch.data import (
+    Dataset,
+    load_csv,
+    make_decaying_spectrum,
+    make_low_rank,
+    numerical_rank,
+    save_csv,
+    spectrum,
+)
 from dualsketch.experiments import run_experiment, solve_reference
 from dualsketch.losses import parse_loss
 from dualsketch.recover import recover_drp, recover_naive, relative_error
 from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import SolverConfig, solve_primal
 
-SMALL_RECOVER = ["recover", "--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6",
-                 "--trials", "2"]
+SMALL = ["--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6"]
+SMALL_RECOVER = ["recover", *SMALL, "--trials", "2"]
+DECAYING = ["--data", "decaying", "--d", "20", "--n", "10", "--top-singular", "4"]
+ZERO_CSV = ["--data", "csv", "--csv", "{tmp}/zero.csv", "--sketch-dim", "4"]
+
+# Flag pools for the argv fuzz: each flag maps to its candidate values (None
+# for a switch).  Sizes stay small and the valid values of c and epsilon stay
+# at or above 0.25 and 0.1 (c = 0 selects the default constant), so every
+# derived sketch dimension stays modest.
+FUZZ_FLAGS = {
+    "--d": ["1", "4", "12", "30", "0", "-3"],
+    "--n": ["1", "6", "30", "0", "-2"],
+    "--rank": ["1", "3", "30", "0", "-1"],
+    "--data": ["low_rank", "decaying"],
+    "--label-rule": ["random", "sign_of_plant"],
+    "--decay": ["0.5", "1", "0", "-1", "nan", "inf"],
+    "--top-singular": ["4", "1e-3", "0", "-2", "nan", "inf"],
+    "--loss": ["square", "logistic", "smoothed_hinge:0.5", "smoothed_hinge:0",
+               "smoothed_hinge:nan", "smoothed_hinge:inf", "hinge"],
+    "--lambda": ["1e-30", "1", "1e30", "0", "-1", "nan", "inf"],
+    "--tol": ["1e-8", "0", "-1", "nan", "inf"],
+    "--max-iters": ["1", "50", "0", "-1"],
+    "--reference-tol": ["1e-12", "0", "nan", "inf"],
+    "--sketch-dim": ["0", "1", "5", "40", "-2"],
+    "--from-bound": None,
+    "--identity-sketch": None,
+    "--eps": ["0.3", "0.5", "0.75", "1", "0", "-0.5", "nan", "inf"],
+    "--delta": ["0.1", "0.5", "0", "1", "nan"],
+    "--c": ["0.25", "1", "0", "-1", "nan", "inf"],
+    "--trials": ["1", "2", "0", "-1"],
+    "--seed": ["0", "7", "-5"],
+}
+FUZZ_SUBCOMMAND_FLAGS = {
+    "recover": {"--method": ["naive", "drp", "ridge-closed"]},
+    "iterate": {"--iters": ["1", "3", "0"], "--early-stop": None},
+    "naive-vs-drp": {},
+    "measurement": {},
+    "span-error": {},
+    "concentration": {"--find-min-m": None},
+    "bounds": {"--full-rank": None},
+    "full-rank": {},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    sub = draw(st.sampled_from(sorted(FUZZ_SUBCOMMAND_FLAGS)))
+    pools = {**FUZZ_FLAGS, **FUZZ_SUBCOMMAND_FLAGS[sub]}
+    argv = [sub, "--d", "12", "--n", "10", "--rank", "2", "--sketch-dim", "6",
+            "--output", os.devnull]
+    for flag in draw(st.lists(st.sampled_from(sorted(pools)), max_size=6, unique=True)):
+        values = pools[flag]
+        argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
 
 
 class TestValidateConfig:
@@ -176,6 +241,34 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.errored_trials == 0
         assert all(r["m"] == 8 for r in report.records)
+
+    def test_full_rank_csv_bound_uses_measured_spectrum(self, tmp_path):
+        path = tmp_path / "decaying.csv"
+        save_csv(make_decaying_spectrum(60, 30, 1.0, seed=5, top_singular_value=5.0), path)
+        cfg = config_from_mapping({"experiment": "full_rank", "data": "csv", "csv": str(path),
+                                   "loss": "logistic", "lambda": 1.0})
+        record = run_experiment(cfg).records[0]
+        sv = spectrum(load_csv(path)).singular_values
+        gamma = parse_loss("logistic").gamma
+        assert record["k"] == numerical_rank(sv, math.sqrt(1.0 / gamma))
+        assert record["m"] == full_rank_sample_bound(sv, 1.0, gamma, cfg.epsilon, cfg.delta, 60,
+                                                     FULL_RANK_C)
+
+    def test_naive_bound_uses_data_and_sketch_dimensions(self, tmp_path):
+        path = tmp_path / "train.csv"
+        save_csv(make_low_rank(60, 30, 4, "random", seed=11), path)
+        cfg = config_from_mapping({"experiment": "recover", "method": "naive", "rank": 4,
+                                   "identity_sketch": True, "data": "csv", "csv": str(path)})
+        record = run_experiment(cfg).records[0]
+        eps = cfg.epsilon
+        expected = 0.5 * math.sqrt((60 - 4) / 60) * (1 - eps * math.sqrt(2 * (1 + eps)) / (1 - eps))
+        assert record["m"] == 60
+        assert record["bound"]["value"] == pytest.approx(expected)  # about -0.354
+
+    def test_naive_bound_when_rank_exceeds_d(self):
+        cfg = config_from_mapping({"experiment": "recover", "method": "naive", "data": "decaying",
+                                   "d": 3, "n": 10, "sketch_dim": 4})
+        assert run_experiment(cfg).records[0]["bound"]["value"] == 0.0
 
     def test_naive_and_ridge_closed_methods(self):
         base = {"experiment": "recover", "d": 80, "n": 30, "rank": 3,
@@ -339,9 +432,32 @@ class TestCliProcess:
                      id="unwritable-output"),
         pytest.param(["full-rank", "--d", "20", "--n", "10", "--top-singular", "4"], {}, 2,
                      id="full-rank-low-rank-data"),
+        *[pytest.param(["recover", *SMALL, flag, value], {}, 2, id=f"{flag[2:]}-{value}")
+          for flag, value in [("--lambda", "nan"), ("--lambda", "inf"), ("--tol", "nan"),
+                              ("--reference-tol", "nan"), ("--reference-tol", "inf"),
+                              ("--loss", "smoothed_hinge:nan"), ("--loss", "smoothed_hinge:inf")]],
+        pytest.param(["full-rank", *DECAYING, "--decay", "nan"], {}, 2, id="decay-nan"),
+        pytest.param(["full-rank", *DECAYING, "--top-singular", "inf"], {}, 2,
+                     id="top-singular-inf"),
+        pytest.param(["bounds", "--c", "nan"], {}, 2, id="c-nan"),
+        *[pytest.param([sub, *(DECAYING if sub == "full-rank" else SMALL), "--eps", "1"], {}, 2,
+                       id=f"{sub}-eps-1")
+          for sub in ("recover", "iterate", "measurement", "span-error", "full-rank")],
+        pytest.param(["recover", "--d", "20", "--n", "10", "--rank", "2", "--from-bound",
+                      "--eps", "0.75"], {}, 2, id="from-bound-eps-0.75"),
+        pytest.param(["bounds", "--eps", "0.75"], {}, 2, id="bounds-eps-0.75"),
+        pytest.param(["concentration", "--rank", "2", "--eps", "0.75"], {}, 2,
+                     id="concentration-eps-0.75"),
+        *[pytest.param([sub, *ZERO_CSV], {}, 3, id=f"{sub}-zero-reference")
+          for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
+        pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
+        pytest.param(["bounds", "--full-rank", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3,
+                     id="spectrum-nan"),
     ])
     def test_bad_input_exit_code(self, tmp_path, monkeypatch, capsys, argv, env, code):
+        save_csv(Dataset(np.zeros((6, 4)), np.array([1.0, -1.0, 1.0, -1.0])), tmp_path / "zero.csv")
         save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
+        (tmp_path / "nan-spectrum.txt").write_text("1.0\nnan\n")
         rows = (tmp_path / "good.csv").read_text().splitlines()
         for name in ("nan", "inf"):
             bad = rows[:2] + [rows[2].rsplit(",", 1)[0] + "," + name] + rows[3:]
@@ -351,10 +467,21 @@ class TestCliProcess:
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
         assert capsys.readouterr().err
 
+    @given(fuzz_argv())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_any_argv_ends_in_a_documented_exit_code(self, argv):
+        assert main(argv) in range(5)
+
     def test_missing_dataset_exits_three(self, capsys):
         code = main(["recover", "--data", "csv", "--csv", "/no/such/file.csv",
                      "--sketch-dim", "4"])
         assert code == 3
+
+    def test_linear_solve_failure_is_a_trial_error(self, capsys):
+        code = main(["recover", "--method", "ridge-closed", "--data", "decaying", "--decay", "0.5",
+                     "--lambda", "1e-30", "--d", "40", "--n", "40", "--sketch-dim", "10"])
+        assert code == 4
+        assert "could not be solved" in json.loads(capsys.readouterr().out)["records"][0]["error"]
 
     def test_solver_failure_exits_four(self, capsys):
         # a one-iteration budget cannot certify a logistic solve

@@ -93,7 +93,7 @@ class TestDrp:
         sk = gaussian_sketch(data, 8, seed=11)
         ref = reference(data, square_loss(), 1.0)
         res = recover_drp(data, square_loss(), 1.0, sk, CFG, reference=ref.weights)
-        again = relative_error(res.recovered, res.reference)
+        again = relative_error(res.recovered, ref.weights)
         assert abs(res.rel_error - again) <= 1e-12
 
 

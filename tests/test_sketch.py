@@ -1,4 +1,4 @@
-"""Gaussian projection determinism, statistics, and persistence."""
+"""Gaussian projection determinism and statistics."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from dualsketch.sketch import (
     gaussian_matrix,
     gaussian_sketch,
     identity_sketch,
-    load_sketch,
     project,
-    save_sketch,
 )
 
 
@@ -98,47 +96,6 @@ class TestProject:
         col_norms = np.linalg.norm(data.features, axis=0)
         scale = np.outer(col_norms, col_norms)
         assert np.all(np.abs(acc - target) <= 5.0 / np.sqrt(n_seeds) * scale)
-
-
-class TestPersistence:
-    def test_round_trip_exact(self, tmp_path):
-        data = make_low_rank(12, 7, 3, "random", seed=8)
-        sk = gaussian_sketch(data, 5, seed=21)
-        path = tmp_path / "proj.skb"
-        save_sketch(path, sk)
-        again = load_sketch(path, data)
-        assert np.array_equal(again.matrix_r, sk.matrix_r)
-        assert np.array_equal(again.sketched_features, sk.sketched_features)
-        assert again.seed == 21 and again.m == 5
-
-    def test_header_is_sixteen_bytes(self, tmp_path):
-        data = make_low_rank(4, 3, 1, "random", seed=0)
-        sk = gaussian_sketch(data, 2, seed=1)
-        path = tmp_path / "p.skb"
-        save_sketch(path, sk)
-        assert path.stat().st_size == 16 + 4 * 2 * 8
-
-    def test_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "junk.skb"
-        path.write_bytes(b"NOPE" + b"\x00" * 12)
-        data = make_low_rank(4, 3, 1, "random", seed=0)
-        with pytest.raises(ValueError):
-            load_sketch(path, data)
-
-    def test_rejects_dimension_mismatch(self, tmp_path):
-        data = make_low_rank(4, 3, 1, "random", seed=0)
-        other = make_low_rank(5, 3, 1, "random", seed=0)
-        sk = gaussian_sketch(data, 2, seed=1)
-        path = tmp_path / "p.skb"
-        save_sketch(path, sk)
-        with pytest.raises(ValueError):
-            load_sketch(path, other)
-
-    def test_rejects_oversized_seed(self, tmp_path):
-        data = make_low_rank(4, 3, 1, "random", seed=0)
-        sk = gaussian_sketch(data, 2, seed=2**40)
-        with pytest.raises(ValueError):
-            save_sketch(tmp_path / "p.skb", sk)
 
 
 class TestIdentityInjection:

@@ -11,7 +11,6 @@ from dualsketch.data import make_low_rank
 from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
 from dualsketch.solve import (
     ConvergenceError,
-    DualSolution,
     SolverConfig,
     dual_from_primal,
     dual_objective,
@@ -183,24 +182,24 @@ class TestConversions:
         labels = np.array([1.0, -1.0, 1.0])
         w = labels.copy()  # y_i x_i' w = y_i^2 = 1
         dual = dual_from_primal(features, labels, square_loss(), w)
-        np.testing.assert_allclose(dual.alphas, 0.0, atol=0)
+        np.testing.assert_allclose(dual, 0.0, atol=0)
 
     def test_dual_at_zero_weights(self):
         rng = np.random.default_rng(9)
         features, labels = random_instance(rng, 6, 4)
         dual = dual_from_primal(features, labels, square_loss(), np.zeros(6))
-        np.testing.assert_allclose(dual.alphas, -1.0, atol=0)
+        np.testing.assert_allclose(dual, -1.0, atol=0)
 
     def test_primal_from_zero_dual(self):
         rng = np.random.default_rng(10)
         features, labels = random_instance(rng, 6, 4)
-        w = primal_from_dual(features, labels, 1.0, DualSolution(np.zeros(4)))
+        w = primal_from_dual(features, labels, 1.0, np.zeros(4))
         np.testing.assert_allclose(w, 0.0, atol=0)
 
     def test_primal_from_dual_hand_value(self):
         features = np.array([[2.0], [0.0]])
         labels = np.array([-1.0])
-        w = primal_from_dual(features, labels, 2.0, DualSolution(np.array([-1.0])))
+        w = primal_from_dual(features, labels, 2.0, np.array([-1.0]))
         np.testing.assert_allclose(w, [-1.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
@@ -217,17 +216,17 @@ class TestConversions:
 class TestDualObjective:
     def test_zero_dual_square(self):
         g = np.eye(3)
-        assert dual_objective(g, square_loss(), 1.0, DualSolution(np.zeros(3))) == 0.0
+        assert dual_objective(g, square_loss(), 1.0, np.zeros(3)) == 0.0
 
     def test_hand_value(self):
         g = np.array([[4.0]])
-        value = dual_objective(g, square_loss(), 2.0, DualSolution(np.array([-1.0])))
+        value = dual_objective(g, square_loss(), 2.0, np.array([-1.0]))
         assert value == pytest.approx(-0.5, abs=1e-14)
 
     def test_rejects_domain_violation(self):
         g = np.eye(2)
         with pytest.raises(ValueError):
-            dual_objective(g, logistic_loss(), 1.0, DualSolution(np.array([0.5, -0.5])))
+            dual_objective(g, logistic_loss(), 1.0, np.array([0.5, -0.5]))
 
     @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
     def test_strong_duality_gap(self, loss):
