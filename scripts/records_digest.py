@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Hash the reports of a fixed set of small CLI runs, one line per run.
+
+Each line is the run's name, the first 16 hex digits of the sha256 of
+``json.dumps([records, aggregates, config])`` (key order included, wall
+time left out) and the exit code.  Run it before and after a change that
+should not move any number, and diff the two outputs; run it under
+``DUALSKETCH_WORKERS=1`` and ``2`` to cover the worker pool:
+
+    PYTHONPATH=src python scripts/records_digest.py > before.txt
+
+Input files are written to a temporary directory that becomes the working
+directory, so the config echo holds the same relative paths on every run.
+A run that escapes ``dualsketch.cli.main`` with an exception prints
+``traceback`` and its type, and the script then exits 1.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from dualsketch import make_decaying_spectrum, make_low_rank, save_csv
+from dualsketch.cli import main as cli_main
+
+LOW = ["--d", "60", "--n", "20", "--rank", "3"]
+DECAYING = ["--data", "decaying", "--d", "60", "--n", "20", "--top-singular", "4"]
+
+RUNS = {
+    "recover-drp": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic", "--trials", "3"],
+    "recover-naive": ["recover", *LOW, "--sketch-dim", "20", "--method", "naive", "--trials", "2"],
+    "recover-ridge-closed": ["recover", *LOW, "--sketch-dim", "20", "--method", "ridge-closed",
+                             "--trials", "2"],
+    "recover-identity": ["recover", *LOW, "--identity-sketch", "--loss", "logistic"],
+    "recover-from-bound": ["recover", *LOW, "--from-bound", "--trials", "2"],
+    "recover-from-bound-decaying": ["recover", *DECAYING, "--from-bound", "--top-singular", "2"],
+    "recover-csv": ["recover", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "25",
+                    "--loss", "logistic", "--trials", "2"],
+    "recover-naive-identity-csv": ["recover", "--data", "csv", "--csv", "low.csv", "--rank", "4",
+                                   "--method", "naive", "--identity-sketch"],
+    "recover-no-convergence": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic",
+                               "--max-iters", "1", "--trials", "2"],
+    "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],
+    "iterate-logistic-early-stop": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "12",
+                                    "--loss", "logistic", "--early-stop"],
+    "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
+                               "--iters", "200"],
+    "naive-vs-drp": ["naive-vs-drp", *LOW, "--from-bound", "--loss", "logistic", "--trials", "2"],
+    "measurement": ["measurement", *LOW, "--sketch-dim", "30", "--trials", "2"],
+    "span-error": ["span-error", *LOW, "--sketch-dim", "30", "--loss", "smoothed_hinge:0.5",
+                   "--trials", "2"],
+    "concentration": ["concentration", "--rank", "3", "--sketch-dim", "60", "--trials", "4"],
+    "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
+    "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
+    "bounds-full-rank": ["bounds", "--full-rank", "--spectrum", "sv.txt", "--d", "100",
+                         "--loss", "logistic"],
+    "full-rank-decaying": ["full-rank", *DECAYING, "--label-rule", "sign_of_plant",
+                           "--loss", "logistic", "--trials", "2"],
+    "full-rank-identity": ["full-rank", *DECAYING, "--identity-sketch"],
+    "full-rank-csv": ["full-rank", "--data", "csv", "--csv", "decaying.csv", "--loss", "logistic"],
+    "full-rank-k-zero": ["full-rank", *DECAYING, "--top-singular", "1", "--lambda", "4"],
+    "full-rank-overflowing-data": ["full-rank", *DECAYING, "--top-singular", "1e300",
+                                   "--sketch-dim", "6"],
+}
+
+
+def digest(argv: list[str]) -> tuple[str, str]:
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(argv)
+    except Exception as exc:  # a traceback breaks the exit-code contract
+        return f"traceback {type(exc).__name__}", "-"
+    if not out.getvalue():
+        return str(code), "-"
+    doc = json.loads(out.getvalue())
+    blob = json.dumps([doc["records"], doc["aggregates"], doc["config"]])
+    return str(code), hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def main() -> int:
+    tracebacks = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            save_csv(make_low_rank(60, 30, 4, "random", seed=11), "low.csv")
+            save_csv(make_decaying_spectrum(60, 30, 1.0, seed=5, top_singular_value=5.0),
+                     "decaying.csv")
+            np.savetxt("sv.txt", np.arange(1, 101, dtype=float) ** -1.0)
+            for name, argv in RUNS.items():
+                code, sha = digest(argv)
+                tracebacks += code.startswith("traceback")
+                print(f"{name:28s} {sha:16s} exit {code}")
+        finally:
+            os.chdir(cwd)
+    return 1 if tracebacks else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

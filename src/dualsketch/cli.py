@@ -1,14 +1,15 @@
 """Command-line entry point: one subcommand per experiment.
 
 Every subcommand accepts ``--config FILE`` (the key = value format) and/or
-inline flags; flags given explicitly override the file.  Reports go to
-``--output`` or stdout as JSON or CSV.
+inline flags; flags given explicitly override the file, which may be
+partial.  Reports go to ``--output`` or stdout as JSON or CSV.
 
 Exit status: 0 when every trial ran (bound violations are data, not
 errors), 1 when some trials failed (no convergence or a singular linear
-system), 2 for an invalid config (including a bad DUALSKETCH_WORKERS value
-or an unwritable ``--output``), 3 for a dataset/spectrum I/O failure
-(including non-finite values and an exactly zero reference solution),
+system), 2 for an invalid config (including a bad DUALSKETCH_WORKERS value,
+an unwritable ``--output`` or an iterate bound that overflows), 3 for a
+dataset/spectrum I/O failure (including non-finite values, generated
+features whose squares overflow and an exactly zero reference solution),
 4 when every trial failed.
 """
 
@@ -18,7 +19,7 @@ import argparse
 import sys
 
 from .config import DATA_KINDS, FORMATS, LABEL_RULES
-from .config import ConfigError, DatasetIOError, config_from_mapping, validate_config
+from .config import ConfigError, DatasetIOError, validate_config
 from .experiments import run_experiment
 
 EXIT_OK = 0
@@ -104,18 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace):
-    entries: dict = {}
+    """The config file's entries (if any) with the explicit flags laid over them, validated once."""
+    text = ""
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = validate_config(fh.read())
-        entries.update({k: v for k, v in vars(base).items()})
-        entries.pop("experiment", None)
-    for key, value in vars(args).items():
-        if key in ("config",) or value is None:
-            continue
-        entries[key] = value
-    entries["experiment"] = args.experiment.replace("-", "_")
-    return config_from_mapping(entries)
+            text = fh.read()
+    flags = {key: value for key, value in vars(args).items() if key != "config" and value is not None}
+    flags["experiment"] = args.experiment.replace("-", "_")
+    return validate_config(text, flags)
 
 
 def main(argv=None) -> int:

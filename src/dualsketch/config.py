@@ -205,8 +205,12 @@ def config_from_mapping(entries: dict) -> ExperimentConfig:
     return _validate(ExperimentConfig(**resolved))
 
 
-def validate_config(raw: str) -> ExperimentConfig:
-    """Parse and validate config text; unknown keys and bad values are fatal."""
+def validate_config(raw: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse config text, lay ``overrides`` over its entries and validate the result.
+
+    Unknown keys and bad values are fatal; the text may leave out any key
+    that ``overrides`` supplies, ``experiment`` included.
+    """
     entries: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -222,4 +226,4 @@ def validate_config(raw: str) -> ExperimentConfig:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         entries[key] = value
-    return config_from_mapping(entries)
+    return config_from_mapping({**entries, **(overrides or {})})

@@ -31,7 +31,10 @@ DEFAULT_RANK_THRESHOLD = 1e-9
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (d x n, one example per column) and labels in {-1, +1}."""
+    """Feature matrix (d x n, one example per column) and labels in {-1, +1}.
+
+    The features, and the sum of their squares, must be finite.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -47,6 +50,8 @@ class Dataset:
             )
         if not np.all(np.abs(labs) == 1.0):
             raise ValueError("every label must be exactly -1 or +1")
+        if not np.isfinite(np.vdot(feats, feats)):  # also catches squares that overflow
+            raise ValueError("features must be finite, with a finite sum of squares")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
@@ -195,7 +200,7 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
     A header row is optional and detected by a non-numeric first cell.
-    Every value must be finite; ``nan`` and ``inf`` cells are rejected.
+    ``Dataset`` rejects ``nan`` and ``inf`` cells.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -213,6 +218,4 @@ def load_csv(path) -> Dataset:
     if width < 2 or any(r.size != width for r in rows):
         raise ValueError("every row must contain a label followed by d feature values")
     table = np.vstack(rows)
-    if not np.all(np.isfinite(table)):
-        raise ValueError("dataset contains a non-finite value (nan or inf)")
     return Dataset(features=table[:, 1:].T.copy(), labels=table[:, 0].copy())

@@ -5,7 +5,10 @@ record per trial, and aggregates recomputable from the records.  Trial t
 derives every random object (generated dataset, projection) from
 ``seed + t``, so runs are reproducible and resumable; a worker pool (size
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
-never the records.
+never the records.  The run's constants (the ``--csv`` dataset, the sketch
+size m, the full-rank k and the bound value) are derived once, before the
+first trial, and travel with every trial's job; so a config error never
+costs a solve.
 """
 
 from __future__ import annotations
@@ -51,16 +54,7 @@ class ReportDocument:
         return sum(1 for r in self.records if "error" in r)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "config": self.config,
-                "records": self.records,
-                "aggregates": self.aggregates,
-                "wall_seconds": self.wall_seconds,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self) -> str:
         """Per-trial table; the header carries the schema version.
@@ -125,123 +119,152 @@ def solve_reference(features, labels, loss: LossSpec, lam: float, tol: float = 1
         raise
 
 
-def _build_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
-    if cfg.data == "low_rank":
-        return make_low_rank(cfg.d, cfg.n, cfg.rank, cfg.label_rule, seed)
-    if cfg.data == "decaying":
-        return make_decaying_spectrum(
-            cfg.d, cfg.n, cfg.decay, seed, cfg.top_singular, cfg.label_rule
-        )
+@dataclass(frozen=True)
+class _Plan:
+    """A run's constants, derived from the config alone before the first trial."""
+
+    data: Dataset | None  # the --csv dataset; None for generated data
+    loss: LossSpec
+    solver: SolverConfig
+    m: int  # sketch size; the bound's m for bounds and concentration
+    k: int  # numerical rank behind the full-rank bound; 0 elsewhere
+    bound: float  # the experiment's bound value; 0.0 where it has none
+
+
+def _read(loader, path: str, what: str):
     try:
-        return load_csv(cfg.csv)
+        return loader(path)
     except OSError as exc:
-        raise DatasetIOError(f"cannot read dataset {cfg.csv}: {exc}") from exc
+        raise DatasetIOError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise DatasetIOError(f"bad dataset file {cfg.csv}: {exc}") from exc
+        raise DatasetIOError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _bound_spectrum(cfg: ExperimentConfig, data: Dataset, spec=None) -> np.ndarray:
-    """Singular values behind the full-rank k, m and bound: measured for CSV data, planted otherwise."""
-    if cfg.data == "csv":
-        return (spectrum(data) if spec is None else spec).singular_values
-    k = min(cfg.d, cfg.n)
-    return cfg.top_singular * np.arange(1, k + 1, dtype=float) ** (-cfg.decay)
+def _plan(cfg: ExperimentConfig) -> _Plan:
+    """Load the CSV dataset and derive m, k and the bound value, once per run.
 
-
-def _bound_m(cfg: ExperimentConfig, singular_values=None, d: int = 0) -> int:
-    """Analytic sketch size: the effective-rank bound for the singular values of
-    d-dimensional data when given, else the low-rank bound."""
-    try:
-        if singular_values is None:
-            return conc.sample_size_bound(cfg.rank, cfg.epsilon, cfg.delta, cfg.c or conc.LOW_RANK_C)
-        return conc.full_rank_sample_bound(
-            singular_values, cfg.lam, parse_loss(cfg.loss).gamma,
-            cfg.epsilon, cfg.delta, d, cfg.c or conc.FULL_RANK_C,
-        )
-    except ValueError as exc:  # epsilon above 1/2 for the low-rank bound
-        raise ConfigError(str(exc)) from None
-
-
-def _sketch_dim(cfg: ExperimentConfig, data: Dataset) -> int:
-    if cfg.sketch_dim > 0:
-        return cfg.sketch_dim
-    if cfg.experiment == "full_rank" or (cfg.from_bound and cfg.data == "decaying"):
-        m = _bound_m(cfg, _bound_spectrum(cfg, data), data.d)
-    else:
-        m = _bound_m(cfg)
-    if m < 1:
-        raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
-    return m
-
-
-def _setup(cfg: ExperimentConfig, t: int):
-    """Trial t's seed, dataset, loss, sketch, reference weights and solver config."""
-    seed = cfg.seed + t
-    data = _build_dataset(cfg, seed)
+    The spectrum behind the effective-rank bound is measured for CSV data,
+    planted for generated data and read from the file for ``bounds
+    --full-rank``; without one, m comes from the low-rank bound.  Every
+    config error is raised here, before any solve.
+    """
+    exp, eps = cfg.experiment, cfg.epsilon
+    sketched = exp not in ("bounds", "concentration")
     loss = parse_loss(cfg.loss)
-    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, _sketch_dim(cfg, data), seed)
-    w_star = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol).weights
+    data = _read(load_csv, cfg.csv, "dataset") if sketched and cfg.data == "csv" else None
+    d = cfg.d if data is None else data.d
+    sv = None
+    if exp == "bounds" and cfg.full_rank:
+        sv = _read(lambda path: np.loadtxt(path, dtype=float, ndmin=1), cfg.spectrum, "spectrum")
+        if not np.all(np.isfinite(sv) & (sv >= 0)):
+            raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: values must be finite and "
+                                 "nonnegative")
+    elif exp == "full_rank" and data is not None:
+        sv = spectrum(data).singular_values
+    elif exp == "full_rank" or (sketched and cfg.from_bound and cfg.data == "decaying"):
+        sv = cfg.top_singular * np.arange(1, min(cfg.d, cfg.n) + 1, dtype=float) ** (-cfg.decay)
+
+    if sketched and cfg.identity_sketch:
+        m = d
+    elif exp != "bounds" and cfg.sketch_dim > 0:  # bounds always reports the analytic m
+        m = cfg.sketch_dim
+    else:
+        try:
+            if sv is None:
+                m = conc.sample_size_bound(cfg.rank, eps, cfg.delta, cfg.c or conc.LOW_RANK_C)
+            else:
+                m = conc.full_rank_sample_bound(sv, cfg.lam, loss.gamma, eps, cfg.delta, d,
+                                                cfg.c or conc.FULL_RANK_C)
+        except ValueError as exc:  # epsilon above 1/2 for the low-rank bound, or squares of sv overflow
+            raise ConfigError(str(exc)) from None
+        if sketched and m < 1:
+            raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
+
+    k, bound = 0, 0.0
+    if exp == "full_rank":
+        k = numerical_rank(sv, math.sqrt(cfg.lam / loss.gamma))
+        if k < 1:
+            raise ConfigError("the top singular value must exceed sqrt(lambda/gamma) "
+                              "for the full-rank bound to apply")
+        bound = (eps / (1.0 - eps)) * (1.0 + math.sqrt(cfg.lam) / (math.sqrt(loss.gamma) * sv[k - 1]))
+    elif exp == "iterate":
+        try:
+            bound = (eps / (1.0 - eps)) ** cfg.iters
+        except OverflowError:
+            raise ConfigError(f"the bound (eps/(1-eps))**iters overflows at epsilon {eps} "
+                              f"and {cfg.iters} iterations") from None
+    elif exp == "recover" and cfg.method == "naive":  # a lower bound; at most 0 for eps above ~0.376
+        shortfall = 1.0 - eps * math.sqrt(2.0 * (1.0 + eps)) / (1.0 - eps)
+        bound = 0.5 * math.sqrt(max(d - cfg.rank, 0) / m) * shortfall
+    elif exp == "recover":
+        bound = eps / (1.0 - eps)
+    elif exp == "measurement":
+        bound = math.sqrt(2.0) * eps / math.sqrt(1.0 - eps)
+    elif exp == "span_error":
+        bound = eps * (1.0 + 1.0 / (1.0 - eps))
+    return _Plan(data, loss, SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters), m, k, bound)
+
+
+def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
+    """Trial t's seed, dataset, sketch and reference weights."""
+    seed = cfg.seed + t
+    data = plan.data
+    if data is None:
+        try:
+            if cfg.data == "low_rank":
+                data = make_low_rank(cfg.d, cfg.n, cfg.rank, cfg.label_rule, seed)
+            else:
+                data = make_decaying_spectrum(cfg.d, cfg.n, cfg.decay, seed, cfg.top_singular,
+                                              cfg.label_rule)
+        except ValueError as exc:  # the config is valid, so the features overflowed
+            raise DatasetIOError(f"generated dataset is unusable: {exc}") from None
+    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
+    w_star = solve_reference(data.features, data.labels, plan.loss, cfg.lam, cfg.reference_tol).weights
     if np.linalg.norm(w_star) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
         raise DatasetIOError("the reference solution has zero norm (X y = 0, or lambda so large "
                              "that it underflows); relative errors are undefined")
-    solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
-    return seed, data, loss, sk, w_star, solver
-
-
-def _naive_lower_bound(cfg: ExperimentConfig, d: int, m: int) -> float:
-    eps = cfg.epsilon
-    return 0.5 * math.sqrt(max(d - cfg.rank, 0) / m) * (1.0 - eps * math.sqrt(2.0 * (1.0 + eps)) / (1.0 - eps))
+    return seed, data, sk, w_star
 
 
 # --- per-trial workers -------------------------------------------------
 
-def _trial_recover(cfg: ExperimentConfig, t: int) -> dict:
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
-    eps = cfg.epsilon
+def _trial_recover(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    seed, data, sk, w_star = _setup(cfg, plan, t)
     if cfg.method == "naive":
-        z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
-        w = rec.recover_naive(sk.matrix_r, z_sol.weights, sk.m)
-        rel = rec.relative_error(w, w_star)
-        bound_value = _naive_lower_bound(cfg, data.d, sk.m)
-        ok = rel >= bound_value  # lower bound: failure to be bad is the anomaly
+        z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
+        rel = rec.relative_error(rec.recover_naive(sk.matrix_r, z, sk.m), w_star)
     elif cfg.method == "ridge_closed":
-        w = rec.ridge_drp_closed_form(data, cfg.lam, sk)
-        rel = rec.relative_error(w, w_star)
-        bound_value = eps / (1.0 - eps)
-        ok = rel <= bound_value
+        rel = rec.relative_error(rec.ridge_drp_closed_form(data, cfg.lam, sk), w_star)
     else:
-        result = rec.recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
-        rel = result.rel_error
-        bound_value = eps / (1.0 - eps)
-        ok = rel <= bound_value
+        rel = rec.recover_drp(data, plan.loss, cfg.lam, sk, plan.solver, reference=w_star).rel_error
     return {
         "trial": t, "seed": seed, "method": cfg.method, "m": sk.m,
-        "rel_error": rel, "bound": {"epsilon": eps, "value": bound_value},
-        "within_bound": ok, "trace": [],
+        "rel_error": rel, "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
+        # the naive bound is a lower bound: failure to be bad is the anomaly
+        "within_bound": rel >= plan.bound if cfg.method == "naive" else rel <= plan.bound,
+        "trace": [],
     }
 
 
-def _trial_iterate(cfg: ExperimentConfig, t: int) -> dict:
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
+def _trial_iterate(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    seed, data, sk, w_star = _setup(cfg, plan, t)
     result, trace = rec.recover_iterative(
-        data, loss, cfg.lam, sk, cfg.iters, solver,
+        data, plan.loss, cfg.lam, sk, cfg.iters, plan.solver,
         reference=w_star, early_stop=cfg.early_stop,
     )
-    eps = cfg.epsilon
-    bound_value = (eps / (1.0 - eps)) ** cfg.iters
     return {
         "trial": t, "seed": seed, "method": "drp_iterative", "m": sk.m,
-        "rel_error": result.rel_error, "bound": {"epsilon": eps, "value": bound_value},
-        "within_bound": result.rel_error <= bound_value,
+        "rel_error": result.rel_error, "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
+        "within_bound": result.rel_error <= plan.bound,
         "trace": [float(v) for v in trace.per_iteration_errors],
     }
 
 
-def _trial_naive_vs_drp(cfg: ExperimentConfig, t: int) -> dict:
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
-    z = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver).weights
+def _trial_naive_vs_drp(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    seed, data, sk, w_star = _setup(cfg, plan, t)
+    z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
     naive_rel = rec.relative_error(rec.recover_naive(sk.matrix_r, z, sk.m), w_star)
-    dual = dual_from_primal(sk.sketched_features, data.labels, loss, z)
+    dual = dual_from_primal(sk.sketched_features, data.labels, plan.loss, z)
     drp_rel = rec.relative_error(primal_from_dual(data.features, data.labels, cfg.lam, dual), w_star)
     return {
         "trial": t, "seed": seed, "m": sk.m,
@@ -250,68 +273,45 @@ def _trial_naive_vs_drp(cfg: ExperimentConfig, t: int) -> dict:
     }
 
 
-def _trial_measurement(cfg: ExperimentConfig, t: int) -> dict:
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
-    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
-    ratio = rec.measurement_error(z_sol.weights, sk.matrix_r, sk.m, w_star)
-    eps = cfg.epsilon
-    bound_value = math.sqrt(2.0) * eps / math.sqrt(1.0 - eps)
+def _trial_measurement(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    seed, data, sk, w_star = _setup(cfg, plan, t)
+    z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
+    ratio = rec.measurement_error(z, sk.matrix_r, sk.m, w_star)
     return {
         "trial": t, "seed": seed, "m": sk.m, "measurement_error": ratio,
-        "bound": {"epsilon": eps, "value": bound_value},
-        "within_bound": ratio <= bound_value,
+        "bound": {"epsilon": cfg.epsilon, "value": plan.bound}, "within_bound": ratio <= plan.bound,
     }
 
 
-def _trial_span_error(cfg: ExperimentConfig, t: int) -> dict:
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
-    z_sol = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver)
-    naive = rec.recover_naive(sk.matrix_r, z_sol.weights, sk.m)
-    spec = spectrum(data)
-    w_norm = float(np.linalg.norm(w_star))
-    span_rel = rec.span_restricted_error(spec, naive, w_star) / w_norm
-    full_rel = rec.relative_error(naive, w_star)
-    eps = cfg.epsilon
-    bound_value = eps * (1.0 + 1.0 / (1.0 - eps))
+def _trial_span_error(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    seed, data, sk, w_star = _setup(cfg, plan, t)
+    z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
+    naive = rec.recover_naive(sk.matrix_r, z, sk.m)
+    span_rel = rec.span_restricted_error(spectrum(data), naive, w_star) / float(np.linalg.norm(w_star))
     return {
         "trial": t, "seed": seed, "m": sk.m,
-        "span_rel_error": span_rel, "full_rel_error": full_rel,
-        "bound": {"epsilon": eps, "value": bound_value},
-        "within_bound": span_rel <= bound_value,
+        "span_rel_error": span_rel, "full_rel_error": rec.relative_error(naive, w_star),
+        "bound": {"epsilon": cfg.epsilon, "value": plan.bound}, "within_bound": span_rel <= plan.bound,
     }
 
 
-def _trial_full_rank(cfg: ExperimentConfig, t: int) -> dict:
-    seed, data, loss, sk, w_star, solver = _setup(cfg, t)
-    spec = spectrum(data)
-    sv = _bound_spectrum(cfg, data, spec)
-    k = numerical_rank(sv, math.sqrt(cfg.lam / loss.gamma))
-    if k < 1:
-        raise ConfigError(
-            "the top singular value must exceed sqrt(lambda/gamma) for the full-rank bound to apply"
-        )
-    result = rec.recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
-    top_k = spec.left_vectors[:, :k]
-    w_norm = float(np.linalg.norm(w_star))
-    leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / w_norm)
-    eps = cfg.epsilon
-    bound_value = (eps / (1.0 - eps)) * (1.0 + math.sqrt(cfg.lam) / (math.sqrt(loss.gamma) * sv[k - 1]))
+def _trial_full_rank(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    seed, data, sk, w_star = _setup(cfg, plan, t)
+    result = rec.recover_drp(data, plan.loss, cfg.lam, sk, plan.solver, reference=w_star)
+    top_k = spectrum(data).left_vectors[:, :plan.k]
+    leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star))
     return {
-        "trial": t, "seed": seed, "m": sk.m, "k": k,
+        "trial": t, "seed": seed, "m": sk.m, "k": plan.k,
         "rel_error": result.rel_error, "subspace_leakage": leakage,
-        "bound": {"epsilon": eps, "value": bound_value},
-        "within_bound": result.rel_error <= bound_value,
+        "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
+        "within_bound": result.rel_error <= plan.bound,
     }
 
 
-def _trial_concentration(cfg: ExperimentConfig, t: int) -> dict:
+def _trial_concentration(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     seed = cfg.seed + t
-    m = cfg.sketch_dim or _bound_m(cfg)
-    dev = conc.spectral_deviation(cfg.rank, m, seed)
-    return {
-        "trial": t, "seed": seed, "m": m, "deviation": dev,
-        "pass": dev <= cfg.epsilon,
-    }
+    dev = conc.spectral_deviation(cfg.rank, plan.m, seed)
+    return {"trial": t, "seed": seed, "m": plan.m, "deviation": dev, "pass": dev <= cfg.epsilon}
 
 
 _TRIALS = {
@@ -341,9 +341,9 @@ def _py(value):
 
 
 def _run_one(args) -> dict:
-    cfg, t = args
+    cfg, plan, t = args
     try:
-        record = _TRIALS[cfg.experiment](cfg, t)
+        record = _TRIALS[cfg.experiment](cfg, plan, t)
         return {key: _py(val) for key, val in record.items()}
     except (ConvergenceError, LinearSolveError) as exc:
         return {"trial": t, "seed": cfg.seed + t, "error": str(exc)}
@@ -395,23 +395,14 @@ def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
     return agg
 
 
-def _run_bounds(cfg: ExperimentConfig) -> list:
+def _run_bounds(cfg: ExperimentConfig, plan: _Plan) -> list:
     if cfg.full_rank:
-        try:
-            sv = np.loadtxt(cfg.spectrum, dtype=float, ndmin=1)
-        except OSError as exc:
-            raise DatasetIOError(f"cannot read spectrum {cfg.spectrum}: {exc}") from exc
-        except ValueError as exc:
-            raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: {exc}") from exc
-        if not np.all(np.isfinite(sv) & (sv >= 0)):
-            raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: values must be finite and nonnegative")
-        m = _bound_m(cfg, sv, cfg.d)
         return [{
-            "trial": 0, "m": m, "kind": "full_rank", "epsilon": cfg.epsilon,
+            "trial": 0, "m": plan.m, "kind": "full_rank", "epsilon": cfg.epsilon,
             "delta": cfg.delta, "c": cfg.c or conc.FULL_RANK_C, "d": cfg.d,
         }]
     return [{
-        "trial": 0, "m": _bound_m(cfg), "kind": "low_rank", "rank": cfg.rank,
+        "trial": 0, "m": plan.m, "kind": "low_rank", "rank": cfg.rank,
         "epsilon": cfg.epsilon, "delta": cfg.delta, "c": cfg.c or conc.LOW_RANK_C,
     }]
 
@@ -436,10 +427,11 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     """
     start = time.perf_counter()
     echo = asdict(cfg)
+    plan = _plan(cfg)
     if cfg.experiment == "bounds":
-        records = _run_bounds(cfg)
+        records = _run_bounds(cfg, plan)
     else:
-        jobs = [(cfg, t) for t in range(cfg.trials)]
+        jobs = [(cfg, plan, t) for t in range(cfg.trials)]
         workers = _pool_size(len(jobs))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -449,8 +441,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     aggregates = _aggregate(cfg, records)
     if cfg.experiment == "concentration" and cfg.find_min_m:
         aggregates["smallest_passing_m"] = conc.smallest_passing_m(
-            cfg.rank, cfg.epsilon, cfg.trials, cfg.seed,
-            m_hint=records[0]["m"] if records else None,
+            cfg.rank, cfg.epsilon, cfg.trials, cfg.seed, m_hint=plan.m,
         )
     wall = time.perf_counter() - start
     return ReportDocument(

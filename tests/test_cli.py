@@ -49,7 +49,7 @@ FUZZ_FLAGS = {
     "--data": ["low_rank", "decaying"],
     "--label-rule": ["random", "sign_of_plant"],
     "--decay": ["0.5", "1", "0", "-1", "nan", "inf"],
-    "--top-singular": ["4", "1e-3", "0", "-2", "nan", "inf"],
+    "--top-singular": ["4", "1e-3", "1e300", "0", "-2", "nan", "inf"],
     "--loss": ["square", "logistic", "smoothed_hinge:0.5", "smoothed_hinge:0",
                "smoothed_hinge:nan", "smoothed_hinge:inf", "hinge"],
     "--lambda": ["1e-30", "1", "1e30", "0", "-1", "nan", "inf"],
@@ -59,7 +59,7 @@ FUZZ_FLAGS = {
     "--sketch-dim": ["0", "1", "5", "40", "-2"],
     "--from-bound": None,
     "--identity-sketch": None,
-    "--eps": ["0.3", "0.5", "0.75", "1", "0", "-0.5", "nan", "inf"],
+    "--eps": ["0.3", "0.5", "0.75", "0.99", "1", "0", "-0.5", "nan", "inf"],
     "--delta": ["0.1", "0.5", "0", "1", "nan"],
     "--c": ["0.25", "1", "0", "-1", "nan", "inf"],
     "--trials": ["1", "2", "0", "-1"],
@@ -67,7 +67,7 @@ FUZZ_FLAGS = {
 }
 FUZZ_SUBCOMMAND_FLAGS = {
     "recover": {"--method": ["naive", "drp", "ridge-closed"]},
-    "iterate": {"--iters": ["1", "3", "0"], "--early-stop": None},
+    "iterate": {"--iters": ["1", "3", "200", "0"], "--early-stop": None},
     "naive-vs-drp": {},
     "measurement": {},
     "span-error": {},
@@ -356,6 +356,55 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert shapes == [(80, 30), (20, 30)]  # the reference, then the sketch
 
+    def test_csv_loaded_once_per_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "train.csv"
+        save_csv(make_low_rank(20, 10, 2, "random", seed=3), path)
+        calls = []
+
+        def counting_load(p):
+            calls.append(p)
+            return load_csv(p)
+
+        monkeypatch.setattr(experiments, "load_csv", counting_load)
+        cfg = config_from_mapping({"experiment": "recover", "data": "csv", "csv": str(path),
+                                   "sketch_dim": 8, "trials": 3})
+        assert len(run_experiment(cfg).records) == 3
+        assert calls == [str(path)]
+
+    def test_full_rank_csv_spectrum_once_for_the_bound_then_once_per_trial(self, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "decaying.csv"
+        save_csv(make_decaying_spectrum(40, 20, 1.0, seed=5, top_singular_value=5.0), path)
+        calls = []
+
+        def counting_spectrum(data, *args):
+            calls.append(data.d)
+            return spectrum(data, *args)
+
+        monkeypatch.setattr(experiments, "spectrum", counting_spectrum)
+        cfg = config_from_mapping({"experiment": "full_rank", "data": "csv", "csv": str(path),
+                                   "loss": "logistic", "trials": 2})  # m from the bound
+        assert run_experiment(cfg).errored_trials == 0
+        assert len(calls) == 1 + 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_full_rank_k_zero_fails_before_any_solve(self, monkeypatch, workers):
+        solves, pools = [], []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(1)
+            return solve_primal(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_primal", counting_solve)
+        monkeypatch.setattr(recover, "solve_primal", counting_solve)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setenv("DUALSKETCH_WORKERS", workers)
+        cfg = config_from_mapping({"experiment": "full_rank", "data": "decaying", "d": 20,
+                                   "n": 10, "top_singular": 1.0, "lambda": 4.0, "trials": 2})
+        with pytest.raises(ConfigError, match="sqrt"):
+            run_experiment(cfg)
+        assert solves == [] and pools == []
+
     def test_naive_vs_drp_matches_recovery_routes(self):
         cfg = config_from_mapping({
             "experiment": "naive_vs_drp", "d": 120, "n": 40, "rank": 3,
@@ -403,6 +452,18 @@ class TestCliProcess:
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
         assert len(blob["records"]) == 3
+
+    def test_config_file_without_experiment(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("d = 30\nn = 20\nrank = 2\nidentity_sketch = true\n")
+        assert main(["recover", "--config", str(cfg_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["experiment"] == "recover"
+
+    def test_config_file_completed_by_flags(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("experiment = recover\nd = 30\nn = 20\nrank = 2\n")
+        assert main(["recover", "--config", str(cfg_file), "--sketch-dim", "12"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"][0]["m"] == 12
 
     def test_output_file_and_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -453,6 +514,10 @@ class TestCliProcess:
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
         pytest.param(["bounds", "--full-rank", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3,
                      id="spectrum-nan"),
+        pytest.param(["iterate", *SMALL, "--eps", "0.99", "--iters", "200"], {}, 2,
+                     id="iterate-bound-overflows"),
+        pytest.param(["full-rank", *DECAYING, "--top-singular", "1e300", "--sketch-dim", "6"], {}, 3,
+                     id="generated-features-overflow"),
     ])
     def test_bad_input_exit_code(self, tmp_path, monkeypatch, capsys, argv, env, code):
         save_csv(Dataset(np.zeros((6, 4)), np.array([1.0, -1.0, 1.0, -1.0])), tmp_path / "zero.csv")

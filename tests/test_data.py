@@ -34,6 +34,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.eye(2), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_rejects_non_finite_features_and_overflowing_squares(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[1.0, value]]), np.array([1.0, -1.0]))
+
     def test_shape_accessors(self):
         data = Dataset(np.ones((4, 2)), np.array([1.0, -1.0]))
         assert (data.d, data.n) == (4, 2)

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
                             "--iters", "3"]),
     ("naive_vs_dual_sweep.py", ["--d", "40", "--n", "20", "--rank", "3", "--trials", "2",
                                 "--dims", "10", "20"]),
+    ("records_digest.py", []),
 ])
 def test_script_exits_zero(script, args):
     env = dict(os.environ)
