@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from dualsketch import make_decaying_spectrum, make_low_rank, save_csv
+from dualsketch import Dataset, make_decaying_spectrum, make_low_rank, save_csv
 from dualsketch.cli import main as cli_main
 
 LOW = ["--d", "60", "--n", "20", "--rank", "3"]
@@ -43,17 +43,23 @@ RUNS = {
                     "--loss", "logistic", "--trials", "2"],
     "recover-naive-identity-csv": ["recover", "--data", "csv", "--csv", "low.csv", "--rank", "4",
                                    "--method", "naive", "--identity-sketch"],
+    "recover-csv-reference-stall": ["recover", "--data", "csv", "--csv", "stall.csv",
+                                    "--sketch-dim", "20", "--loss", "logistic", "--trials", "2"],
     "recover-no-convergence": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic",
                                "--max-iters", "1", "--trials", "2"],
     "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],
     "iterate-logistic-early-stop": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "12",
                                     "--loss", "logistic", "--early-stop"],
+    "iterate-csv": ["iterate", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "20",
+                    "--iters", "3", "--trials", "3"],
     "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
                                "--iters", "200"],
     "naive-vs-drp": ["naive-vs-drp", *LOW, "--from-bound", "--loss", "logistic", "--trials", "2"],
     "measurement": ["measurement", *LOW, "--sketch-dim", "30", "--trials", "2"],
     "span-error": ["span-error", *LOW, "--sketch-dim", "30", "--loss", "smoothed_hinge:0.5",
                    "--trials", "2"],
+    "span-error-csv": ["span-error", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "25",
+                       "--trials", "3"],
     "concentration": ["concentration", "--rank", "3", "--sketch-dim", "60", "--trials", "4"],
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
@@ -89,7 +95,10 @@ def main() -> int:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            save_csv(make_low_rank(60, 30, 4, "random", seed=11), "low.csv")
+            low = make_low_rank(60, 30, 4, "random", seed=11)
+            save_csv(low, "low.csv")
+            # the logistic reference of features this large stalls above its tolerance
+            save_csv(Dataset(low.features * 1e5, low.labels), "stall.csv")
             save_csv(make_decaying_spectrum(60, 30, 1.0, seed=5, top_singular_value=5.0),
                      "decaying.csv")
             np.savetxt("sv.txt", np.arange(1, 101, dtype=float) ** -1.0)

@@ -9,7 +9,6 @@ iterating the recovery on the residual drives the error down geometrically.
 from .concentration import (
     ConcentrationReport,
     full_rank_sample_bound,
-    ridge_identity_deviation,
     sample_size_bound,
     spectral_deviation,
 )

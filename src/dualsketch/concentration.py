@@ -2,9 +2,8 @@
 
 The recovery guarantees all reduce to how tightly A A'/m concentrates
 around the identity for a Gaussian matrix A.  This module exposes the two
-analytic sketch-size formulas (low-rank and effective-rank flavors), the
-measured spectral deviation they control, and the whitened
-regularized-Gram check behind the full-rank guarantee.  The analytic
+analytic sketch-size formulas (low-rank and effective-rank flavors) and
+the measured spectral deviation they control.  The analytic
 constants are conservative defaults; the Monte-Carlo helpers expose the
 gap between them and what actually suffices.
 """
@@ -24,20 +23,14 @@ __all__ = [
     "sample_size_bound",
     "full_rank_sample_bound",
     "spectral_deviation",
-    "ridge_identity_deviation",
     "run_deviation_trials",
     "smallest_passing_m",
-    "LinearAlgebraFailure",
     "LOW_RANK_C",
     "FULL_RANK_C",
 ]
 
 LOW_RANK_C = 0.25
 FULL_RANK_C = 1.0 / 32.0
-
-
-class LinearAlgebraFailure(RuntimeError):
-    """An eigendecomposition needed by a concentration check failed."""
 
 
 @dataclass(frozen=True)
@@ -106,51 +99,6 @@ def spectral_deviation(r: int, m: int, seed: int) -> float:
     a = np.random.default_rng(seed).standard_normal((r, m))
     dev = (a @ a.T) / m - np.eye(r)
     return float(np.max(np.abs(scipy.linalg.eigvalsh(dev))))
-
-
-def ridge_identity_deviation(
-    features,
-    lambda_over_gamma: float,
-    m: int,
-    seed: int,
-    r_matrix=None,
-) -> tuple[float, float]:
-    """Extreme eigenvalues of the whitened sketched regularized Gram.
-
-    With K = lam' I + X'X and Kh = lam' I + X'(R R'/m)X (lam' the
-    regularization-to-smoothness ratio), returns the smallest and largest
-    eigenvalues of K^{-1/2} Kh K^{-1/2}.  Both sit in [1-t, 1+t] with high
-    probability once m meets the full-rank sample bound.  ``r_matrix``
-    overrides the seeded Gaussian projection, which lets tests inject
-    sqrt(m) I and get exactly (1, 1).
-    """
-    if lambda_over_gamma <= 0.0:
-        raise ValueError("lambda_over_gamma must be positive")
-    if m < 1:
-        raise ValueError("m must be positive")
-    x = np.asarray(features, dtype=float)
-    d, n = x.shape
-    if r_matrix is None:
-        r_matrix = np.random.default_rng(seed).standard_normal((d, m))
-    else:
-        r_matrix = np.asarray(r_matrix, dtype=float)
-        if r_matrix.shape != (d, m):
-            raise ValueError(f"injected projection must be {d} x {m}")
-    xs = (r_matrix.T @ x) / np.sqrt(m)
-
-    gram = x.T @ x
-    gram[np.diag_indices_from(gram)] += lambda_over_gamma
-    gram_sk = xs.T @ xs
-    gram_sk[np.diag_indices_from(gram_sk)] += lambda_over_gamma
-    try:
-        evals, evecs = scipy.linalg.eigh(gram)
-        inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearAlgebraFailure(f"whitening decomposition failed: {exc}") from exc
-    whitened = inv_sqrt @ gram_sk @ inv_sqrt
-    whitened = (whitened + whitened.T) / 2.0
-    spect = scipy.linalg.eigvalsh(whitened)
-    return float(spect[0]), float(spect[-1])
 
 
 def run_deviation_trials(

@@ -5,10 +5,10 @@ record per trial, and aggregates recomputable from the records.  Trial t
 derives every random object (generated dataset, projection) from
 ``seed + t``, so runs are reproducible and resumable; a worker pool (size
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
-never the records.  The run's constants (the ``--csv`` dataset, the sketch
-size m, the full-rank k and the bound value) are derived once, before the
-first trial, and travel with every trial's job; so a config error never
-costs a solve.
+never the records.  The run's constants (the sketch size m, the full-rank k,
+the bound value and, for ``--csv`` data, the dataset, its reference
+solution and its spectrum) are derived once, before the first trial, and
+travel with every trial's job; so a config error never costs a solve.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 from . import concentration as conc
 from . import recover as rec
 from .config import ConfigError, DatasetIOError, ExperimentConfig
-from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank, numerical_rank, spectrum
+from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
+from .data import numerical_rank, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import gaussian_sketch, identity_sketch
 from .solve import ConvergenceError, LinearSolveError, PrimalSolution, SolverConfig, solve_primal
@@ -121,7 +122,7 @@ def solve_reference(features, labels, loss: LossSpec, lam: float, tol: float = 1
 
 @dataclass(frozen=True)
 class _Plan:
-    """A run's constants, derived from the config alone before the first trial."""
+    """A run's constants, derived from the config and any --csv data before the first trial."""
 
     data: Dataset | None  # the --csv dataset; None for generated data
     loss: LossSpec
@@ -129,6 +130,9 @@ class _Plan:
     m: int  # sketch size; the bound's m for bounds and concentration
     k: int  # numerical rank behind the full-rank bound; 0 elsewhere
     bound: float  # the experiment's bound value; 0.0 where it has none
+    w_star: np.ndarray | None  # the --csv reference solution; None for generated data
+    spec: SpectrumInfo | None  # the --csv spectrum for span_error and full_rank; else None
+    reference_error: str  # why the --csv reference solve failed; every trial reports it
 
 
 def _read(loader, path: str, what: str):
@@ -140,27 +144,37 @@ def _read(loader, path: str, what: str):
         raise DatasetIOError(f"bad {what} file {path}: {exc}") from exc
 
 
+def _reference(cfg: ExperimentConfig, data: Dataset, loss: LossSpec) -> np.ndarray:
+    w_star = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol).weights
+    if np.linalg.norm(w_star) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
+        raise DatasetIOError("the reference solution has zero norm (X y = 0, or lambda so large "
+                             "that it underflows); relative errors are undefined")
+    return w_star
+
+
 def _plan(cfg: ExperimentConfig) -> _Plan:
-    """Load the CSV dataset and derive m, k and the bound value, once per run.
+    """Derive m, k, the bound value and every CSV result, once per run.
 
     The spectrum behind the effective-rank bound is measured for CSV data,
     planted for generated data and read from the file for ``bounds
     --full-rank``; without one, m comes from the low-rank bound.  Every
-    config error is raised here, before any solve.
+    config error is raised here, before the CSV reference solve; generated
+    data is solved and decomposed per trial instead.
     """
     exp, eps = cfg.experiment, cfg.epsilon
     sketched = exp not in ("bounds", "concentration")
     loss = parse_loss(cfg.loss)
     data = _read(load_csv, cfg.csv, "dataset") if sketched and cfg.data == "csv" else None
     d = cfg.d if data is None else data.d
+    spec = spectrum(data) if data is not None and exp in ("span_error", "full_rank") else None
     sv = None
     if exp == "bounds" and cfg.full_rank:
         sv = _read(lambda path: np.loadtxt(path, dtype=float, ndmin=1), cfg.spectrum, "spectrum")
         if not np.all(np.isfinite(sv) & (sv >= 0)):
             raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: values must be finite and "
                                  "nonnegative")
-    elif exp == "full_rank" and data is not None:
-        sv = spectrum(data).singular_values
+    elif exp == "full_rank" and spec is not None:
+        sv = spec.singular_values
     elif exp == "full_rank" or (sketched and cfg.from_bound and cfg.data == "decaying"):
         sv = cfg.top_singular * np.arange(1, min(cfg.d, cfg.n) + 1, dtype=float) ** (-cfg.decay)
 
@@ -202,13 +216,21 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         bound = math.sqrt(2.0) * eps / math.sqrt(1.0 - eps)
     elif exp == "span_error":
         bound = eps * (1.0 + 1.0 / (1.0 - eps))
-    return _Plan(data, loss, SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters), m, k, bound)
+
+    w_star, reference_error = None, ""
+    if data is not None:
+        try:
+            w_star = _reference(cfg, data, loss)
+        except ConvergenceError as exc:
+            reference_error = str(exc)
+    solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
+    return _Plan(data, loss, solver, m, k, bound, w_star, spec, reference_error)
 
 
 def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
     """Trial t's seed, dataset, sketch and reference weights."""
     seed = cfg.seed + t
-    data = plan.data
+    data, w_star = plan.data, plan.w_star
     if data is None:
         try:
             if cfg.data == "low_rank":
@@ -219,10 +241,8 @@ def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
         except ValueError as exc:  # the config is valid, so the features overflowed
             raise DatasetIOError(f"generated dataset is unusable: {exc}") from None
     sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
-    w_star = solve_reference(data.features, data.labels, plan.loss, cfg.lam, cfg.reference_tol).weights
-    if np.linalg.norm(w_star) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
-        raise DatasetIOError("the reference solution has zero norm (X y = 0, or lambda so large "
-                             "that it underflows); relative errors are undefined")
+    if w_star is None:
+        w_star = _reference(cfg, data, plan.loss)
     return seed, data, sk, w_star
 
 
@@ -287,7 +307,8 @@ def _trial_span_error(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     seed, data, sk, w_star = _setup(cfg, plan, t)
     z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
     naive = rec.recover_naive(sk.matrix_r, z, sk.m)
-    span_rel = rec.span_restricted_error(spectrum(data), naive, w_star) / float(np.linalg.norm(w_star))
+    spec = plan.spec or spectrum(data)
+    span_rel = rec.span_restricted_error(spec, naive, w_star) / float(np.linalg.norm(w_star))
     return {
         "trial": t, "seed": seed, "m": sk.m,
         "span_rel_error": span_rel, "full_rel_error": rec.relative_error(naive, w_star),
@@ -298,7 +319,7 @@ def _trial_span_error(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
 def _trial_full_rank(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     seed, data, sk, w_star = _setup(cfg, plan, t)
     result = rec.recover_drp(data, plan.loss, cfg.lam, sk, plan.solver, reference=w_star)
-    top_k = spectrum(data).left_vectors[:, :plan.k]
+    top_k = (plan.spec or spectrum(data)).left_vectors[:, :plan.k]
     leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star))
     return {
         "trial": t, "seed": seed, "m": sk.m, "k": plan.k,
@@ -342,11 +363,14 @@ def _py(value):
 
 def _run_one(args) -> dict:
     cfg, plan, t = args
-    try:
-        record = _TRIALS[cfg.experiment](cfg, plan, t)
-        return {key: _py(val) for key, val in record.items()}
-    except (ConvergenceError, LinearSolveError) as exc:
-        return {"trial": t, "seed": cfg.seed + t, "error": str(exc)}
+    error = plan.reference_error
+    if not error:
+        try:
+            record = _TRIALS[cfg.experiment](cfg, plan, t)
+            return {key: _py(val) for key, val in record.items()}
+        except (ConvergenceError, LinearSolveError) as exc:
+            error = str(exc)
+    return {"trial": t, "seed": cfg.seed + t, "error": error}
 
 
 # --- aggregation -------------------------------------------------------

@@ -103,8 +103,8 @@ class LossSpec:
     def conjugate(self, alpha):
         """Fenchel conjugate l*(alpha); rejects alpha outside the dual domain."""
         alpha = np.asarray(alpha, dtype=float)
-        lo, hi = self.dual_domain
-        if np.any(alpha < lo - DOMAIN_TOL) or np.any(alpha > hi + DOMAIN_TOL):
+        if not self.in_dual_domain(alpha):
+            lo, hi = self.dual_domain
             raise ValueError(
                 f"dual value outside conjugate domain [{lo}, {hi}] of {self.kind} loss"
             )

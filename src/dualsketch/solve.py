@@ -21,8 +21,7 @@ full space.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -64,23 +63,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PrimalSolution:
-    """Weights plus solver diagnostics; the objective trace is monotone."""
+    """Weights plus solver diagnostics."""
 
     weights: np.ndarray
     objective: float
     grad_norm: float
     iterations: int
-    objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": [float(v) for v in self.weights],
-                "objective": float(self.objective),
-                "grad_norm": float(self.grad_norm),
-                "iterations": int(self.iterations),
-            }
-        )
 
 
 class ConvergenceError(RuntimeError):
@@ -158,7 +146,6 @@ def solve_primal(
 
     z = np.zeros(k)
     f, margins = evaluate(z)
-    trace = [f]
     coef = y * loss.grad(margins)
     g = lam * (z + u) + x @ coef
     iters = 0
@@ -169,7 +156,6 @@ def solve_primal(
             objective=f,
             grad_norm=gn_full,
             iterations=iters,
-            objective_trace=np.array(trace),
         )
 
     while True:
@@ -217,7 +203,6 @@ def solve_primal(
             g_new = lam * (z_new + u) + x @ coef_new
             if np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g) and f_new <= f + 1e-12 * (1.0 + abs(f)):
                 z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
-                trace.append(f)
                 iters += 1
                 continue
             raise ConvergenceError(
@@ -228,7 +213,6 @@ def solve_primal(
         z, f, margins = z_new, f_new, margins_new
         coef = y * loss.grad(margins)
         g = lam * (z + u) + x @ coef
-        trace.append(f)
         iters += 1
 
 

@@ -46,8 +46,9 @@ def low_rank_m443_trials():
             sk = ds.gaussian_sketch(data, m, 30000 + t)
             ref = solve_reference(data.features, data.labels, loss, 1.0, REFERENCE_TOL)
             z_sol = ds.solve_primal(sk.sketched_features, data.labels, loss, 1.0, SOLVER)
-            res = ds.recover_drp(data, loss, 1.0, sk, SOLVER, reference=ref.weights)
-            rel_errors.append(res.rel_error)
+            dual = ds.dual_from_primal(sk.sketched_features, data.labels, loss, z_sol.weights)
+            drp = ds.primal_from_dual(data.features, data.labels, 1.0, dual)
+            rel_errors.append(ds.relative_error(drp, ref.weights))
             measurement.append(
                 ds.measurement_error(z_sol.weights, sk.matrix_r, m, ref.weights)
             )
@@ -69,10 +70,12 @@ def high_dim_naive_trials():
         ref = solve_reference(data.features, data.labels, ds.square_loss(), 1.0, REFERENCE_TOL)
         z_sol = ds.solve_primal(sk.sketched_features, data.labels, ds.square_loss(), 1.0, SOLVER)
         naive = ds.recover_naive(sk.matrix_r, z_sol.weights, m)
-        drp = ds.recover_drp(data, ds.square_loss(), 1.0, sk, SOLVER, reference=ref.weights)
+        dual = ds.dual_from_primal(sk.sketched_features, data.labels, ds.square_loss(),
+                                   z_sol.weights)
+        drp = ds.primal_from_dual(data.features, data.labels, 1.0, dual)
         info = ds.spectrum(data)
         naive_rel.append(ds.relative_error(naive, ref.weights))
-        drp_rel.append(drp.rel_error)
+        drp_rel.append(ds.relative_error(drp, ref.weights))
         span_rel.append(
             ds.span_restricted_error(info, naive, ref.weights) / np.linalg.norm(ref.weights)
         )

@@ -371,8 +371,7 @@ class TestRunExperiment:
         assert len(run_experiment(cfg).records) == 3
         assert calls == [str(path)]
 
-    def test_full_rank_csv_spectrum_once_for_the_bound_then_once_per_trial(self, tmp_path,
-                                                                          monkeypatch):
+    def test_full_rank_csv_spectrum_once_per_run(self, tmp_path, monkeypatch):
         path = tmp_path / "decaying.csv"
         save_csv(make_decaying_spectrum(40, 20, 1.0, seed=5, top_singular_value=5.0), path)
         calls = []
@@ -385,7 +384,30 @@ class TestRunExperiment:
         cfg = config_from_mapping({"experiment": "full_rank", "data": "csv", "csv": str(path),
                                    "loss": "logistic", "trials": 2})  # m from the bound
         assert run_experiment(cfg).errored_trials == 0
-        assert len(calls) == 1 + 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("experiment", ["span_error", "iterate"])
+    def test_csv_reference_and_spectrum_once_per_run(self, tmp_path, monkeypatch, experiment):
+        path = tmp_path / "train.csv"
+        save_csv(make_low_rank(40, 20, 3, "random", seed=3), path)
+        shapes, spectra = [], []
+
+        def counting_solve(features, *args, **kwargs):
+            shapes.append(np.shape(features))
+            return solve_primal(features, *args, **kwargs)
+
+        def counting_spectrum(data, *args):
+            spectra.append(data.d)
+            return spectrum(data, *args)
+
+        monkeypatch.setattr(experiments, "solve_primal", counting_solve)
+        monkeypatch.setattr(recover, "solve_primal", counting_solve)
+        monkeypatch.setattr(experiments, "spectrum", counting_spectrum)
+        cfg = config_from_mapping({"experiment": experiment, "data": "csv", "csv": str(path),
+                                   "sketch_dim": 10, "iters": 2, "trials": 3})
+        assert run_experiment(cfg).errored_trials == 0
+        assert shapes.count((40, 20)) == 1
+        assert len(spectra) <= 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_full_rank_k_zero_fails_before_any_solve(self, monkeypatch, workers):
@@ -547,6 +569,27 @@ class TestCliProcess:
                      "--lambda", "1e-30", "--d", "40", "--n", "40", "--sketch-dim", "10"])
         assert code == 4
         assert "could not be solved" in json.loads(capsys.readouterr().out)["records"][0]["error"]
+
+    def test_csv_reference_stall_is_a_trial_error(self, tmp_path, monkeypatch, capsys):
+        # features scaled by 1e5 leave the logistic reference stalled above its 1e-12 tolerance
+        data = make_low_rank(60, 30, 4, "random", 11)
+        save_csv(Dataset(data.features * 1e5, data.labels), tmp_path / "stall.csv")
+        shapes = []
+
+        def counting_solve(features, *args, **kwargs):
+            shapes.append(np.shape(features))
+            return solve_primal(features, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_primal", counting_solve)
+        code = main(["recover", "--data", "csv", "--csv", str(tmp_path / "stall.csv"),
+                     "--sketch-dim", "20", "--loss", "logistic", "--trials", "2"])
+        assert code == 4
+        records = json.loads(capsys.readouterr().out)["records"]
+        error = records[0]["error"]
+        assert error.startswith("stalled at the floating-point floor (grad norm ")
+        assert error.endswith(", tolerance 1.000e-12)")
+        assert records == [{"trial": t, "seed": t, "error": error} for t in range(2)]
+        assert shapes == [(60, 30)]
 
     def test_solver_failure_exits_four(self, capsys):
         # a one-iteration budget cannot certify a logistic solve

@@ -9,13 +9,11 @@ import pytest
 from dualsketch.concentration import (
     FULL_RANK_C,
     full_rank_sample_bound,
-    ridge_identity_deviation,
     run_deviation_trials,
     sample_size_bound,
     smallest_passing_m,
     spectral_deviation,
 )
-from dualsketch.data import make_decaying_spectrum
 
 
 class TestSampleSizeBound:
@@ -116,40 +114,6 @@ class TestSpectralDeviation:
         m = sample_size_bound(50, 0.5, 0.1)
         hits = sum(1 for s in range(20) if spectral_deviation(50, m, 300 + s) <= 0.5)
         assert hits >= 18
-
-
-class TestRidgeIdentityDeviation:
-    def test_identity_injection(self):
-        data = make_decaying_spectrum(10, 8, 1.0, seed=1)
-        m = 10
-        lo, hi = ridge_identity_deviation(
-            data.features, 1.0, m, seed=0, r_matrix=np.sqrt(m) * np.eye(10)
-        )
-        assert lo == pytest.approx(1.0, abs=1e-9)
-        assert hi == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_features(self):
-        lo, hi = ridge_identity_deviation(np.zeros((6, 4)), 2.5, m=8, seed=3)
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
-
-    def test_decay_spectrum_concentrates_at_analytic_m(self):
-        d = 40
-        data = make_decaying_spectrum(d, d, 1.0, seed=2)
-        sv = np.arange(1, d + 1, dtype=float) ** -1.0
-        m = full_rank_sample_bound(sv, 1.0, 1.0, 0.5, 0.1, d)
-        hits = 0
-        for s in range(20):
-            lo, hi = ridge_identity_deviation(data.features, 1.0, m, seed=700 + s)
-            if 0.5 <= lo and hi <= 1.5:
-                hits += 1
-        assert hits >= 18
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ridge_identity_deviation(np.ones((3, 2)), 0.0, 4, 0)
-        with pytest.raises(ValueError):
-            ridge_identity_deviation(np.ones((3, 2)), 1.0, 4, 0, r_matrix=np.ones((2, 4)))
 
 
 class TestTrialRunner:

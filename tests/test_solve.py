@@ -1,7 +1,5 @@
 """Primal solver certificates, closed forms, conversions, and duality."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -90,11 +88,18 @@ class TestSolvePrimal:
 
     @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
     def test_objective_trace_monotone(self, loss):
+        # the objective at w = 0, then after each capped iteration count
         rng = np.random.default_rng(4)
         features, labels = random_instance(rng, 15, 25)
         sol = solve_primal(features, labels, loss, 0.1)
-        diffs = np.diff(sol.objective_trace)
-        floor = 1e-12 * (1.0 + np.abs(sol.objective_trace[:-1]))
+        trace = [primal_objective(features, labels, loss, 0.1, np.zeros(15))]
+        for cap in range(1, sol.iterations):
+            with pytest.raises(ConvergenceError) as err:
+                solve_primal(features, labels, loss, 0.1, SolverConfig(max_iterations=cap))
+            trace.append(err.value.best.objective)
+        trace = np.array(trace + [sol.objective])
+        diffs = np.diff(trace)
+        floor = 1e-12 * (1.0 + np.abs(trace[:-1]))
         assert np.all(diffs <= floor)
 
     def test_nonconvergence_carries_best_iterate(self):
@@ -110,12 +115,6 @@ class TestSolvePrimal:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             solve_primal(np.eye(2), np.array([1.0, -1.0]), square_loss(), 0.0)
-
-    def test_solution_serializes_to_json(self):
-        sol = solve_primal(np.eye(2), np.array([1.0, -1.0]), square_loss(), 1.0)
-        blob = json.loads(sol.to_json())
-        assert set(blob) == {"weights", "objective", "grad_norm", "iterations"}
-        assert len(blob["weights"]) == 2
 
 
 class TestShiftedSolver:
