@@ -7,8 +7,9 @@ derives every random object (generated dataset, projection) from
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
 never the records.  The run's constants (the sketch size m, the full-rank k,
 the bound value and, for ``--csv`` data, the dataset, its reference
-solution and its spectrum) are derived once, before the first trial, and
-travel with every trial's job; so a config error never costs a solve.
+solution and its spectrum) are derived once, before the first trial, so a
+config error never costs a solve.  A pool worker receives them once, when
+it starts; each job then carries only its trial index.
 """
 
 from __future__ import annotations
@@ -361,8 +362,7 @@ def _py(value):
     return value
 
 
-def _run_one(args) -> dict:
-    cfg, plan, t = args
+def _run_one(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     error = plan.reference_error
     if not error:
         try:
@@ -371,6 +371,18 @@ def _run_one(args) -> dict:
         except (ConvergenceError, LinearSolveError) as exc:
             error = str(exc)
     return {"trial": t, "seed": cfg.seed + t, "error": error}
+
+
+_worker_run: tuple | None = None  # a pool worker's (cfg, plan), installed when it starts
+
+
+def _install_run(cfg: ExperimentConfig, plan: _Plan) -> None:
+    global _worker_run
+    _worker_run = (cfg, plan)
+
+
+def _run_installed(t: int) -> dict:
+    return _run_one(*_worker_run, t)
 
 
 # --- aggregation -------------------------------------------------------
@@ -455,13 +467,13 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     if cfg.experiment == "bounds":
         records = _run_bounds(cfg, plan)
     else:
-        jobs = [(cfg, plan, t) for t in range(cfg.trials)]
-        workers = _pool_size(len(jobs))
+        workers = _pool_size(cfg.trials)
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_run_one, jobs))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
+                                     initargs=(cfg, plan)) as pool:
+                records = list(pool.map(_run_installed, range(cfg.trials)))
         else:
-            records = [_run_one(job) for job in jobs]
+            records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
     aggregates = _aggregate(cfg, records)
     if cfg.experiment == "concentration" and cfg.find_min_m:
         aggregates["smallest_passing_m"] = conc.smallest_passing_m(

@@ -16,7 +16,16 @@ The method is damped Newton with a Cholesky-factored exact Hessian.  When
 p exceeds n + 1 the iterate provably lies in the span of the feature
 columns (plus the shift offset), so the problem is first reduced onto an
 orthonormal basis of that span; the certificate is still evaluated in the
-full space.
+full space.  The basis has the span's numerical rank k, not its column
+count: a pivoted Cholesky of the columns' Gram matrix (LAPACK dpstrf)
+reveals k and picks k pivot columns, whose p x k Householder QR is the
+basis.  Newton then runs in k dimensions, which on rank-r data is r (or
+r + 1 with a shift) rather than n.  The rank-k basis is kept only if it
+reproduces the columns to within ``SPAN_RESIDUAL`` of their Frobenius
+norm.  When the columns have full rank, or are all zero, or the check
+fails (an ill-conditioned full-rank span whose small singular values the
+Cholesky tolerance cut off), the basis is the Householder QR of all the
+columns.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ DEFAULT_MAX_ITERATIONS = 100_000
 ARMIJO_C = 1e-4
 MIN_STEP = 2.0**-40
 NOISE_EPS = 8.0 * np.finfo(float).eps
+# A rank-reduced span basis must reproduce the columns to this relative
+# Frobenius residual; exactly low-rank data measures 2-6 eps.
+SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,7 @@ class PrimalSolution:
     objective: float
     grad_norm: float
     iterations: int
+    newton_dim: int  # dimension of the space Newton ran in
 
 
 class ConvergenceError(RuntimeError):
@@ -87,6 +100,22 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     """Value of the regularized ERM objective at ``weights``."""
     margins = labels * (features.T @ weights)
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
+
+
+def _span_basis(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal p x k basis of span(cols), k the span's numerical rank.
+
+    Falls back to the Householder QR of all columns when they have full
+    rank (or none), or when projecting them onto the rank-k basis leaves a
+    residual above ``SPAN_RESIDUAL`` of their Frobenius norm.
+    """
+    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(cols.T @ cols, lower=1)
+    if 0 < rank < cols.shape[1]:
+        basis = np.linalg.qr(cols[:, piv[:rank] - 1])[0]
+        residual = np.linalg.norm(cols - basis @ (basis.T @ cols))
+        if residual <= SPAN_RESIDUAL * np.linalg.norm(cols):
+            return basis
+    return np.linalg.qr(cols)[0]
 
 
 def solve_primal(
@@ -126,7 +155,7 @@ def solve_primal(
     else:
         span_cols = x_full
     if p > span_cols.shape[1]:
-        basis, _ = np.linalg.qr(span_cols)
+        basis = _span_basis(span_cols)
         x = basis.T @ x_full
         u = basis.T @ u_full
     else:
@@ -156,6 +185,7 @@ def solve_primal(
             objective=f,
             grad_norm=gn_full,
             iterations=iters,
+            newton_dim=k,
         )
 
     while True:

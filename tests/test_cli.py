@@ -156,6 +156,28 @@ class TestValidateConfig:
             config_from_mapping({"experiment": "bounds", "epsilon": 1.5})
 
 
+def in_process_pool(sizes, jobs):
+    """A ProcessPoolExecutor stand-in that runs jobs in this process, recording sizes and jobs."""
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            jobs.extend(items)
+            return map(fn, items)
+
+    return InProcessPool
+
+
 class TestRunExperiment:
     def test_identity_sketch_smoke(self):
         cfg = config_from_mapping({
@@ -318,27 +340,26 @@ class TestRunExperiment:
 
     def test_pool_capped_at_trial_count(self, monkeypatch):
         sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", in_process_pool(sizes, []))
         monkeypatch.setenv("DUALSKETCH_WORKERS", "64")
         cfg = config_from_mapping({
             "experiment": "concentration", "rank": 2, "sketch_dim": 20, "trials": 3,
         })
         assert len(run_experiment(cfg).records) == 3
         assert sizes == [3]
+
+    def test_pool_jobs_carry_only_the_trial_index(self, tmp_path, monkeypatch):
+        path = tmp_path / "train.csv"
+        save_csv(make_low_rank(40, 20, 3, "random", seed=3), path)
+        jobs = []
+        cfg = config_from_mapping({"experiment": "span_error", "data": "csv", "csv": str(path),
+                                   "sketch_dim": 10, "trials": 3})
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", in_process_pool([], jobs))
+        monkeypatch.setenv("DUALSKETCH_WORKERS", "2")
+        assert run_experiment(cfg).records == serial.records
+        # each job is a bare trial index: no dataset, spectrum or plan array rides along
+        assert jobs == [0, 1, 2] and all(type(job) is int for job in jobs)
 
     def test_naive_vs_drp_solves_once_per_problem(self, monkeypatch):
         shapes = []

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from dualsketch.data import make_low_rank
+from dualsketch.data import make_decaying_spectrum, make_low_rank
 from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
+from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import (
+    _span_basis,
     ConvergenceError,
     SolverConfig,
     dual_from_primal,
@@ -134,6 +136,61 @@ class TestShiftedSolver:
         sol = solve_primal(features, labels, square_loss(), 2.0,
                            offset=offset, margin_shift=np.zeros(3))
         np.testing.assert_allclose(sol.weights, -offset, atol=1e-10)
+
+
+class TestSpanReduction:
+    """Newton runs in the numerical rank of the span, and falls back to QR when unsure."""
+
+    @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5)])
+    def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
+        data = make_low_rank(d, n, r, "random", seed=7)
+        basis = _span_basis(data.features)
+        assert basis.shape == (d, r)
+        assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-14
+        sol = solve_primal(data.features, data.labels, logistic_loss(), 1.0,
+                           SolverConfig(tolerance=1e-12))
+        assert sol.newton_dim == r
+        assert sol.grad_norm <= 1e-12
+        assert stationarity_norm(data.features, data.labels, logistic_loss(), 1.0,
+                                 sol.weights) <= 1e-12
+
+    # Full rank but ill-conditioned: the pivoted Cholesky may cut off the
+    # small singular values, and the residual check must then restore QR.
+    @pytest.mark.parametrize("lam", [1e-3, 1.0])
+    @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
+    @pytest.mark.parametrize("decay", [2.0, 3.0, 6.0])
+    def test_ill_conditioned_full_rank_keeps_every_direction(self, decay, loss, lam):
+        data = make_decaying_spectrum(600, 120, decay, seed=8)
+        sol = solve_primal(data.features, data.labels, loss, lam)
+        assert sol.newton_dim == 120
+        assert sol.grad_norm <= 1e-10
+        assert stationarity_norm(data.features, data.labels, loss, lam, sol.weights) <= 1e-10
+
+    def test_all_zero_features(self):
+        labels = np.array([1.0, -1.0, 1.0, 1.0])
+        for loss in THREE_LOSSES:
+            sol = solve_primal(np.zeros((10, 4)), labels, loss, 1.0)
+            np.testing.assert_array_equal(sol.weights, np.zeros(10))
+
+    def test_square_loss_matches_ridge_closed_form(self):
+        data = make_low_rank(800, 60, 4, "random", seed=9)
+        sol = solve_primal(data.features, data.labels, square_loss(), 0.5)
+        exact = ridge_closed_form(data.features, data.labels, 0.5)
+        assert sol.newton_dim == 4
+        assert np.linalg.norm(sol.weights - exact) <= 1e-9 * np.linalg.norm(exact)
+
+    def test_shifted_solve_on_low_rank_sketch(self):
+        data = make_low_rank(400, 30, 3, "random", seed=10)
+        sketched = gaussian_sketch(data, 60, seed=10).sketched_features
+        rng = np.random.default_rng(10)
+        offset, shift = rng.standard_normal(60), rng.standard_normal(30)
+        sol = solve_primal(sketched, data.labels, logistic_loss(), 0.7,
+                           offset=offset, margin_shift=shift)
+        assert sol.newton_dim <= 3 + 1
+        assert sol.grad_norm <= 1e-10
+        margins = data.labels * (sketched.T @ sol.weights) + shift
+        grad = 0.7 * (sol.weights + offset) + sketched @ (data.labels * logistic_loss().grad(margins))
+        assert np.linalg.norm(grad) <= 1e-10
 
 
 class TestRidgeClosedForm:
