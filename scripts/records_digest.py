@@ -52,6 +52,8 @@ RUNS = {
                                     "--loss", "logistic", "--early-stop"],
     "iterate-csv": ["iterate", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "20",
                     "--iters", "3", "--trials", "3"],
+    "iterate-decaying-full-rank": ["iterate", *DECAYING, "--sketch-dim", "40", "--iters", "3",
+                                   "--loss", "logistic"],
     "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
                                "--iters", "200"],
     "naive-vs-drp": ["naive-vs-drp", *LOW, "--from-bound", "--loss", "logistic", "--trials", "2"],

@@ -14,22 +14,25 @@ the best iterate.
 
 The method is damped Newton with a Cholesky-factored exact Hessian.  When
 p exceeds n + 1 the iterate provably lies in the span of the feature
-columns (plus the shift offset), so the problem is first reduced onto an
-orthonormal basis of that span; the certificate is still evaluated in the
-full space.  The basis has the span's numerical rank k, not its column
-count: a pivoted Cholesky of the columns' Gram matrix (LAPACK dpstrf)
-reveals k and picks k pivot columns, whose p x k Householder QR is the
-basis.  Newton then runs in k dimensions, which on rank-r data is r (or
-r + 1 with a shift) rather than n.  The rank-k basis is kept only if it
-reproduces the columns to within ``SPAN_RESIDUAL`` of their Frobenius
+columns (plus the shift offset), so the problem is first reduced onto
+coordinates in that span; the certificate is still evaluated in the full
+space.  The span's numerical rank k, not its column count, sets the
+dimension: a pivoted Cholesky of the columns' Gram matrix (LAPACK dpstrf)
+reveals k and picks k pivot columns, whose p x k Householder QR is an
+explicit basis.  Newton then runs in k dimensions, which on rank-r data is
+r (or r + 1 with a shift) rather than n.  The rank-k basis is kept only if
+it reproduces the columns to within ``SPAN_RESIDUAL`` of their Frobenius
 norm.  When the columns have full rank, or are all zero, or the check
 fails (an ill-conditioned full-rank span whose small singular values the
-Cholesky tolerance cut off), the basis is the Householder QR of all the
-columns.
+Cholesky tolerance cut off), the columns get a Householder QR whose Q stays
+in factored form: Newton runs on the R factor, which holds the columns'
+coordinates, and the stored reflectors (LAPACK dormqr) map an iterate to
+the full space only for the certificate and the returned weights.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,20 +105,37 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _span_basis(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal p x k basis of span(cols), k the span's numerical rank.
+def _span_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Coordinates of ``cols`` in a basis of their span, and the map back.
 
-    Falls back to the Householder QR of all columns when they have full
-    rank (or none), or when projecting them onto the rank-k basis leaves a
-    residual above ``SPAN_RESIDUAL`` of their Frobenius norm.
+    Returns ``(coords, to_full)``: ``coords`` is k x n with
+    ``cols = basis @ coords``, and ``to_full(z)`` is ``basis @ z`` for a
+    k-vector ``z``.  When a rank-k subset of the columns reproduces all of
+    them to within ``SPAN_RESIDUAL`` of their Frobenius norm, the basis is
+    the explicit p x k QR of those columns.  Otherwise (full rank, rank 0 or
+    a failed check) it is the Q of the columns' Householder QR, never
+    formed: ``coords`` is R, and ``to_full`` applies the reflectors.
     """
+    p, n = cols.shape
     _, piv, rank, _ = scipy.linalg.lapack.dpstrf(cols.T @ cols, lower=1)
-    if 0 < rank < cols.shape[1]:
+    if 0 < rank < n:
         basis = np.linalg.qr(cols[:, piv[:rank] - 1])[0]
-        residual = np.linalg.norm(cols - basis @ (basis.T @ cols))
+        coords = basis.T @ cols
+        residual = np.linalg.norm(cols - basis @ coords)
         if residual <= SPAN_RESIDUAL * np.linalg.norm(cols):
-            return basis
-    return np.linalg.qr(cols)[0]
+            return coords, lambda z: basis @ z
+    # The reflectors come back in Fortran order, which dormqr reads without
+    # a copy; a C-order array would be copied on every apply.
+    (reflectors, tau), r_factor = scipy.linalg.qr(cols, mode="raw", check_finite=False)
+
+    def to_full(z):
+        full = np.zeros((p, 1), order="F")
+        full[:n, 0] = z
+        # lwork=1 selects the unblocked reflector loop, the fastest for one vector
+        applied = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, full, 1, overwrite_c=1)[0]
+        return applied[:, 0]
+
+    return r_factor, to_full
 
 
 def solve_primal(
@@ -150,21 +170,18 @@ def solve_primal(
     shift = np.zeros(n) if margin_shift is None else np.asarray(margin_shift, dtype=float)
 
     # The minimizer lies in span(columns of X, offset); reduce when that helps.
-    if offset is not None and np.any(u_full):
-        span_cols = np.column_stack([x_full, u_full])
+    has_offset = offset is not None and bool(np.any(u_full))
+    if p > n + has_offset:
+        span_cols = np.column_stack([x_full, u_full]) if has_offset else x_full
+        coords, to_full = _span_basis(span_cols)
+        x = coords[:, :n]
+        u = coords[:, n] if has_offset else np.zeros(coords.shape[0])
     else:
-        span_cols = x_full
-    if p > span_cols.shape[1]:
-        basis = _span_basis(span_cols)
-        x = basis.T @ x_full
-        u = basis.T @ u_full
-    else:
-        basis = None
-        x, u = x_full, u_full
+        x, u, to_full = x_full, u_full, lambda z: z
     k = x.shape[0]
 
     def full_grad_norm(z_red, coef):
-        z_f = basis @ z_red if basis is not None else z_red
+        z_f = to_full(z_red)
         g_f = lam * (z_f + u_full) + x_full @ coef
         return float(np.linalg.norm(g_f)), z_f
 

@@ -144,7 +144,9 @@ class TestSpanReduction:
     @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5)])
     def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
         data = make_low_rank(d, n, r, "random", seed=7)
-        basis = _span_basis(data.features)
+        coords, to_full = _span_basis(data.features)
+        assert coords.shape == (r, n)
+        basis = np.column_stack([to_full(e) for e in np.eye(r)])
         assert basis.shape == (d, r)
         assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-14
         sol = solve_primal(data.features, data.labels, logistic_loss(), 1.0,
@@ -165,6 +167,49 @@ class TestSpanReduction:
         assert sol.newton_dim == 120
         assert sol.grad_norm <= 1e-10
         assert stationarity_norm(data.features, data.labels, loss, lam, sol.weights) <= 1e-10
+
+    # Full rank with p > n: Newton runs on the Householder R, Q stays implicit.
+    @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
+    def test_full_rank_matches_explicit_basis(self, loss):
+        rng = np.random.default_rng(12)
+        features, labels = random_instance(rng, 300, 60)
+        tight = SolverConfig(tolerance=1e-12)
+        sol = solve_primal(features, labels, loss, 1.0, tight)
+        assert sol.newton_dim == 60
+        assert sol.grad_norm <= 1e-12
+        assert stationarity_norm(features, labels, loss, 1.0, sol.weights) <= 1e-12
+        basis = np.linalg.qr(features)[0]
+        explicit = basis @ solve_primal(basis.T @ features, labels, loss, 1.0, tight).weights
+        assert np.linalg.norm(sol.weights - explicit) <= 1e-12 * np.linalg.norm(explicit)
+
+    def test_shifted_full_rank_certifies_in_full_space(self):
+        rng = np.random.default_rng(13)
+        features, labels = random_instance(rng, 80, 20)
+        offset, shift = rng.standard_normal(80), rng.standard_normal(20)
+        sol = solve_primal(features, labels, logistic_loss(), 0.7,
+                           offset=offset, margin_shift=shift)
+        assert sol.newton_dim == 20 + 1
+        margins = labels * (features.T @ sol.weights) + shift
+        grad = 0.7 * (sol.weights + offset) + features @ (labels * logistic_loss().grad(margins))
+        assert np.linalg.norm(grad) <= 1e-10
+
+    def test_full_rank_span_forms_no_explicit_q(self, monkeypatch):
+        calls = []
+        numpy_qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return numpy_qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        rng = np.random.default_rng(14)
+        features, labels = random_instance(rng, 200, 40)
+        solve_primal(features, labels, logistic_loss(), 1.0)
+        assert calls == []
+        # the same counter sees the low-rank branch's explicit QR
+        low = make_low_rank(200, 40, 3, "random", seed=14)
+        solve_primal(low.features, low.labels, logistic_loss(), 1.0)
+        assert calls == [(200, 3)]
 
     def test_all_zero_features(self):
         labels = np.array([1.0, -1.0, 1.0, 1.0])
