@@ -54,6 +54,8 @@ RUNS = {
                     "--iters", "3", "--trials", "3"],
     "iterate-decaying-full-rank": ["iterate", *DECAYING, "--sketch-dim", "40", "--iters", "3",
                                    "--loss", "logistic"],
+    "iterate-low-rank-reduced": ["iterate", *LOW, "--sketch-dim", "40", "--iters", "3",
+                                 "--loss", "logistic"],
     "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
                                "--iters", "200"],
     "naive-vs-drp": ["naive-vs-drp", *LOW, "--from-bound", "--loss", "logistic", "--trials", "2"],

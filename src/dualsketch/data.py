@@ -143,12 +143,10 @@ def make_decaying_spectrum(
     return Dataset(feats, labels)
 
 
-def spectrum(data: Dataset, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> SpectrumInfo:
-    """Thin SVD of the features; rank counts sigma_i > rank_threshold * sigma_1."""
-    if rank_threshold < 0:
-        raise ValueError("rank threshold must be nonnegative")
+def spectrum(data: Dataset) -> SpectrumInfo:
+    """Thin SVD of the features; rank counts sigma_i > DEFAULT_RANK_THRESHOLD * sigma_1."""
     u, s, vt = np.linalg.svd(data.features, full_matrices=False)
-    rank = int(np.count_nonzero(s > rank_threshold * s[0])) if s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_THRESHOLD * s[0])) if s[0] > 0 else 0
     return SpectrumInfo(singular_values=s, left_vectors=u, right_vectors=vt.T, rank=rank)
 
 
@@ -181,16 +179,13 @@ def numerical_rank(singular_values: np.ndarray, nu: float) -> int:
     return int(np.count_nonzero(s > nu))
 
 
-def save_csv(data: Dataset, path, header: bool = True) -> None:
-    """Write one example per row: label first, then the d feature values.
+def save_csv(data: Dataset, path) -> None:
+    """Write a header row, then one example per row: label first, then the d feature values.
 
     Values are emitted with 17 significant digits so a round trip is exact.
     """
-    d = data.d
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            cols = ["label"] + [f"f{j}" for j in range(d)]
-            fh.write(",".join(cols) + "\n")
+        fh.write(",".join(["label"] + [f"f{j}" for j in range(data.d)]) + "\n")
         for i in range(data.n):
             row = [f"{data.labels[i]:.17g}"] + [f"{v:.17g}" for v in data.features[:, i]]
             fh.write(",".join(row) + "\n")

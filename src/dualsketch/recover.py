@@ -129,17 +129,20 @@ def recover_iterative(
 
     Starting from w_0 = 0, each pass t solves the sketched residual problem
 
-        min_z lam/2 ||z + R' w_{t-1} / sqrt(m)||^2
-              + sum_i l(y_i z' xhat_i + y_i w_{t-1}' x_i),
+        min_z lam/2 ||z + o||^2 + sum_i l(y_i z' xhat_i + y_i w_{t-1}' x_i),
 
-    reads off the cumulative dual alpha_t,i = grad l(y_i xhat_i' z_t +
-    y_i w_{t-1}' x_i), and rebuilds w_t = -(1/lam) X D(y) alpha_t.  The
-    per-example dot products w_{t-1}' x_i live in the original space; the
-    projection matrix is sampled once, before the loop.
+    with o = R' w_{t-1} / sqrt(m).  In v = z + o it is the one-shot
+    sketched problem with margins shifted by s_i = y_i (w_{t-1}' x_i -
+    xhat_i' o), which ``solve_primal`` solves as is; pass 1 (w_0 = 0) is
+    exactly one-shot DRP.  The pass reads off the cumulative dual
+    alpha_t,i = grad l(y_i xhat_i' v + s_i) and rebuilds
+    w_t = -(1/lam) X D(y) alpha_t.  The per-example dot products
+    w_{t-1}' x_i live in the original space; the projection matrix is
+    sampled once, before the loop.
 
     Solver failure at any pass raises ``ConvergenceError`` with the pass
     index in the message.  ``early_stop`` ends the loop once the sketched
-    increment is negligible next to the current iterate.
+    increment z = v - o is negligible next to the current iterate.
     """
     if t_iters < 1:
         raise ValueError("t_iters must be at least 1")
@@ -153,19 +156,16 @@ def recover_iterative(
     alphas = np.zeros(data.n)
     errors = [1.0 if ref is not None else np.nan]
     for t in range(1, t_iters + 1):
-        dots = data.features.T @ w
         offset = (sketch.matrix_r.T @ w) / sqrt_m
+        shift = data.labels * (data.features.T @ w - xs.T @ offset)
         try:
-            z_sol = solve_primal(
-                xs, data.labels, loss, lam, config, offset=offset, margin_shift=data.labels * dots
-            )
+            v = solve_primal(xs, data.labels, loss, lam, config, margin_shift=shift).weights
         except ConvergenceError as exc:
             raise ConvergenceError(f"pass {t}: {exc}", exc.best) from exc
-        margins = data.labels * (xs.T @ z_sol.weights) + data.labels * dots
-        alphas = np.asarray(loss.grad(margins), dtype=float)
+        alphas = np.asarray(loss.grad(data.labels * (xs.T @ v) + shift), dtype=float)
         w = primal_from_dual(data.features, data.labels, lam, alphas)
         errors.append(relative_error(w, ref) if ref is not None else np.nan)
-        if early_stop and np.linalg.norm(z_sol.weights) <= 1e-12 * np.linalg.norm(w):
+        if early_stop and np.linalg.norm(v - offset) <= 1e-12 * np.linalg.norm(w):
             break
     trace = IterationTrace(per_iteration_errors=np.array(errors), duals=alphas)
     return RecoveryResult(w, None if ref is None else errors[-1]), trace

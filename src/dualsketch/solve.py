@@ -5,29 +5,29 @@ The primal problem in a space of dimension p is
     min_w  lam/2 ||w||^2 + sum_i l(y_i x_i' w)
 
 over the columns x_i of a p x n feature matrix.  ``solve_primal`` also
-covers the sketched problem (pass the sketched features) and the shifted
-variants used by iterative recovery.  The contract is a
-gradient-norm certificate: a returned solution always satisfies
+covers the sketched problem (pass the sketched features) and, through a
+per-example margin shift, each pass of iterative recovery.  The contract is
+a gradient-norm certificate: a returned solution always satisfies
 ||grad|| <= tolerance, where the gradient is evaluated in the space the
 caller handed in; failure to certify raises ``ConvergenceError`` carrying
 the best iterate.
 
 The method is damped Newton with a Cholesky-factored exact Hessian.  When
-p exceeds n + 1 the iterate provably lies in the span of the feature
-columns (plus the shift offset), so the problem is first reduced onto
-coordinates in that span; the certificate is still evaluated in the full
-space.  The span's numerical rank k, not its column count, sets the
-dimension: a pivoted Cholesky of the columns' Gram matrix (LAPACK dpstrf)
-reveals k and picks k pivot columns, whose p x k Householder QR is an
-explicit basis.  Newton then runs in k dimensions, which on rank-r data is
-r (or r + 1 with a shift) rather than n.  The rank-k basis is kept only if
-it reproduces the columns to within ``SPAN_RESIDUAL`` of their Frobenius
-norm.  When the columns have full rank, or are all zero, or the check
-fails (an ill-conditioned full-rank span whose small singular values the
-Cholesky tolerance cut off), the columns get a Householder QR whose Q stays
-in factored form: Newton runs on the R factor, which holds the columns'
-coordinates, and the stored reflectors (LAPACK dormqr) map an iterate to
-the full space only for the certificate and the returned weights.
+p exceeds n the iterate provably lies in the span of the feature columns,
+so the problem is first reduced onto coordinates in that span; the
+certificate is still evaluated in the full space.  The span's numerical
+rank k, not its column count, sets the dimension: a pivoted Cholesky of the
+columns' Gram matrix (LAPACK dpstrf) reveals k and picks k pivot columns,
+whose p x k Householder QR is an explicit basis.  Newton then runs in k
+dimensions, which on rank-r data is r rather than n.  The rank-k basis is
+kept only if it reproduces the columns to within ``SPAN_RESIDUAL`` of
+their Frobenius norm.  When the columns have full rank, or are all zero, or
+the check fails (an ill-conditioned full-rank span whose small singular
+values the Cholesky tolerance cut off), the columns get a Householder QR
+whose Q stays in factored form: Newton runs on the R factor, which holds
+the columns' coordinates, and the stored reflectors (LAPACK dormqr) map an
+iterate to the full space only for the certificate and the returned
+weights.
 """
 
 from __future__ import annotations
@@ -144,17 +144,19 @@ def solve_primal(
     loss: LossSpec,
     lam: float,
     config: SolverConfig = SolverConfig(),
-    offset=None,
     margin_shift=None,
 ) -> PrimalSolution:
     """Minimize the regularized ERM objective with a gradient-norm certificate.
 
     Works for the original problem (pass the d x n features) and the
-    sketched one (pass the m x n sketched features).  With ``offset`` and
-    ``margin_shift`` it solves the shifted problem used by iterative
-    recovery,
+    sketched one (pass the m x n sketched features).  With ``margin_shift``
+    it solves
 
-        min_z lam/2 ||z + offset||^2 + sum_i l(y_i z' x_i + margin_shift_i).
+        min_w lam/2 ||w||^2 + sum_i l(y_i w' x_i + margin_shift_i).
+
+    A translated regularizer lam/2 ||z + u||^2 is this problem in w = z + u
+    with margin_shift_i reduced by y_i u' x_i; iterative recovery poses
+    every pass that way.
 
     Raises ``ConvergenceError`` carrying the best iterate when the
     certificate cannot be met within ``config.max_iterations``.
@@ -166,34 +168,26 @@ def solve_primal(
     if x_full.ndim != 2 or y.shape != (x_full.shape[1],):
         raise ValueError("features must be p x n with one label per column")
     p, n = x_full.shape
-    u_full = np.zeros(p) if offset is None else np.asarray(offset, dtype=float)
     shift = np.zeros(n) if margin_shift is None else np.asarray(margin_shift, dtype=float)
 
-    # The minimizer lies in span(columns of X, offset); reduce when that helps.
-    has_offset = offset is not None and bool(np.any(u_full))
-    if p > n + has_offset:
-        span_cols = np.column_stack([x_full, u_full]) if has_offset else x_full
-        coords, to_full = _span_basis(span_cols)
-        x = coords[:, :n]
-        u = coords[:, n] if has_offset else np.zeros(coords.shape[0])
-    else:
-        x, u, to_full = x_full, u_full, lambda z: z
+    # The minimizer lies in the span of the columns of X; reduce when that helps.
+    x, to_full = _span_basis(x_full) if p > n else (x_full, lambda z: z)
     k = x.shape[0]
 
     def full_grad_norm(z_red, coef):
         z_f = to_full(z_red)
-        g_f = lam * (z_f + u_full) + x_full @ coef
+        g_f = lam * z_f + x_full @ coef
         return float(np.linalg.norm(g_f)), z_f
 
     def evaluate(z):
         margins = y * (x.T @ z) + shift
-        f = 0.5 * lam * np.dot(z + u, z + u) + float(np.sum(loss.value(margins)))
+        f = 0.5 * lam * np.dot(z, z) + float(np.sum(loss.value(margins)))
         return f, margins
 
     z = np.zeros(k)
     f, margins = evaluate(z)
     coef = y * loss.grad(margins)
-    g = lam * (z + u) + x @ coef
+    g = lam * z + x @ coef
     iters = 0
 
     def snapshot(gn_full, z_f):
@@ -247,7 +241,7 @@ def solve_primal(
             z_new = z + direction
             f_new, margins_new = evaluate(z_new)
             coef_new = y * loss.grad(margins_new)
-            g_new = lam * (z_new + u) + x @ coef_new
+            g_new = lam * z_new + x @ coef_new
             if np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g) and f_new <= f + 1e-12 * (1.0 + abs(f)):
                 z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
                 iters += 1
@@ -259,7 +253,7 @@ def solve_primal(
             )
         z, f, margins = z_new, f_new, margins_new
         coef = y * loss.grad(margins)
-        g = lam * (z + u) + x @ coef
+        g = lam * z + x @ coef
         iters += 1
 
 

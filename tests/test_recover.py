@@ -161,11 +161,11 @@ class TestIterative:
         _, trace1 = recover_iterative(data, loss, lam, sk, 1, CFG)
         _, trace2 = recover_iterative(data, loss, lam, sk, 2, CFG)
         w1 = -(data.features @ (data.labels * trace1.duals)) / lam
-        dots = data.features.T @ w1
+        xs = sk.sketched_features
         offset = sk.matrix_r.T @ w1 / np.sqrt(sk.m)
-        z2 = solve_primal(sk.sketched_features, data.labels, loss, lam, CFG,
-                          offset=offset, margin_shift=data.labels * dots)
-        margins = data.labels * (sk.sketched_features.T @ z2.weights) + data.labels * dots
+        shift = data.labels * (data.features.T @ w1 - xs.T @ offset)
+        v2 = solve_primal(xs, data.labels, loss, lam, CFG, margin_shift=shift)
+        margins = data.labels * (xs.T @ v2.weights) + shift
         rebuilt = np.asarray(loss.grad(margins))
         np.testing.assert_allclose(trace2.duals, rebuilt, atol=1e-8)
         increment = rebuilt - trace1.duals

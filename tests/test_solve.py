@@ -7,6 +7,7 @@ import scipy.optimize
 
 from dualsketch.data import make_decaying_spectrum, make_low_rank
 from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
+from dualsketch.recover import recover_iterative
 from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import (
     _span_basis,
@@ -28,6 +29,19 @@ def random_instance(rng, d, n):
     features = rng.standard_normal((d, n))
     labels = rng.choice([-1.0, 1.0], size=n)
     return features, labels
+
+
+def count_qr_calls(monkeypatch):
+    """Shapes of the matrices handed to ``np.linalg.qr`` from here on."""
+    calls = []
+    numpy_qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return numpy_qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return calls
 
 
 def stationarity_norm(features, labels, loss, lam, w):
@@ -124,18 +138,25 @@ class TestShiftedSolver:
         rng = np.random.default_rng(6)
         features, labels = random_instance(rng, 12, 18)
         plain = solve_primal(features, labels, logistic_loss(), 0.7)
-        shifted = solve_primal(features, labels, logistic_loss(), 0.7,
-                               offset=np.zeros(12), margin_shift=np.zeros(18))
+        shifted = solve_primal(features, labels, logistic_loss(), 0.7, margin_shift=np.zeros(18))
         np.testing.assert_allclose(shifted.weights, plain.weights, atol=1e-9)
 
-    def test_offset_only_translates_quadratic(self):
-        # with zero data the minimum is exactly -offset
-        features = np.zeros((4, 3))
-        labels = np.array([1.0, 1.0, -1.0])
-        offset = np.array([1.0, -2.0, 0.5, 0.0])
-        sol = solve_primal(features, labels, square_loss(), 2.0,
-                           offset=offset, margin_shift=np.zeros(3))
-        np.testing.assert_allclose(sol.weights, -offset, atol=1e-10)
+    def test_translated_quadratic_is_a_margin_shift(self):
+        # min_z lam/2 ||z + u||^2 + sum_i l(y_i x_i'z + s_i) is the plain
+        # problem in v = z + u with shift s - y*(X'u), whatever u is: here u
+        # has a component outside span(X) and p > n triggers the reduction
+        rng = np.random.default_rng(7)
+        features, labels = random_instance(rng, 30, 10)
+        u, s = 3.0 * rng.standard_normal(30), rng.standard_normal(10)
+        basis = np.linalg.qr(features)[0]
+        assert np.linalg.norm(u - basis @ (basis.T @ u)) > 1.0
+        loss, lam = logistic_loss(), 0.7
+        v = solve_primal(features, labels, loss, lam,
+                         margin_shift=s - labels * (features.T @ u)).weights
+        z = v - u
+        margins = labels * (features.T @ z) + s
+        grad = lam * (z + u) + features @ (labels * loss.grad(margins))
+        assert np.linalg.norm(grad) <= 1e-10
 
 
 class TestSpanReduction:
@@ -185,31 +206,33 @@ class TestSpanReduction:
     def test_shifted_full_rank_certifies_in_full_space(self):
         rng = np.random.default_rng(13)
         features, labels = random_instance(rng, 80, 20)
-        offset, shift = rng.standard_normal(80), rng.standard_normal(20)
-        sol = solve_primal(features, labels, logistic_loss(), 0.7,
-                           offset=offset, margin_shift=shift)
-        assert sol.newton_dim == 20 + 1
+        shift = rng.standard_normal(20)
+        sol = solve_primal(features, labels, logistic_loss(), 0.7, margin_shift=shift)
+        assert sol.newton_dim == 20
         margins = labels * (features.T @ sol.weights) + shift
-        grad = 0.7 * (sol.weights + offset) + features @ (labels * logistic_loss().grad(margins))
+        grad = 0.7 * sol.weights + features @ (labels * logistic_loss().grad(margins))
         assert np.linalg.norm(grad) <= 1e-10
 
     def test_full_rank_span_forms_no_explicit_q(self, monkeypatch):
-        calls = []
-        numpy_qr = np.linalg.qr
-
-        def counting_qr(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return numpy_qr(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        qr_calls = count_qr_calls(monkeypatch)
         rng = np.random.default_rng(14)
         features, labels = random_instance(rng, 200, 40)
         solve_primal(features, labels, logistic_loss(), 1.0)
-        assert calls == []
+        assert qr_calls == []
         # the same counter sees the low-rank branch's explicit QR
         low = make_low_rank(200, 40, 3, "random", seed=14)
         solve_primal(low.features, low.labels, logistic_loss(), 1.0)
-        assert calls == [(200, 3)]
+        assert qr_calls == [(200, 3)]
+
+    def test_iterative_passes_on_full_rank_sketch_form_no_explicit_q(self, monkeypatch):
+        # the shifted passes reduce onto the sketched columns alone, so a
+        # full-rank sketched span keeps Q implicit on every pass; the data
+        # and sketch are drawn before the counter is installed
+        data = make_decaying_spectrum(200, 40, 1.0, seed=15)
+        sk = gaussian_sketch(data, 120, seed=15)
+        qr_calls = count_qr_calls(monkeypatch)
+        recover_iterative(data, logistic_loss(), 1.0, sk, 4)
+        assert qr_calls == []
 
     def test_all_zero_features(self):
         labels = np.array([1.0, -1.0, 1.0, 1.0])
@@ -228,13 +251,12 @@ class TestSpanReduction:
         data = make_low_rank(400, 30, 3, "random", seed=10)
         sketched = gaussian_sketch(data, 60, seed=10).sketched_features
         rng = np.random.default_rng(10)
-        offset, shift = rng.standard_normal(60), rng.standard_normal(30)
-        sol = solve_primal(sketched, data.labels, logistic_loss(), 0.7,
-                           offset=offset, margin_shift=shift)
-        assert sol.newton_dim <= 3 + 1
+        shift = rng.standard_normal(30)
+        sol = solve_primal(sketched, data.labels, logistic_loss(), 0.7, margin_shift=shift)
+        assert sol.newton_dim <= 3
         assert sol.grad_norm <= 1e-10
         margins = data.labels * (sketched.T @ sol.weights) + shift
-        grad = 0.7 * (sol.weights + offset) + sketched @ (data.labels * logistic_loss().grad(margins))
+        grad = 0.7 * sol.weights + sketched @ (data.labels * logistic_loss().grad(margins))
         assert np.linalg.norm(grad) <= 1e-10
 
 
