@@ -229,7 +229,13 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 
 
 def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
-    """Trial t's seed, dataset, sketch and reference weights."""
+    """Trial t's seed, dataset, sketch and reference weights.
+
+    A generated dataset's reference is solved before the sketch is drawn:
+    the two come from independent generators, so the order moves no
+    number, and the d x m projection is not held through the reference
+    solve's d x n span work.
+    """
     seed = cfg.seed + t
     data, w_star = plan.data, plan.w_star
     if data is None:
@@ -241,9 +247,9 @@ def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
                                               cfg.label_rule)
         except ValueError as exc:  # the config is valid, so the features overflowed
             raise DatasetIOError(f"generated dataset is unusable: {exc}") from None
-    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
     if w_star is None:
         w_star = _reference(cfg, data, plan.loss)
+    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
     return seed, data, sk, w_star
 
 

@@ -138,7 +138,8 @@ def recover_iterative(
     alpha_t,i = grad l(y_i xhat_i' v + s_i) and rebuilds
     w_t = -(1/lam) X D(y) alpha_t.  The per-example dot products
     w_{t-1}' x_i live in the original space; the projection matrix is
-    sampled once, before the loop.
+    sampled once, before the loop.  At w_0 = 0 the offset and the shift are
+    zero, so pass 1 reads only the sketched features.
 
     Solver failure at any pass raises ``ConvergenceError`` with the pass
     index in the message.  ``early_stop`` ends the loop once the sketched
@@ -154,10 +155,12 @@ def recover_iterative(
 
     w = np.zeros(data.d)
     alphas = np.zeros(data.n)
+    offset, shift = np.zeros(sketch.m), np.zeros(data.n)  # their values at w_0 = 0
     errors = [1.0 if ref is not None else np.nan]
     for t in range(1, t_iters + 1):
-        offset = (sketch.matrix_r.T @ w) / sqrt_m
-        shift = data.labels * (data.features.T @ w - xs.T @ offset)
+        if t > 1:  # pass 1 reads neither R nor X
+            offset = (sketch.matrix_r.T @ w) / sqrt_m
+            shift = data.labels * (data.features.T @ w - xs.T @ offset)
         try:
             v = solve_primal(xs, data.labels, loss, lam, config, margin_shift=shift).weights
         except ConvergenceError as exc:

@@ -15,19 +15,20 @@ the best iterate.
 The method is damped Newton with a Cholesky-factored exact Hessian.  When
 p exceeds n the iterate provably lies in the span of the feature columns,
 so the problem is first reduced onto coordinates in that span; the
-certificate is still evaluated in the full space.  The span's numerical
-rank k, not its column count, sets the dimension: a pivoted Cholesky of the
-columns' Gram matrix (LAPACK dpstrf) reveals k and picks k pivot columns,
-whose p x k Householder QR is an explicit basis.  Newton then runs in k
-dimensions, which on rank-r data is r rather than n.  The rank-k basis is
-kept only if it reproduces the columns to within ``SPAN_RESIDUAL`` of
-their Frobenius norm.  When the columns have full rank, or are all zero, or
-the check fails (an ill-conditioned full-rank span whose small singular
-values the Cholesky tolerance cut off), the columns get a Householder QR
-whose Q stays in factored form: Newton runs on the R factor, which holds
-the columns' coordinates, and the stored reflectors (LAPACK dormqr) map an
-iterate to the full space only for the certificate and the returned
-weights.
+certificate is still evaluated in the full space, on every exit and once
+the reduced gradient meets the tolerance (its norm never exceeds the full
+one).  The span's numerical rank k, not its column count, sets the
+dimension: a pivoted Cholesky of the columns' Gram matrix (LAPACK dpstrf)
+reveals k and picks k pivot columns, whose p x k Householder QR is an
+explicit basis.  Newton then runs in k dimensions, which on rank-r data is
+r rather than n.  The rank-k basis is kept only if it reproduces the
+columns to within ``SPAN_RESIDUAL`` of their Frobenius norm.  When the
+columns have full rank, or are all zero, or the check fails (an
+ill-conditioned full-rank span whose small singular values the Cholesky
+tolerance cut off), the columns get a Householder QR whose Q stays in
+factored form: Newton runs on the R factor, which holds the columns'
+coordinates, and the stored reflectors (LAPACK dormqr) map an iterate to
+the full space only for the certificate and the returned weights.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ def _span_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np
     if 0 < rank < n:
         basis = np.linalg.qr(cols[:, piv[:rank] - 1])[0]
         coords = basis.T @ cols
-        residual = np.linalg.norm(cols - basis @ coords)
-        if residual <= SPAN_RESIDUAL * np.linalg.norm(cols):
+        residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||
+        residual -= cols
+        if np.linalg.norm(residual) <= SPAN_RESIDUAL * np.linalg.norm(cols):
             return coords, lambda z: basis @ z
     # The reflectors come back in Fortran order, which dormqr reads without
     # a copy; a C-order array would be copied on every apply.
@@ -174,11 +176,6 @@ def solve_primal(
     x, to_full = _span_basis(x_full) if p > n else (x_full, lambda z: z)
     k = x.shape[0]
 
-    def full_grad_norm(z_red, coef):
-        z_f = to_full(z_red)
-        g_f = lam * z_f + x_full @ coef
-        return float(np.linalg.norm(g_f)), z_f
-
     def evaluate(z):
         margins = y * (x.T @ z) + shift
         f = 0.5 * lam * np.dot(z, z) + float(np.sum(loss.value(margins)))
@@ -190,34 +187,36 @@ def solve_primal(
     g = lam * z + x @ coef
     iters = 0
 
-    def snapshot(gn_full, z_f):
+    def certified():
+        """The current iterate in the full space, with its full-space gradient norm."""
+        z_f = to_full(z)
         return PrimalSolution(
             weights=z_f,
             objective=f,
-            grad_norm=gn_full,
+            grad_norm=float(np.linalg.norm(lam * z_f + x_full @ coef)),
             iterations=iters,
             newton_dim=k,
         )
 
     while True:
-        gn_full, z_f = full_grad_norm(z, coef)
-        if gn_full <= config.tolerance:
-            return snapshot(gn_full, z_f)
+        # ||g|| = ||Q'g_full|| <= ||g_full||: the certificate cannot pass first
+        if np.linalg.norm(g) <= config.tolerance and (best := certified()).grad_norm <= config.tolerance:
+            return best
         if iters >= config.max_iterations:
+            best = certified()
             raise ConvergenceError(
-                f"no convergence after {iters} iterations (grad norm {gn_full:.3e})",
-                snapshot(gn_full, z_f),
+                f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
             )
         curv = loss.curvature(margins)
         hess = (x * curv) @ x.T
         hess[np.diag_indices_from(hess)] += lam
-        try:
-            c_factor = scipy.linalg.cho_factor(hess, lower=True)
-        except scipy.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
+        c_factor, info = scipy.linalg.lapack.dpotrf(hess, lower=1, overwrite_a=1)
+        if info > 0:  # lam > 0 makes this unlikely
             raise ConvergenceError(
-                f"Hessian factorization failed: {exc}", snapshot(gn_full, z_f)
-            ) from exc
-        direction = scipy.linalg.cho_solve(c_factor, -g)
+                "Hessian factorization failed: "
+                f"{info}-th leading minor of the array is not positive definite", certified()
+            )
+        direction = scipy.linalg.lapack.dpotrs(c_factor, -g, lower=1)[0]
         slope = float(g @ direction)
         if slope >= 0.0:
             direction, slope = -g, -float(g @ g)
@@ -246,10 +245,11 @@ def solve_primal(
                 z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
                 iters += 1
                 continue
+            best = certified()
             raise ConvergenceError(
-                f"stalled at the floating-point floor (grad norm {gn_full:.3e}, "
+                f"stalled at the floating-point floor (grad norm {best.grad_norm:.3e}, "
                 f"tolerance {config.tolerance:.3e})",
-                snapshot(gn_full, z_f),
+                best,
             )
         z, f, margins = z_new, f_new, margins_new
         coef = y * loss.grad(margins)

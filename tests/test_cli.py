@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,24 @@ class TestRunExperiment:
         })
         run_experiment(cfg)
         assert shapes == [(80, 30), (20, 30)]  # the reference, then the sketch
+
+    def test_trial_peak_memory(self):
+        # the reference solve ends before the sketch is drawn, and its span
+        # check holds one d x n temporary: the peak stays below X + R + X/2
+        cfg = config_from_mapping({
+            "experiment": "naive_vs_drp", "d": 4000, "n": 200, "rank": 3,
+            "sketch_dim": 300, "loss": "logistic", "trials": 1, "seed": 0,
+        })
+        plan = experiments._plan(cfg)
+        tracemalloc.start()
+        try:
+            record = experiments._run_one(cfg, plan, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "error" not in record
+        x_bytes, r_bytes = 4000 * 200 * 8, 4000 * 300 * 8
+        assert peak <= x_bytes + r_bytes + x_bytes / 2
 
     def test_csv_loaded_once_per_run(self, tmp_path, monkeypatch):
         path = tmp_path / "train.csv"

@@ -1,5 +1,7 @@
 """Recovery routes, their subspace geometry, and the iterative identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,15 @@ class TestIterative:
         res, _ = recover_iterative(data, logistic_loss(), lam, sk, 1, CFG)
         gap = np.linalg.norm(res.recovered - one_shot.recovered)
         assert gap <= 10.0 * TOL / lam
+
+    def test_first_pass_reads_no_projection_matrix(self):
+        # at w_0 = 0 the offset R'w/sqrt(m) and the margin shift are zero
+        data = make_low_rank(50, 25, 4, "random", seed=13)
+        sk = gaussian_sketch(data, 15, seed=14)
+        blind = dataclasses.replace(sk, matrix_r=np.full_like(sk.matrix_r, np.nan))
+        expected = recover_drp(data, logistic_loss(), 1.0, sk, CFG).recovered
+        recovered = recover_drp(data, logistic_loss(), 1.0, blind, CFG).recovered
+        np.testing.assert_array_equal(recovered, expected)
 
     def test_exact_sketch_converges_immediately(self):
         data = make_low_rank(20, 12, 3, "random", seed=15)

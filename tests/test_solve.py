@@ -44,6 +44,19 @@ def count_qr_calls(monkeypatch):
     return calls
 
 
+def count_dormqr_calls(monkeypatch):
+    """Number of reflector applies (LAPACK dormqr) from here on, in a one-item list."""
+    calls = [0]
+    lapack_dormqr = scipy.linalg.lapack.dormqr
+
+    def counting_dormqr(*args, **kwargs):
+        calls[0] += 1
+        return lapack_dormqr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", counting_dormqr)
+    return calls
+
+
 def stationarity_norm(features, labels, loss, lam, w):
     margins = labels * (features.T @ w)
     return np.linalg.norm(lam * w + features @ (labels * loss.grad(margins)))
@@ -131,6 +144,58 @@ class TestSolvePrimal:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             solve_primal(np.eye(2), np.array([1.0, -1.0]), square_loss(), 0.0)
+
+    def test_hessian_factorization_failure_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda hess, **kwargs: (hess, 1))
+        rng = np.random.default_rng(5)
+        features, labels = random_instance(rng, 30, 12)
+        with pytest.raises(ConvergenceError) as err:
+            solve_primal(features, labels, logistic_loss(), 1.0)
+        assert str(err.value) == ("Hessian factorization failed: 1-th leading minor of the "
+                                  "array is not positive definite")
+        assert np.isfinite(err.value.best.grad_norm)
+        assert err.value.best.grad_norm == pytest.approx(
+            stationarity_norm(features, labels, logistic_loss(), 1.0, err.value.best.weights),
+            rel=1e-12)
+
+
+class TestCertificate:
+    """The reported grad_norm is the full-space gradient norm on every exit path."""
+
+    @staticmethod
+    def instance(shape):
+        if shape == "rank-reduced p>n":
+            data = make_low_rank(300, 60, 4, "random", seed=16)
+            return data.features, data.labels, 4
+        d, n = {"p<=n": (20, 30), "full-rank p>n": (300, 60)}[shape]
+        return (*random_instance(np.random.default_rng(16), d, n), min(d, n))
+
+    @pytest.mark.parametrize("shape", ["p<=n", "rank-reduced p>n", "full-rank p>n"])
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_reported_norm_is_the_full_space_gradient(self, shape, converged):
+        features, labels, newton_dim = self.instance(shape)
+        loss, lam = logistic_loss(), 0.5
+        if converged:
+            sol = solve_primal(features, labels, loss, lam)
+        else:
+            with pytest.raises(ConvergenceError) as err:
+                solve_primal(features, labels, loss, lam, SolverConfig(max_iterations=1))
+            sol = err.value.best
+        assert sol.newton_dim == newton_dim
+        expected = stationarity_norm(features, labels, loss, lam, sol.weights)
+        # relative to the gradient at w = 0, the scale of the gradient's terms
+        scale = stationarity_norm(features, labels, loss, lam, np.zeros(features.shape[0]))
+        assert abs(sol.grad_norm - expected) <= 1e-12 * max(expected, scale)
+
+    def test_converged_full_rank_solve_applies_q_once(self, monkeypatch):
+        # the certificate is evaluated once the reduced gradient passes, so
+        # a converged solve maps to the full space only for its answer
+        rng = np.random.default_rng(17)
+        features, labels = random_instance(rng, 300, 60)
+        calls = count_dormqr_calls(monkeypatch)
+        sol = solve_primal(features, labels, logistic_loss(), 1.0)
+        assert sol.newton_dim == 60 and sol.iterations > 1
+        assert calls == [1]
 
 
 class TestShiftedSolver:
