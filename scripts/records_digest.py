@@ -47,6 +47,8 @@ RUNS = {
                                     "--sketch-dim", "20", "--loss", "logistic", "--trials", "2"],
     "recover-no-convergence": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic",
                                "--max-iters", "1", "--trials", "2"],
+    "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
+                                         "--loss", "logistic"],
     "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],
     "iterate-logistic-early-stop": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "12",
                                     "--loss", "logistic", "--early-stop"],

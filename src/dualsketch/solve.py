@@ -13,22 +13,16 @@ caller handed in; failure to certify raises ``ConvergenceError`` carrying
 the best iterate.
 
 The method is damped Newton with a Cholesky-factored exact Hessian.  When
-p exceeds n the iterate provably lies in the span of the feature columns,
-so the problem is first reduced onto coordinates in that span; the
-certificate is still evaluated in the full space, on every exit and once
-the reduced gradient meets the tolerance (its norm never exceeds the full
-one).  The span's numerical rank k, not its column count, sets the
-dimension: a pivoted Cholesky of the columns' Gram matrix (LAPACK dpstrf)
-reveals k and picks k pivot columns, whose p x k Householder QR is an
-explicit basis.  Newton then runs in k dimensions, which on rank-r data is
-r rather than n.  The rank-k basis is kept only if it reproduces the
-columns to within ``SPAN_RESIDUAL`` of their Frobenius norm.  When the
-columns have full rank, or are all zero, or the check fails (an
-ill-conditioned full-rank span whose small singular values the Cholesky
-tolerance cut off), the columns get a Householder QR whose Q stays in
-factored form: Newton runs on the R factor, which holds the columns'
-coordinates, and the stored reflectors (LAPACK dormqr) map an iterate to
-the full space only for the certificate and the returned weights.
+p exceeds n the iterate lies in the span of the feature columns, so Newton
+runs on coordinates in that span, while the certificate is evaluated in the
+full space from margins recomputed there.  One pivoted Cholesky of the Gram
+matrix (LAPACK dpstrf), ``P' X' X P = L L'``, factors the span.  At full
+rank L' P' holds the coordinates in the CholeskyQR basis ``X P L'^-1``,
+applied only for the certificate and the answer.  At rank k < n the k
+pivot columns get an explicit QR, kept if it reproduces the columns to
+within ``SPAN_RESIDUAL``; otherwise, and for all-zero columns, all the
+columns do.  CholeskyQR is orthonormal only to about cond(X)^2 * eps, so a
+solve on it that fails to certify is redone once on the explicit QR.
 """
 
 from __future__ import annotations
@@ -106,38 +100,39 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _span_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Coordinates of ``cols`` in a basis of their span, and the map back.
+def _span_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], bool]:
+    """Coordinates of ``cols`` in an orthonormal basis of their span, and the map back.
 
-    Returns ``(coords, to_full)``: ``coords`` is k x n with
-    ``cols = basis @ coords``, and ``to_full(z)`` is ``basis @ z`` for a
-    k-vector ``z``.  When a rank-k subset of the columns reproduces all of
-    them to within ``SPAN_RESIDUAL`` of their Frobenius norm, the basis is
-    the explicit p x k QR of those columns.  Otherwise (full rank, rank 0 or
-    a failed check) it is the Q of the columns' Householder QR, never
-    formed: ``coords`` is R, and ``to_full`` applies the reflectors.
+    Returns ``(coords, to_full, cholesky)``: ``coords`` is k x n with
+    ``cols = basis @ coords`` and ``to_full(z) = basis @ z``.  At full rank
+    the basis is CholeskyQR's ``cols P L'^-1``, never formed (``cholesky``
+    is True); at rank k it is the QR of the k pivot columns if that passes
+    the residual check, and otherwise the QR of all the columns.
     """
-    p, n = cols.shape
-    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(cols.T @ cols, lower=1)
-    if 0 < rank < n:
+    n = cols.shape[1]
+    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(cols.T @ cols, lower=1)
+    if rank == n:
+        upper = np.tril(factor).T  # dpstrf leaves the Gram matrix above the diagonal
+        coords = np.empty((n, n))
+        coords[:, piv - 1] = upper
+
+        def to_full(z):
+            # cols @ y with y scattered to the columns' order: no permuted copy of cols
+            y = np.empty(n)
+            y[piv - 1] = scipy.linalg.solve_triangular(upper, z, check_finite=False)
+            return cols @ y
+
+        return coords, to_full, True
+    del factor  # not held through the p x n temporaries below
+    if rank > 0:
         basis = np.linalg.qr(cols[:, piv[:rank] - 1])[0]
         coords = basis.T @ cols
         residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||
         residual -= cols
         if np.linalg.norm(residual) <= SPAN_RESIDUAL * np.linalg.norm(cols):
-            return coords, lambda z: basis @ z
-    # The reflectors come back in Fortran order, which dormqr reads without
-    # a copy; a C-order array would be copied on every apply.
-    (reflectors, tau), r_factor = scipy.linalg.qr(cols, mode="raw", check_finite=False)
-
-    def to_full(z):
-        full = np.zeros((p, 1), order="F")
-        full[:n, 0] = z
-        # lwork=1 selects the unblocked reflector loop, the fastest for one vector
-        applied = scipy.linalg.lapack.dormqr("L", "N", reflectors, tau, full, 1, overwrite_c=1)[0]
-        return applied[:, 0]
-
-    return r_factor, to_full
+            return coords, lambda z: basis @ z, False
+    basis, coords = np.linalg.qr(cols)
+    return coords, lambda z: basis @ z, False
 
 
 def solve_primal(
@@ -172,89 +167,94 @@ def solve_primal(
     p, n = x_full.shape
     shift = np.zeros(n) if margin_shift is None else np.asarray(margin_shift, dtype=float)
 
-    # The minimizer lies in the span of the columns of X; reduce when that helps.
-    x, to_full = _span_basis(x_full) if p > n else (x_full, lambda z: z)
-    k = x.shape[0]
+    def newton(x, to_full):
+        """Newton on coordinates ``x`` (k x n); ``to_full`` maps a k-vector to the weights."""
 
-    def evaluate(z):
-        margins = y * (x.T @ z) + shift
-        f = 0.5 * lam * np.dot(z, z) + float(np.sum(loss.value(margins)))
-        return f, margins
+        def evaluate(z):
+            margins = y * (x.T @ z) + shift
+            f = 0.5 * lam * np.dot(z, z) + float(np.sum(loss.value(margins)))
+            return f, margins
 
-    z = np.zeros(k)
-    f, margins = evaluate(z)
-    coef = y * loss.grad(margins)
-    g = lam * z + x @ coef
-    iters = 0
-
-    def certified():
-        """The current iterate in the full space, with its full-space gradient norm."""
-        z_f = to_full(z)
-        return PrimalSolution(
-            weights=z_f,
-            objective=f,
-            grad_norm=float(np.linalg.norm(lam * z_f + x_full @ coef)),
-            iterations=iters,
-            newton_dim=k,
-        )
-
-    while True:
-        # ||g|| = ||Q'g_full|| <= ||g_full||: the certificate cannot pass first
-        if np.linalg.norm(g) <= config.tolerance and (best := certified()).grad_norm <= config.tolerance:
-            return best
-        if iters >= config.max_iterations:
-            best = certified()
-            raise ConvergenceError(
-                f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
-            )
-        curv = loss.curvature(margins)
-        hess = (x * curv) @ x.T
-        hess[np.diag_indices_from(hess)] += lam
-        c_factor, info = scipy.linalg.lapack.dpotrf(hess, lower=1, overwrite_a=1)
-        if info > 0:  # lam > 0 makes this unlikely
-            raise ConvergenceError(
-                "Hessian factorization failed: "
-                f"{info}-th leading minor of the array is not positive definite", certified()
-            )
-        direction = scipy.linalg.lapack.dpotrs(c_factor, -g, lower=1)[0]
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            direction, slope = -g, -float(g @ g)
-
-        # Accept a backtracked step only while its decrease is measurable
-        # above the float noise of evaluating f; otherwise the search would
-        # accept zero-progress micro-steps and stall short of the optimum.
-        noise = NOISE_EPS * (1.0 + abs(f))
-        step = 1.0
-        accepted = False
-        while step >= MIN_STEP:
-            z_new = z + step * direction
-            f_new, margins_new = evaluate(z_new)
-            if f_new <= f + ARMIJO_C * step * slope and f - f_new > noise:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # Objective differences are below float resolution; take the full
-            # Newton step if it still shrinks the gradient (quadratic endgame).
-            z_new = z + direction
-            f_new, margins_new = evaluate(z_new)
-            coef_new = y * loss.grad(margins_new)
-            g_new = lam * z_new + x @ coef_new
-            if np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g) and f_new <= f + 1e-12 * (1.0 + abs(f)):
-                z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
-                iters += 1
-                continue
-            best = certified()
-            raise ConvergenceError(
-                f"stalled at the floating-point floor (grad norm {best.grad_norm:.3e}, "
-                f"tolerance {config.tolerance:.3e})",
-                best,
-            )
-        z, f, margins = z_new, f_new, margins_new
+        z = np.zeros(x.shape[0])
+        f, margins = evaluate(z)
         coef = y * loss.grad(margins)
         g = lam * z + x @ coef
-        iters += 1
+        iters = 0
+
+        def certified():
+            """The current iterate in the full space, with its full-space gradient norm."""
+            z_f = to_full(z)
+            # margins recomputed from the weights, so the norm is honest for any basis
+            coef_f = coef if x is x_full else y * loss.grad(y * (x_full.T @ z_f) + shift)
+            return PrimalSolution(
+                weights=z_f,
+                objective=f,
+                grad_norm=float(np.linalg.norm(lam * z_f + x_full @ coef_f)),
+                iterations=iters,
+                newton_dim=x.shape[0],
+            )
+
+        while True:
+            # ||g|| = ||Q'g_full|| <= ||g_full|| for an orthonormal Q (to about
+            # cond^2 * eps for CholeskyQR): the cheap gate, the certificate decides
+            if np.linalg.norm(g) <= config.tolerance and (
+                    (best := certified()).grad_norm <= config.tolerance):
+                return best
+            if iters >= config.max_iterations:
+                best = certified()
+                raise ConvergenceError(f"no convergence after {iters} iterations "
+                                       f"(grad norm {best.grad_norm:.3e})", best)
+            curv = loss.curvature(margins)
+            hess = (x * curv) @ x.T
+            hess[np.diag_indices_from(hess)] += lam
+            c_factor, info = scipy.linalg.lapack.dpotrf(hess, lower=1, overwrite_a=1)
+            if info > 0:  # lam > 0 makes this unlikely
+                raise ConvergenceError(f"Hessian factorization failed: {info}-th leading minor "
+                                       "of the array is not positive definite", certified())
+            direction = scipy.linalg.lapack.dpotrs(c_factor, -g, lower=1)[0]
+            slope = float(g @ direction)
+            if slope >= 0.0:
+                direction, slope = -g, -float(g @ g)
+
+            # Accept a backtracked step only while its decrease is measurable
+            # above the float noise of evaluating f; otherwise the search would
+            # accept zero-progress micro-steps and stall short of the optimum.
+            noise = NOISE_EPS * (1.0 + abs(f))
+            step = 1.0
+            while step >= MIN_STEP:
+                z_new = z + step * direction
+                f_new, margins_new = evaluate(z_new)
+                if f_new <= f + ARMIJO_C * step * slope and f - f_new > noise:
+                    break
+                step *= 0.5
+            else:
+                # Objective differences are below float resolution; take the full
+                # Newton step if it still shrinks the gradient (quadratic endgame).
+                z_new = z + direction
+                f_new, margins_new = evaluate(z_new)
+            coef_new = y * loss.grad(margins_new)
+            g_new = lam * z_new + x @ coef_new
+            if step < MIN_STEP and not (np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g)
+                                        and f_new <= f + 1e-12 * (1.0 + abs(f))):
+                best = certified()
+                raise ConvergenceError(f"stalled at the floating-point floor (grad norm "
+                                       f"{best.grad_norm:.3e}, tolerance {config.tolerance:.3e})", best)
+            z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
+            iters += 1
+
+    # The minimizer lies in the span of the columns of X; reduce when that helps.
+    if p <= n:
+        return newton(x_full, lambda z: z)
+    coords, to_full, cholesky = _span_basis(x_full)
+    try:
+        return newton(coords, to_full)
+    except ConvergenceError as err:
+        if not cholesky or err.best.iterations >= config.max_iterations:
+            raise
+    # The rounding of the Gram matrix, grown by a small lam or an ill-conditioned
+    # X, can hold a CholeskyQR solve above a tolerance an orthonormal basis meets.
+    basis, r_factor = np.linalg.qr(x_full)
+    return newton(r_factor, lambda z: basis @ z)
 
 
 def ridge_closed_form(features, labels, lam: float) -> np.ndarray:

@@ -44,16 +44,16 @@ def count_qr_calls(monkeypatch):
     return calls
 
 
-def count_dormqr_calls(monkeypatch):
-    """Number of reflector applies (LAPACK dormqr) from here on, in a one-item list."""
+def count_triangular_solves(monkeypatch):
+    """Number of ``scipy.linalg.solve_triangular`` calls from here on, in a one-item list."""
     calls = [0]
-    lapack_dormqr = scipy.linalg.lapack.dormqr
+    scipy_solve_triangular = scipy.linalg.solve_triangular
 
-    def counting_dormqr(*args, **kwargs):
+    def counting_solve_triangular(*args, **kwargs):
         calls[0] += 1
-        return lapack_dormqr(*args, **kwargs)
+        return scipy_solve_triangular(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", counting_dormqr)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", counting_solve_triangular)
     return calls
 
 
@@ -187,15 +187,25 @@ class TestCertificate:
         scale = stationarity_norm(features, labels, loss, lam, np.zeros(features.shape[0]))
         assert abs(sol.grad_norm - expected) <= 1e-12 * max(expected, scale)
 
-    def test_converged_full_rank_solve_applies_q_once(self, monkeypatch):
+    def test_converged_full_rank_solve_maps_to_full_space_once(self, monkeypatch):
         # the certificate is evaluated once the reduced gradient passes, so
         # a converged solve maps to the full space only for its answer
         rng = np.random.default_rng(17)
         features, labels = random_instance(rng, 300, 60)
-        calls = count_dormqr_calls(monkeypatch)
+        calls = count_triangular_solves(monkeypatch)
         sol = solve_primal(features, labels, logistic_loss(), 1.0)
         assert sol.newton_dim == 60 and sol.iterations > 1
         assert calls == [1]
+
+    def test_ill_conditioned_full_rank_norm_is_the_full_space_gradient(self):
+        # a CholeskyQR basis is orthonormal only to about cond^2 * eps, so
+        # margins from the reduced coordinates would under-report the norm
+        data = make_decaying_spectrum(600, 120, 3.75, seed=8)
+        loss, lam = square_loss(), 1e-3
+        sol = solve_primal(data.features, data.labels, loss, lam)
+        assert sol.newton_dim == 120
+        expected = stationarity_norm(data.features, data.labels, loss, lam, sol.weights)
+        assert abs(sol.grad_norm - expected) <= 1e-9 * expected
 
 
 class TestShiftedSolver:
@@ -230,8 +240,8 @@ class TestSpanReduction:
     @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5)])
     def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
         data = make_low_rank(d, n, r, "random", seed=7)
-        coords, to_full = _span_basis(data.features)
-        assert coords.shape == (r, n)
+        coords, to_full, cholesky = _span_basis(data.features)
+        assert coords.shape == (r, n) and not cholesky
         basis = np.column_stack([to_full(e) for e in np.eye(r)])
         assert basis.shape == (d, r)
         assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-14
@@ -254,7 +264,8 @@ class TestSpanReduction:
         assert sol.grad_norm <= 1e-10
         assert stationarity_norm(data.features, data.labels, loss, lam, sol.weights) <= 1e-10
 
-    # Full rank with p > n: Newton runs on the Householder R, Q stays implicit.
+    # Full rank with p > n: Newton runs on the Gram matrix's Cholesky factor,
+    # Q stays implicit.
     @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
     def test_full_rank_matches_explicit_basis(self, loss):
         rng = np.random.default_rng(12)
@@ -288,6 +299,31 @@ class TestSpanReduction:
         low = make_low_rank(200, 40, 3, "random", seed=14)
         solve_primal(low.features, low.labels, logistic_loss(), 1.0)
         assert qr_calls == [(200, 3)]
+        # a span the pivoted Cholesky truncates to rank 15 fails the residual
+        # check, and the explicit QR of all its columns follows
+        steep = make_decaying_spectrum(600, 120, 6.0, seed=8)
+        qr_calls.clear()
+        solve_primal(steep.features, steep.labels, logistic_loss(), 1.0)
+        assert qr_calls == [(600, 15), (600, 120)]
+
+    def test_uncertified_cholesky_solve_is_redone_on_explicit_qr(self, monkeypatch):
+        # at this scale the Gram matrix's rounding holds the CholeskyQR solve
+        # above the tolerance; the explicit QR of the columns certifies
+        data = make_decaying_spectrum(200, 40, 2.0, seed=8, top_singular_value=30.0)
+        qr_calls = count_qr_calls(monkeypatch)
+        sol = solve_primal(data.features, data.labels, square_loss(), 0.01)
+        assert qr_calls == [(200, 40)]
+        assert sol.newton_dim == 40 and sol.grad_norm <= 1e-10
+        assert stationarity_norm(data.features, data.labels, square_loss(), 0.01,
+                                 sol.weights) <= 1e-10
+
+    def test_iteration_cap_is_not_redone(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        features, labels = random_instance(rng, 300, 60)
+        qr_calls = count_qr_calls(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            solve_primal(features, labels, logistic_loss(), 1.0, SolverConfig(max_iterations=1))
+        assert qr_calls == []
 
     def test_iterative_passes_on_full_rank_sketch_form_no_explicit_q(self, monkeypatch):
         # the shifted passes reduce onto the sketched columns alone, so a
