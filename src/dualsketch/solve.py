@@ -14,15 +14,14 @@ the best iterate.
 
 The method is damped Newton with a Cholesky-factored exact Hessian.  When
 p exceeds n the iterate lies in the span of the feature columns, so Newton
-runs on coordinates in that span, while the certificate is evaluated in the
-full space from margins recomputed there.  One pivoted Cholesky of the Gram
+runs on coordinates in that span; the certificate is evaluated in the full
+space, from margins recomputed there.  One pivoted Cholesky of the Gram
 matrix (LAPACK dpstrf), ``P' X' X P = L L'``, factors the span.  At full
-rank L' P' holds the coordinates in the CholeskyQR basis ``X P L'^-1``,
-applied only for the certificate and the answer.  At rank k < n the k
-pivot columns get an explicit QR, kept if it reproduces the columns to
-within ``SPAN_RESIDUAL``; otherwise, and for all-zero columns, all the
-columns do.  CholeskyQR is orthonormal only to about cond(X)^2 * eps, so a
-solve on it that fails to certify is redone once on the explicit QR.
+rank, when L's diagonal puts the rounding of the CholeskyQR basis
+``X P L'^-1`` below the tolerance, Newton runs on L' P'; at rank k < n, on
+an explicit QR of the k pivot columns that reproduces the columns to within
+``SPAN_RESIDUAL``; otherwise on the explicit QR of all the columns.  Failed
+certificates send Newton on with margins computed from the weights.
 """
 
 from __future__ import annotations
@@ -100,18 +99,20 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _span_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], bool]:
-    """Coordinates of ``cols`` in an orthonormal basis of their span, and the map back.
+def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
+                ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Coordinates ``coords`` (k x n) of ``cols`` in a basis of their span, and ``to_full``.
 
-    Returns ``(coords, to_full, cholesky)``: ``coords`` is k x n with
     ``cols = basis @ coords`` and ``to_full(z) = basis @ z``.  At full rank
-    the basis is CholeskyQR's ``cols P L'^-1``, never formed (``cholesky``
-    is True); at rank k it is the QR of the k pivot columns if that passes
-    the residual check, and otherwise the QR of all the columns.
+    the basis is CholeskyQR's ``cols P L'^-1``, never formed, if the rounding
+    it leaves in the gradient at weights of norm ``bound`` is within
+    ``tolerance``; at rank k, the QR of the k pivot columns if that passes
+    the residual check; otherwise the QR of all the columns.
     """
     n = cols.shape[1]
     factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(cols.T @ cols, lower=1)
-    if rank == n:
+    # eps * cond * ||cols||^2, from L's diagonal: CholeskyQR's map back loses about cond digits
+    if rank == n and np.finfo(float).eps * factor[0, 0] ** 3 / factor[-1, -1] * bound <= tolerance:
         upper = np.tril(factor).T  # dpstrf leaves the Gram matrix above the diagonal
         coords = np.empty((n, n))
         coords[:, piv - 1] = upper
@@ -122,17 +123,17 @@ def _span_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np
             y[piv - 1] = scipy.linalg.solve_triangular(upper, z, check_finite=False)
             return cols @ y
 
-        return coords, to_full, True
+        return coords, to_full
     del factor  # not held through the p x n temporaries below
-    if rank > 0:
+    if 0 < rank < n:
         basis = np.linalg.qr(cols[:, piv[:rank] - 1])[0]
         coords = basis.T @ cols
         residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||
         residual -= cols
         if np.linalg.norm(residual) <= SPAN_RESIDUAL * np.linalg.norm(cols):
-            return coords, lambda z: basis @ z, False
+            return coords, lambda z: basis @ z
     basis, coords = np.linalg.qr(cols)
-    return coords, lambda z: basis @ z, False
+    return coords, lambda z: basis @ z
 
 
 def solve_primal(
@@ -167,94 +168,93 @@ def solve_primal(
     p, n = x_full.shape
     shift = np.zeros(n) if margin_shift is None else np.asarray(margin_shift, dtype=float)
 
-    def newton(x, to_full):
-        """Newton on coordinates ``x`` (k x n); ``to_full`` maps a k-vector to the weights."""
+    # The minimizer lies in the span of the columns of X; reduce when that helps.  Its
+    # norm is at most sqrt(2 F(0) / lam), as F(w*) <= F(0) and the loss is nonnegative.
+    x, to_full = (x_full, lambda z: z) if p <= n else _span_basis(
+        x_full, config.tolerance, np.sqrt(2.0 * float(np.sum(loss.value(shift))) / lam))
+    k = x.shape[0]
+    refine = False  # set once the reduced margins have failed the certificate
 
-        def evaluate(z):
-            margins = y * (x.T @ z) + shift
-            f = 0.5 * lam * np.dot(z, z) + float(np.sum(loss.value(margins)))
-            return f, margins
+    def objective(w, features):
+        margins = y * (features.T @ w) + shift
+        return 0.5 * lam * np.dot(w, w) + float(np.sum(loss.value(margins))), margins
 
-        z = np.zeros(x.shape[0])
-        f, margins = evaluate(z)
-        coef = y * loss.grad(margins)
-        g = lam * z + x @ coef
-        iters = 0
+    def evaluate(z):
+        return objective(to_full(z), x_full) if refine else objective(z, x)
 
-        def certified():
-            """The current iterate in the full space, with its full-space gradient norm."""
-            z_f = to_full(z)
-            # margins recomputed from the weights, so the norm is honest for any basis
-            coef_f = coef if x is x_full else y * loss.grad(y * (x_full.T @ z_f) + shift)
-            return PrimalSolution(
-                weights=z_f,
-                objective=f,
-                grad_norm=float(np.linalg.norm(lam * z_f + x_full @ coef_f)),
-                iterations=iters,
-                newton_dim=x.shape[0],
-            )
+    z = np.zeros(k)
+    f, margins = evaluate(z)
+    coef = y * loss.grad(margins)
+    g = lam * z + x @ coef
+    iters = 0
 
-        while True:
-            # ||g|| = ||Q'g_full|| <= ||g_full|| for an orthonormal Q (to about
-            # cond^2 * eps for CholeskyQR): the cheap gate, the certificate decides
-            if np.linalg.norm(g) <= config.tolerance and (
-                    (best := certified()).grad_norm <= config.tolerance):
+    def certified():
+        """The current iterate in the full space, with its objective and gradient norm there."""
+        z_f = to_full(z)
+        f_f, margins_f = (f, margins) if refine or x is x_full else objective(z_f, x_full)
+        grad_norm = float(np.linalg.norm(lam * z_f + x_full @ (y * loss.grad(margins_f))))
+        return PrimalSolution(weights=z_f, objective=f_f, grad_norm=grad_norm,
+                              iterations=iters, newton_dim=k)
+
+    while True:
+        # ||g|| <= ||g_full|| for an orthonormal basis: the cheap gate, the certificate decides
+        if np.linalg.norm(g) <= config.tolerance:
+            if (best := certified()).grad_norm <= config.tolerance:
                 return best
-            if iters >= config.max_iterations:
-                best = certified()
-                raise ConvergenceError(f"no convergence after {iters} iterations "
-                                       f"(grad norm {best.grad_norm:.3e})", best)
-            curv = loss.curvature(margins)
-            hess = (x * curv) @ x.T
-            hess[np.diag_indices_from(hess)] += lam
-            c_factor, info = scipy.linalg.lapack.dpotrf(hess, lower=1, overwrite_a=1)
-            if info > 0:  # lam > 0 makes this unlikely
-                raise ConvergenceError(f"Hessian factorization failed: {info}-th leading minor "
-                                       "of the array is not positive definite", certified())
-            direction = scipy.linalg.lapack.dpotrs(c_factor, -g, lower=1)[0]
-            slope = float(g @ direction)
-            if slope >= 0.0:
-                direction, slope = -g, -float(g @ g)
+            if not refine and x is not x_full:
+                # margins from the weights from here on: then basis @ g is the full-space gradient
+                refine = True
+                f, margins = evaluate(z)
+                coef = y * loss.grad(margins)
+                g = lam * z + x @ coef
+                continue
+        if iters >= config.max_iterations:
+            best = certified()
+            raise ConvergenceError(
+                f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
+            )
+        curv = loss.curvature(margins)
+        hess = (x * curv) @ x.T
+        hess[np.diag_indices_from(hess)] += lam
+        c_factor, info = scipy.linalg.lapack.dpotrf(hess, lower=1, overwrite_a=1)
+        if info > 0:  # lam > 0 makes this unlikely
+            raise ConvergenceError(
+                "Hessian factorization failed: "
+                f"{info}-th leading minor of the array is not positive definite", certified()
+            )
+        direction = scipy.linalg.lapack.dpotrs(c_factor, -g, lower=1)[0]
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            direction, slope = -g, -float(g @ g)
 
-            # Accept a backtracked step only while its decrease is measurable
-            # above the float noise of evaluating f; otherwise the search would
-            # accept zero-progress micro-steps and stall short of the optimum.
-            noise = NOISE_EPS * (1.0 + abs(f))
-            step = 1.0
-            while step >= MIN_STEP:
-                z_new = z + step * direction
-                f_new, margins_new = evaluate(z_new)
-                if f_new <= f + ARMIJO_C * step * slope and f - f_new > noise:
-                    break
-                step *= 0.5
-            else:
-                # Objective differences are below float resolution; take the full
-                # Newton step if it still shrinks the gradient (quadratic endgame).
-                z_new = z + direction
-                f_new, margins_new = evaluate(z_new)
-            coef_new = y * loss.grad(margins_new)
-            g_new = lam * z_new + x @ coef_new
-            if step < MIN_STEP and not (np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g)
-                                        and f_new <= f + 1e-12 * (1.0 + abs(f))):
-                best = certified()
-                raise ConvergenceError(f"stalled at the floating-point floor (grad norm "
-                                       f"{best.grad_norm:.3e}, tolerance {config.tolerance:.3e})", best)
-            z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
-            iters += 1
-
-    # The minimizer lies in the span of the columns of X; reduce when that helps.
-    if p <= n:
-        return newton(x_full, lambda z: z)
-    coords, to_full, cholesky = _span_basis(x_full)
-    try:
-        return newton(coords, to_full)
-    except ConvergenceError as err:
-        if not cholesky or err.best.iterations >= config.max_iterations:
-            raise
-    # The rounding of the Gram matrix, grown by a small lam or an ill-conditioned
-    # X, can hold a CholeskyQR solve above a tolerance an orthonormal basis meets.
-    basis, r_factor = np.linalg.qr(x_full)
-    return newton(r_factor, lambda z: basis @ z)
+        # Accept a backtracked step only while its decrease is measurable
+        # above the float noise of evaluating f; otherwise the search would
+        # accept zero-progress micro-steps and stall short of the optimum.
+        noise = NOISE_EPS * (1.0 + abs(f))
+        step = 1.0
+        while step >= MIN_STEP:
+            z_new = z + step * direction
+            f_new, margins_new = evaluate(z_new)
+            if f_new <= f + ARMIJO_C * step * slope and f - f_new > noise:
+                break
+            step *= 0.5
+        else:
+            # Objective differences are below float resolution; take the full
+            # Newton step if it still shrinks the gradient (quadratic endgame).
+            z_new = z + direction
+            f_new, margins_new = evaluate(z_new)
+        coef_new = y * loss.grad(margins_new)
+        g_new = lam * z_new + x @ coef_new
+        if step < MIN_STEP and not (np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g)
+                                    and f_new <= f + 1e-12 * (1.0 + abs(f))):
+            best = certified()
+            raise ConvergenceError(
+                f"stalled at the floating-point floor (grad norm {best.grad_norm:.3e}, "
+                f"tolerance {config.tolerance:.3e})",
+                best,
+            )
+        z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
+        iters += 1
 
 
 def ridge_closed_form(features, labels, lam: float) -> np.ndarray:

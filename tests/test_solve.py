@@ -186,6 +186,8 @@ class TestCertificate:
         # relative to the gradient at w = 0, the scale of the gradient's terms
         scale = stationarity_norm(features, labels, loss, lam, np.zeros(features.shape[0]))
         assert abs(sol.grad_norm - expected) <= 1e-12 * max(expected, scale)
+        # the objective, too, is evaluated at the returned weights
+        assert sol.objective == primal_objective(features, labels, loss, lam, sol.weights)
 
     def test_converged_full_rank_solve_maps_to_full_space_once(self, monkeypatch):
         # the certificate is evaluated once the reduced gradient passes, so
@@ -198,8 +200,8 @@ class TestCertificate:
         assert calls == [1]
 
     def test_ill_conditioned_full_rank_norm_is_the_full_space_gradient(self):
-        # a CholeskyQR basis is orthonormal only to about cond^2 * eps, so
-        # margins from the reduced coordinates would under-report the norm
+        # margins from the reduced coordinates differ from the weights' own
+        # by the basis's rounding, which here is most of the gradient's norm
         data = make_decaying_spectrum(600, 120, 3.75, seed=8)
         loss, lam = square_loss(), 1e-3
         sol = solve_primal(data.features, data.labels, loss, lam)
@@ -240,8 +242,8 @@ class TestSpanReduction:
     @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5)])
     def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
         data = make_low_rank(d, n, r, "random", seed=7)
-        coords, to_full, cholesky = _span_basis(data.features)
-        assert coords.shape == (r, n) and not cholesky
+        coords, to_full = _span_basis(data.features, 1e-10, 1.0)
+        assert coords.shape == (r, n)
         basis = np.column_stack([to_full(e) for e in np.eye(r)])
         assert basis.shape == (d, r)
         assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-14
@@ -306,24 +308,28 @@ class TestSpanReduction:
         solve_primal(steep.features, steep.labels, logistic_loss(), 1.0)
         assert qr_calls == [(600, 15), (600, 120)]
 
-    def test_uncertified_cholesky_solve_is_redone_on_explicit_qr(self, monkeypatch):
-        # at this scale the Gram matrix's rounding holds the CholeskyQR solve
-        # above the tolerance; the explicit QR of the columns certifies
-        data = make_decaying_spectrum(200, 40, 2.0, seed=8, top_singular_value=30.0)
+    def test_cholesky_basis_is_gated_on_its_rounding_floor(self, monkeypatch):
+        # CholeskyQR's map back costs about cond(X) digits.  At top singular
+        # value 1 its floor is far below the tolerance; at 30 (and lam = 0.01)
+        # it is not, and the span gets the explicit QR before any solve.
         qr_calls = count_qr_calls(monkeypatch)
+        for top, expected in [(1.0, []), (30.0, [(200, 40)])]:
+            data = make_decaying_spectrum(200, 40, 2.0, seed=8, top_singular_value=top)
+            qr_calls.clear()
+            sol = solve_primal(data.features, data.labels, square_loss(), 0.01)
+            assert qr_calls == expected
+            assert sol.newton_dim == 40 and sol.grad_norm <= 1e-10
+            assert stationarity_norm(data.features, data.labels, square_loss(), 0.01,
+                                     sol.weights) <= 1e-10
+
+    def test_full_space_margins_refine_a_failed_certificate(self):
+        # the reduced solve converges, but its weights miss the tolerance by
+        # the basis's rounding; Newton continues on margins from the weights
+        data = make_decaying_spectrum(200, 40, 3.75, seed=8, top_singular_value=1000.0)
         sol = solve_primal(data.features, data.labels, square_loss(), 0.01)
-        assert qr_calls == [(200, 40)]
         assert sol.newton_dim == 40 and sol.grad_norm <= 1e-10
         assert stationarity_norm(data.features, data.labels, square_loss(), 0.01,
                                  sol.weights) <= 1e-10
-
-    def test_iteration_cap_is_not_redone(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        features, labels = random_instance(rng, 300, 60)
-        qr_calls = count_qr_calls(monkeypatch)
-        with pytest.raises(ConvergenceError):
-            solve_primal(features, labels, logistic_loss(), 1.0, SolverConfig(max_iterations=1))
-        assert qr_calls == []
 
     def test_iterative_passes_on_full_rank_sketch_form_no_explicit_q(self, monkeypatch):
         # the shifted passes reduce onto the sketched columns alone, so a
