@@ -49,6 +49,8 @@ RUNS = {
                                "--max-iters", "1", "--trials", "2"],
     "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
                                          "--loss", "logistic"],
+    # run.cfg spells lam as its file key; one flag completes it and one overrides trials
+    "recover-config-file": ["recover", "--config", "run.cfg", "--sketch-dim", "20", "--trials", "2"],
     "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],
     "iterate-logistic-early-stop": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "12",
                                     "--loss", "logistic", "--early-stop"],
@@ -108,6 +110,9 @@ def main() -> int:
             save_csv(make_decaying_spectrum(60, 30, 1.0, seed=5, top_singular_value=5.0),
                      "decaying.csv")
             np.savetxt("sv.txt", np.arange(1, 101, dtype=float) ** -1.0)
+            with open("run.cfg", "w", encoding="utf-8") as fh:
+                fh.write("experiment = recover\nd = 60\nn = 20\nrank = 3  # planted\n"
+                         "loss = logistic\nlambda = 0.5\ntrials = 5\n")
             for name, argv in RUNS.items():
                 code, sha = digest(argv)
                 tracebacks += code.startswith("traceback")

@@ -1,37 +1,48 @@
-"""Experiment configuration: a strict key = value format with defaults.
+"""Experiment configuration: one declared schema, a strict key = value format.
 
-Configs drive the experiment runner.  The text format is one ``key =
-value`` pair per line, ``#`` comments, and optional quotes around string
-values.  Unknown keys, type mismatches, and out-of-range values are all
-rejected with the offending key named.  Every field has a default except
-``experiment`` itself, and the fully-populated config (defaults included)
-is echoed into every report.
+Each ``ExperimentConfig`` field's metadata is its schema: help text, file
+key (default the field name), CLI flag (default ``--`` plus the key with
+dashes), allowed values, range rule and the subcommands that take the flag
+(default all).  ``cli`` derives its flags from it, and flag values and file
+values share one coercion and validation path, ``config_from_mapping``.
+
+The text format is one ``key = value`` pair per line, ``#`` comments, and
+optional quotes around string values.  Unknown keys, keys given twice,
+type mismatches, and out-of-range values are all rejected with the
+offending key named.  Every field has a default except ``experiment``
+itself, and the fully-populated config (defaults included) is echoed into
+every report.
 """
-
-from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import get_type_hints
+import re
+from dataclasses import MISSING, dataclass, field, fields
 
 __all__ = ["ExperimentConfig", "ConfigError", "DatasetIOError", "validate_config", "config_from_mapping"]
 
-EXPERIMENTS = (
-    "recover",
-    "iterate",
-    "naive_vs_drp",
-    "measurement",
-    "span_error",
-    "concentration",
-    "bounds",
-    "full_rank",
-)
+# experiment -> its subcommand's help
+EXPERIMENTS = {
+    "recover": "one-shot recovery of the high-dimensional solution",
+    "iterate": "iterative recovery with a single reused sketch",
+    "naive_vs_drp": "back-projection versus dual recovery, side by side",
+    "measurement": "how well the sketched solution matches R'w measurements",
+    "span_error": "prediction error of the naive solution inside the data span",
+    "concentration": "spectral deviation of Gaussian sketches over many seeds",
+    "bounds": "print the analytic sketch-size bound",
+    "full_rank": "recovery on full-rank data with a decaying spectrum",
+}
+# the experiments that draw a sketch, so need its dimension m
+SKETCHED = ("recover", "iterate", "naive_vs_drp", "measurement", "span_error", "full_rank")
 
-DATA_KINDS = ("low_rank", "decaying", "csv")
-METHODS = ("naive", "drp", "ridge_closed")
-FORMATS = ("json", "csv")
-LABEL_RULES = ("random", "sign_of_plant")
+# range rule -> the test a value must pass; the rule names it in the error
+_RULES = {
+    "be at least 1": lambda v: v >= 1,
+    "be positive": lambda v: v > 0,
+    "be nonnegative": lambda v: v >= 0,
+    "lie in (0, 1]": lambda v: 0 < v <= 1,
+    "lie in (0, 1)": lambda v: 0 < v < 1,
+}
 
 
 class ConfigError(ValueError):
@@ -42,119 +53,109 @@ class DatasetIOError(RuntimeError):
     """A dataset or spectrum file is missing or unreadable."""
 
 
+def _field(default=MISSING, help="", *, key=None, flag=None, choices=(), rule=None,
+           commands=tuple(EXPERIMENTS)):
+    """A config field whose metadata is its schema (see the module docstring)."""
+    return field(default=default, metadata={"help": help, "key": key, "flag": flag,
+                                            "choices": choices, "rule": rule, "commands": commands})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
+    experiment: str = _field(choices=tuple(EXPERIMENTS), commands=())  # the subcommand
     # dataset
-    data: str = "low_rank"
-    d: int = 100
-    n: int = 50
-    rank: int = 5
-    label_rule: str = "random"
-    decay: float = 1.0
-    top_singular: float = 1.0
-    csv: str = ""
+    data: str = _field("low_rank", "dataset source", choices=("low_rank", "decaying", "csv"))
+    d: int = _field(100, "feature dimension", rule="be at least 1")
+    n: int = _field(50, "number of examples", rule="be at least 1")
+    rank: int = _field(5, "planted (or assumed) rank", rule="be at least 1")
+    label_rule: str = _field("random", "synthetic labels", choices=("random", "sign_of_plant"))
+    decay: float = _field(1.0, "spectrum decay exponent", rule="be positive")
+    top_singular: float = _field(1.0, "largest planted singular value", rule="be positive")
+    csv: str = _field("", "dataset CSV (label, then features, per row)")
     # problem
-    loss: str = "square"
-    lam: float = 1.0
-    tol: float = 1e-10
-    max_iters: int = 100_000
-    reference_tol: float = 1e-12
+    loss: str = _field("square", "square | logistic | smoothed_hinge:<mu>")
+    lam: float = _field(1.0, "regularization weight", key="lambda", rule="be positive")
+    tol: float = _field(1e-10, "solver gradient-norm tolerance", rule="be positive")
+    max_iters: int = _field(100_000, "solver iteration cap", rule="be at least 1")
+    reference_tol: float = _field(1e-12, "tolerance for the reference solve", rule="be positive")
     # sketch
-    sketch_dim: int = 0
-    from_bound: bool = False
-    identity_sketch: bool = False
+    sketch_dim: int = _field(0, "projection dimension m", rule="be nonnegative")
+    from_bound: bool = _field(False, "derive m from the analytic bound")
+    identity_sketch: bool = _field(False, "inject R = sqrt(m) I (exact sketch smoke test)")
     # recovery
-    method: str = "drp"
-    iters: int = 8
-    early_stop: bool = False
+    method: str = _field("drp", "recovery route", choices=("naive", "drp", "ridge_closed"),
+                         commands=("recover",))
+    iters: int = _field(8, "number of recovery passes", rule="be at least 1", commands=("iterate",))
+    early_stop: bool = _field(False, "stop once the sketched increment is negligible",
+                              commands=("iterate",))
     # bounds / concentration
-    epsilon: float = 0.5
-    delta: float = 0.1
-    c: float = 0.0  # 0 means the per-experiment default constant
-    full_rank: bool = False
-    spectrum: str = ""
-    find_min_m: bool = False
+    epsilon: float = _field(0.5, "deviation target epsilon", flag="--eps", rule="lie in (0, 1]")
+    delta: float = _field(0.1, "failure probability delta", rule="lie in (0, 1)")
+    c: float = _field(0.0, "bound constant (0 means the per-experiment default)", rule="be nonnegative")
+    full_rank: bool = _field(False, "use the effective-rank bound", commands=("bounds",))
+    spectrum: str = _field("", "singular values, one per line", commands=("bounds",))
+    find_min_m: bool = _field(False, "also search for the smallest empirically sufficient m",
+                              commands=("concentration",))
     # harness
-    trials: int = 1
-    seed: int = 0
-    output: str = ""
-    format: str = "json"
+    trials: int = _field(1, "number of trials", rule="be at least 1")
+    seed: int = _field(0, "base seed; trial t uses seed + t", rule="be nonnegative")
+    output: str = _field("", "report destination (default stdout)")
+    format: str = _field("json", "report format", choices=("json", "csv"))
 
+
+# field name -> config-file key
+FILE_KEYS = {f.name: f.metadata["key"] or f.name for f in fields(ExperimentConfig)}
+# file key or field name -> field
+_FIELD_OF = {key: f for f in fields(ExperimentConfig) for key in (f.name, FILE_KEYS[f.name])}
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+# field type -> (text parser, what a bad value was expected to be)
+_PARSERS = {
+    bool: (lambda raw: _BOOL_WORDS[raw.strip().lower()], "a boolean"),
+    int: (lambda raw: int(raw, 0), "an integer"),
+    float: (float, "a number"),
+}
 
-# config-file key -> dataclass field (identity unless listed)
-_KEY_ALIASES = {"lambda": "lam"}
+# a value up to its comment: an optional quoted head keeps any '#' inside it
+_VALUE = re.compile(r"""\s*(?:"[^"]*"|'[^']*')?[^#]*""")
 
 
 def _coerce(key: str, raw: str, target_type):
-    if target_type is bool:
-        word = raw.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"key '{key}': expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[word]
-    if target_type is int:
+    if target_type in _PARSERS:
+        parse, expected = _PARSERS[target_type]
         try:
-            return int(raw, 0)
-        except ValueError:
-            raise ConfigError(f"key '{key}': expected an integer, got {raw!r}") from None
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}': expected a number, got {raw!r}") from None
+            return parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"key '{key}': expected {expected}, got {raw!r}") from None
     text = raw.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         text = text[1:-1]
     return text
 
 
-def _check_enum(key: str, value: str, allowed) -> str:
-    if value not in allowed:
-        raise ConfigError(f"key '{key}': {value!r} is not one of {', '.join(allowed)}")
-    return value
+def _field_of(key: str):
+    if key not in _FIELD_OF:
+        raise ConfigError(f"unknown key '{key}'")
+    return _FIELD_OF[key]
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    _check_enum("experiment", cfg.experiment, EXPERIMENTS)
-    _check_enum("data", cfg.data, DATA_KINDS)
-    _check_enum("method", cfg.method, METHODS)
-    _check_enum("format", cfg.format, FORMATS)
-    _check_enum("label_rule", cfg.label_rule, LABEL_RULES)
-    positive_ints = {"d": cfg.d, "n": cfg.n, "rank": cfg.rank, "trials": cfg.trials,
-                     "iters": cfg.iters, "max_iters": cfg.max_iters}
-    for key, value in positive_ints.items():
-        if value < 1:
-            raise ConfigError(f"key '{key}': must be at least 1, got {value}")
-    for name, kind in get_type_hints(ExperimentConfig).items():
-        if kind is float and not math.isfinite(getattr(cfg, name)):
-            key = "lambda" if name == "lam" else name
-            raise ConfigError(f"key '{key}': must be finite, got {getattr(cfg, name)}")
-    positive_floats = {"decay": cfg.decay, "top_singular": cfg.top_singular,
-                       "lambda": cfg.lam, "tol": cfg.tol, "reference_tol": cfg.reference_tol}
-    for key, value in positive_floats.items():
-        if value <= 0:
-            raise ConfigError(f"key '{key}': must be positive, got {value}")
-    for key, value in {"sketch_dim": cfg.sketch_dim, "seed": cfg.seed}.items():
-        if value < 0:
-            raise ConfigError(f"key '{key}': must be nonnegative, got {value}")
-    if not 0.0 < cfg.epsilon <= 1.0:
-        raise ConfigError(f"key 'epsilon': must lie in (0, 1], got {cfg.epsilon}")
+    for f in fields(cfg):
+        key, value, meta = FILE_KEYS[f.name], getattr(cfg, f.name), f.metadata
+        if meta["choices"] and value not in meta["choices"]:
+            raise ConfigError(f"key '{key}': {value!r} is not one of {', '.join(meta['choices'])}")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"key '{key}': must be finite, got {value}")
+        if meta["rule"] and not _RULES[meta["rule"]](value):
+            raise ConfigError(f"key '{key}': must {meta['rule']}, got {value}")
     if cfg.epsilon == 1.0 and cfg.experiment in ("recover", "iterate", "measurement", "span_error",
                                                  "full_rank"):
         raise ConfigError("key 'epsilon': must be below 1 here, since this bound divides by 1 - epsilon")
-    if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError(f"key 'delta': must lie in (0, 1), got {cfg.delta}")
-    if cfg.c < 0.0:
-        raise ConfigError(f"key 'c': must be nonnegative, got {cfg.c}")
     if cfg.rank > min(cfg.d, cfg.n) and cfg.data == "low_rank":
         raise ConfigError(f"key 'rank': must not exceed min(d, n) = {min(cfg.d, cfg.n)}")
 
-    needs_sketch = cfg.experiment in ("recover", "iterate", "naive_vs_drp", "measurement",
-                                      "span_error", "full_rank")
     derives_m = cfg.from_bound or cfg.identity_sketch or cfg.experiment == "full_rank"
-    if needs_sketch and cfg.sketch_dim == 0 and not derives_m:
+    if cfg.experiment in SKETCHED and cfg.sketch_dim == 0 and not derives_m:
         raise ConfigError(
             "key 'sketch_dim': required (or set from_bound/identity_sketch) for this experiment"
         )
@@ -183,23 +184,25 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def config_from_mapping(entries: dict) -> ExperimentConfig:
-    """Build and validate a config from already-parsed key/value pairs."""
-    type_of = get_type_hints(ExperimentConfig)
+    """Build and validate a config from key/value pairs.
+
+    A key is a file key or a field name; a value is text, coerced as a file's
+    value is, or already of the field's type.
+    """
     resolved = {}
     for key, value in entries.items():
-        name = _KEY_ALIASES.get(key, key)
-        if name == "method" and isinstance(value, str):
+        f = _field_of(key)
+        if f.name in resolved:
+            raise ConfigError(f"duplicate key '{key}'")
+        if f.name == "method" and isinstance(value, str):
             value = value.replace("-", "_")
-        if name not in type_of:
-            raise ConfigError(f"unknown key '{key}'")
-        expected = type_of[name]
         if isinstance(value, str):
-            value = _coerce(key, value, expected)
-        elif expected is float and isinstance(value, int) and not isinstance(value, bool):
+            value = _coerce(key, value, f.type)
+        elif f.type is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        elif not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-            raise ConfigError(f"key '{key}': expected {expected.__name__}, got {value!r}")
-        resolved[name] = value
+        elif not isinstance(value, f.type) or (f.type is int and isinstance(value, bool)):
+            raise ConfigError(f"key '{key}': expected {f.type.__name__}, got {value!r}")
+        resolved[f.name] = value
     if "experiment" not in resolved:
         raise ConfigError("missing required key 'experiment' (one of: " + ", ".join(EXPERIMENTS) + ")")
     return _validate(ExperimentConfig(**resolved))
@@ -209,21 +212,23 @@ def validate_config(raw: str, overrides: dict | None = None) -> ExperimentConfig
     """Parse config text, lay ``overrides`` over its entries and validate the result.
 
     Unknown keys and bad values are fatal; the text may leave out any key
-    that ``overrides`` supplies, ``experiment`` included.
+    that ``overrides`` supplies, ``experiment`` included.  ``lam`` and
+    ``lambda`` are one key.
     """
-    entries: dict[str, str] = {}
+    entries = {}  # field name -> (key as written, value)
     for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
+        key, eq, value = line.partition("=")
+        if "#" in key:  # the comment starts before any '='
+            key, eq = key.split("#", 1)[0], ""
+        key, value = key.strip(), _VALUE.match(value).group().strip()
+        if not key and not eq:
             continue
-        if "=" not in text:
+        if not (key and eq and value):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if key in entries:
+        name = _field_of(key).name
+        if name in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        entries[key] = value
-    return config_from_mapping({**entries, **(overrides or {})})
+        entries[name] = (key, value)
+    for key, value in (overrides or {}).items():
+        entries[_field_of(key).name] = (key, value)
+    return config_from_mapping(dict(entries.values()))

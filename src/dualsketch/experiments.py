@@ -26,7 +26,7 @@ import numpy as np
 
 from . import concentration as conc
 from . import recover as rec
-from .config import ConfigError, DatasetIOError, ExperimentConfig
+from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
 from .data import numerical_rank, spectrum
 from .losses import LossSpec, parse_loss
@@ -163,7 +163,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     data is solved and decomposed per trial instead.
     """
     exp, eps = cfg.experiment, cfg.epsilon
-    sketched = exp not in ("bounds", "concentration")
+    sketched = exp in SKETCHED
     loss = parse_loss(cfg.loss)
     data = _read(load_csv, cfg.csv, "dataset") if sketched and cfg.data == "csv" else None
     d = cfg.d if data is None else data.d

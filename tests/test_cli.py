@@ -1,9 +1,11 @@
 """Config validation, experiment reports, and the command-line surface."""
 
+import argparse
 import json
 import math
 import os
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualsketch import experiments, recover
-from dualsketch.cli import main
+from dualsketch.cli import _build_parser, _merge_config, main
 from dualsketch.config import (
+    FILE_KEYS,
     ConfigError,
     DatasetIOError,
+    ExperimentConfig,
     config_from_mapping,
     validate_config,
 )
@@ -77,6 +81,35 @@ FUZZ_SUBCOMMAND_FLAGS = {
     "full-rank": {},
 }
 
+# The option strings every subcommand takes, and each subcommand's own.
+COMMON_OPTIONS = {
+    "-h", "--help", "--config", "--output", "--format", "--trials", "--seed", "--data", "--d",
+    "--n", "--rank", "--label-rule", "--decay", "--top-singular", "--csv", "--loss", "--lambda",
+    "--tol", "--max-iters", "--reference-tol", "--sketch-dim", "--from-bound", "--identity-sketch",
+    "--eps", "--delta", "--c",
+}
+SUBCOMMAND_OPTIONS = {
+    "recover": {"--method"},
+    "iterate": {"--iters", "--early-stop"},
+    "naive-vs-drp": set(),
+    "measurement": set(),
+    "span-error": set(),
+    "concentration": {"--find-min-m"},
+    "bounds": {"--full-rank", "--spectrum"},
+    "full-rank": set(),
+}
+
+# A valid value, other than the default, for every field that has a flag.
+FIELD_TEXT = {
+    "data": "decaying", "d": "12", "n": "9", "rank": "3", "label_rule": "sign_of_plant",
+    "decay": "0.5", "top_singular": "4", "csv": "x.csv", "loss": "logistic", "lam": "2.5",
+    "tol": "1e-8", "max_iters": "50", "reference_tol": "1e-11", "sketch_dim": "7",
+    "from_bound": "true", "identity_sketch": "true", "method": "ridge_closed", "iters": "3",
+    "early_stop": "true", "epsilon": "0.25", "delta": "0.2", "c": "2", "full_rank": "true",
+    "spectrum": "sv.txt", "find_min_m": "true", "trials": "4", "seed": "0x10",
+    "output": "report.json", "format": "csv",
+}
+
 
 @st.composite
 def fuzz_argv(draw):
@@ -118,17 +151,29 @@ class TestValidateConfig:
         cfg = validate_config(
             "# a recovery run\nexperiment = recover  # inline\n"
             'loss = "logistic"\nsketch_dim = 12\n'
+            'spectrum = "a#b.txt"  # a quoted # is part of the value\n'
+            "# commented = out\ncsv = it's.csv # an unpaired quote quotes nothing\n"
         )
         assert cfg.loss == "logistic"
         assert cfg.sketch_dim == 12
+        assert cfg.spectrum == "a#b.txt"
+        assert cfg.csv == "it's.csv"
 
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            validate_config("experiment = recover\nd = 5\nd = 6\nsketch_dim = 2\n")
+    @pytest.mark.parametrize("lines", ["d = 5\nd = 6", "lam = 1\nlambda = 2", "lambda = 1\nlam = 2"])
+    def test_duplicate_key_rejected(self, lines):
+        with pytest.raises(ConfigError, match="line 3: duplicate"):
+            validate_config(f"experiment = recover\n{lines}\nsketch_dim = 2\n")
 
     def test_lambda_alias(self):
         cfg = validate_config("experiment = bounds\nlambda = 2.5\n")
         assert cfg.lam == 2.5
+
+    @pytest.mark.parametrize("first, second", [("lam", "lambda"), ("lambda", "lam")])
+    def test_key_and_alias_are_one_key(self, first, second):
+        with pytest.raises(ConfigError, match="duplicate key"):
+            config_from_mapping({"experiment": "bounds", first: 1.0, second: 2.0})
+        # an override replaces the file's entry under either spelling
+        assert validate_config(f"experiment = bounds\n{first} = 1\n", {second: "2"}).lam == 2.0
 
     def test_bad_loss_selector(self):
         with pytest.raises(ConfigError, match="loss"):
@@ -539,12 +584,59 @@ class TestCliProcess:
         assert lines[0].startswith("schema_version,")
         assert len(lines) == 3
 
+    def test_lambda_flag_overrides_lam_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("experiment = bounds\nlam = 1\n")
+        assert main(["bounds", "--config", str(cfg_file), "--lambda", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["lam"] == 2.0
+
+    def test_each_subcommand_takes_its_pinned_options(self):
+        subparsers = next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        taken = {name: {option for action in parser._actions for option in action.option_strings}
+                 for name, parser in subparsers.choices.items()}
+        expected = {name: COMMON_OPTIONS | own for name, own in SUBCOMMAND_OPTIONS.items()}
+        for alias in ("naive_vs_drp", "span_error", "full_rank"):
+            expected[alias] = expected[alias.replace("_", "-")]
+        assert taken == expected
+
+    @pytest.mark.parametrize("f", [f for f in fields(ExperimentConfig) if f.metadata["commands"]],
+                             ids=lambda f: f.name)
+    def test_flag_and_file_key_give_equal_configs(self, tmp_path, monkeypatch, f):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sv.txt").write_text("1.0\n0.5\n")
+        commands, key, text = f.metadata["commands"], FILE_KEYS[f.name], FIELD_TEXT[f.name]
+        sub = commands[0].replace("_", "-") if len(commands) == 1 else "bounds"
+        base = [sub, "--spectrum", "sv.txt"] if f.name == "full_rank" else [sub]
+        if sub != "bounds":  # recover and iterate need m
+            base += ["--sketch-dim", "5"]
+        flag = f.metadata["flag"] or "--" + key.replace("_", "-")
+        (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
+        parser = _build_parser()
+        from_flag = _merge_config(parser.parse_args([*base, flag] + ([] if f.type is bool else [text])))
+        from_file = _merge_config(parser.parse_args([*base, "--config", "run.cfg"]))
+        assert from_flag == from_file
+        assert from_flag != _merge_config(parser.parse_args(base))
+
+    def test_ridge_closed_flag_takes_either_spelling(self, capsys):
+        reports = []
+        for method in ("ridge_closed", "ridge-closed"):
+            assert main([*SMALL_RECOVER, "--method", method]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["config"]["method"] == "ridge_closed"
+        assert reports[0]["records"] == reports[1]["records"]
+
     def test_invalid_config_exits_two(self, capsys):
         code = main(["recover", "--trials", "0"])
         assert code == 2
 
     @pytest.mark.parametrize("argv, env, code", [
         pytest.param(SMALL_RECOVER + ["--seed", "-5"], {}, 2, id="negative-seed"),
+        pytest.param(["recover", "--d", "abc"], {}, 2, id="d-not-integer"),
+        pytest.param(["recover", "--d", "010"], {}, 2, id="d-leading-zero"),
+        pytest.param(["recover", "--format", "xml"], {}, 2, id="format-not-a-choice"),
+        pytest.param(SMALL_RECOVER + ["--config", "{tmp}/latin1.cfg"], {}, 2, id="config-not-utf8"),
+        pytest.param(SMALL_RECOVER + ["--config", "{tmp}/no-such.cfg"], {}, 2, id="config-missing"),
         pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "abc"}, 2, id="workers-not-integer"),
         pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "0"}, 2, id="workers-zero"),
         pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/nan.csv", "--sketch-dim", "4"],
@@ -585,6 +677,7 @@ class TestCliProcess:
         save_csv(Dataset(np.zeros((6, 4)), np.array([1.0, -1.0, 1.0, -1.0])), tmp_path / "zero.csv")
         save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
         (tmp_path / "nan-spectrum.txt").write_text("1.0\nnan\n")
+        (tmp_path / "latin1.cfg").write_bytes("loss = logistic  # caf\u00e9\n".encode("latin-1"))
         rows = (tmp_path / "good.csv").read_text().splitlines()
         for name in ("nan", "inf"):
             bad = rows[:2] + [rows[2].rsplit(",", 1)[0] + "," + name] + rows[3:]
