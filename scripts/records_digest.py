@@ -9,12 +9,17 @@ should not move any number, and diff the two outputs; run it under
 
     PYTHONPATH=src python scripts/records_digest.py > before.txt
 
+``--dump DIR`` also writes each run's exit code, records, aggregates and
+config to ``DIR/<name>.json``, so two commits whose hashes differ can be
+compared value by value; the printed lines are the same with or without it.
+
 Input files are written to a temporary directory that becomes the working
 directory, so the config echo holds the same relative paths on every run.
 A run that escapes ``dualsketch.cli.main`` with an exception prints
 ``traceback`` and its type, and the script then exits 1.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -83,21 +88,29 @@ RUNS = {
 }
 
 
-def digest(argv: list[str]) -> tuple[str, str]:
+def digest(argv: list[str]) -> tuple[str, str, dict]:
+    """Exit code, hash and the hashed report parts of one CLI run."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(argv)
     except Exception as exc:  # a traceback breaks the exit-code contract
-        return f"traceback {type(exc).__name__}", "-"
+        return f"traceback {type(exc).__name__}", "-", {}
     if not out.getvalue():
-        return str(code), "-"
+        return str(code), "-", {}
     doc = json.loads(out.getvalue())
-    blob = json.dumps([doc["records"], doc["aggregates"], doc["config"]])
-    return str(code), hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    parts = {key: doc[key] for key in ("records", "aggregates", "config")}
+    blob = json.dumps(list(parts.values()))
+    return str(code), hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16], parts
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", metavar="DIR", help="also write each run's report parts here")
+    args = parser.parse_args()
+    dump = args.dump and os.path.abspath(args.dump)
+    if dump:
+        os.makedirs(dump, exist_ok=True)
     tracebacks = 0
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -114,9 +127,12 @@ def main() -> int:
                 fh.write("experiment = recover\nd = 60\nn = 20\nrank = 3  # planted\n"
                          "loss = logistic\nlambda = 0.5\ntrials = 5\n")
             for name, argv in RUNS.items():
-                code, sha = digest(argv)
+                code, sha, parts = digest(argv)
                 tracebacks += code.startswith("traceback")
                 print(f"{name:28s} {sha:16s} exit {code}")
+                if dump:
+                    with open(os.path.join(dump, f"{name}.json"), "w", encoding="utf-8") as fh:
+                        json.dump({"exit": code, **parts}, fh, indent=1)
         finally:
             os.chdir(cwd)
     return 1 if tracebacks else 0

@@ -9,10 +9,11 @@ Reports go to ``--output`` or stdout as JSON or CSV.
 Exit status: 0 when every trial ran (bound violations are data, not
 errors), 1 when some trials failed (no convergence or a singular linear
 system), 2 for an invalid config (including an unreadable or non-UTF-8
-config file, a bad DUALSKETCH_WORKERS value, an unwritable ``--output`` or
-an iterate bound that overflows), 3 for a dataset/spectrum I/O failure
-(including non-finite values, generated features whose squares overflow and
-an exactly zero reference solution), 4 when every trial failed.
+config file or one naming another experiment, a bad DUALSKETCH_WORKERS
+value, an unwritable ``--output`` or an iterate bound that overflows), 3
+for a dataset/spectrum I/O failure (including non-finite values, generated
+features whose squares overflow and an exactly zero reference solution), 4
+when every trial failed.
 """
 
 import argparse

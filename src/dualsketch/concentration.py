@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import effective_rank
 
@@ -98,7 +97,7 @@ def spectral_deviation(r: int, m: int, seed: int) -> float:
         raise ValueError("dimensions must be positive")
     a = np.random.default_rng(seed).standard_normal((r, m))
     dev = (a @ a.T) / m - np.eye(r)
-    return float(np.max(np.abs(scipy.linalg.eigvalsh(dev))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(dev))))
 
 
 def run_deviation_trials(

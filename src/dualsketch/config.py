@@ -154,6 +154,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.rank > min(cfg.d, cfg.n) and cfg.data == "low_rank":
         raise ConfigError(f"key 'rank': must not exceed min(d, n) = {min(cfg.d, cfg.n)}")
 
+    sources = [key for key, given in (("sketch_dim", cfg.sketch_dim > 0),
+                                      ("from_bound", cfg.from_bound),
+                                      ("identity_sketch", cfg.identity_sketch)) if given]
+    if cfg.experiment in SKETCHED and len(sources) > 1:
+        raise ConfigError(f"keys '{sources[0]}' and '{sources[1]}': each sets the sketch "
+                          "dimension m; give one")
     derives_m = cfg.from_bound or cfg.identity_sketch or cfg.experiment == "full_rank"
     if cfg.experiment in SKETCHED and cfg.sketch_dim == 0 and not derives_m:
         raise ConfigError(
@@ -212,8 +218,9 @@ def validate_config(raw: str, overrides: dict | None = None) -> ExperimentConfig
     """Parse config text, lay ``overrides`` over its entries and validate the result.
 
     Unknown keys and bad values are fatal; the text may leave out any key
-    that ``overrides`` supplies, ``experiment`` included.  ``lam`` and
-    ``lambda`` are one key.
+    that ``overrides`` supplies, ``experiment`` included.  An override may
+    not change the text's ``experiment``: the rest of the text was written
+    for it.  ``lam`` and ``lambda`` are one key.
     """
     entries = {}  # field name -> (key as written, value)
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -230,5 +237,9 @@ def validate_config(raw: str, overrides: dict | None = None) -> ExperimentConfig
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         entries[name] = (key, value)
     for key, value in (overrides or {}).items():
-        entries[_field_of(key).name] = (key, value)
+        name = _field_of(key).name
+        written = _coerce(*entries[name], str) if name == "experiment" and name in entries else value
+        if written != value:
+            raise ConfigError(f"key 'experiment': the config names {written!r}, not {value!r}")
+        entries[name] = (key, value)
     return config_from_mapping(dict(entries.values()))

@@ -23,6 +23,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
+# numpy loads these on first use: np.random in every trial, numpy.ma inside np.median.
+# Importing them here puts that one-time cost in start-up, not in the first trial.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import concentration as conc
 from . import recover as rec

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 __all__ = ["LossSpec", "square_loss", "logistic_loss", "smoothed_hinge_loss", "parse_loss"]
 
@@ -82,8 +81,8 @@ class LossSpec:
         if self.kind == "square":
             return z - 1.0
         if self.kind == "logistic":
-            # -1 / (1 + e^z), computed without overflow
-            return -expit(-z)
+            with np.errstate(over="ignore"):  # e^z = inf gives the limit -0
+                return -1.0 / (1.0 + np.exp(z))
         mu = self.smoothing
         out = np.where(z >= 1.0, 0.0, np.where(z <= 1.0 - mu, -1.0, (z - 1.0) / mu))
         return out if out.ndim else float(out)
@@ -94,7 +93,8 @@ class LossSpec:
         if self.kind == "square":
             return np.ones_like(z)
         if self.kind == "logistic":
-            s = expit(z)
+            with np.errstate(over="ignore"):  # e^-z = inf gives the limit 0
+                s = 1.0 / (1.0 + np.exp(-z))
             return s * (1.0 - s)
         mu = self.smoothing
         out = np.where((z < 1.0) & (z > 1.0 - mu), 1.0 / mu, 0.0)
@@ -111,9 +111,9 @@ class LossSpec:
         if self.kind == "square":
             return alpha + alpha**2 / 2.0
         if self.kind == "logistic":
-            # clip absorbs roundoff at the endpoints; xlogy gives 0*log(0) = 0
+            # clip absorbs roundoff at the endpoints
             a = np.clip(alpha, -1.0, 0.0)
-            return xlogy(-a, -a) + xlogy(1.0 + a, 1.0 + a)
+            return _xlogx(-a) + _xlogx(1.0 + a)
         return alpha + self.smoothing * alpha**2 / 2.0
 
     def in_dual_domain(self, alpha) -> bool:
@@ -126,6 +126,12 @@ class LossSpec:
         if self.kind == "smoothed_hinge":
             return f"smoothed_hinge:{self.smoothing:g}"
         return self.kind
+
+
+def _xlogx(x):
+    """x log x, elementwise, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log(x))
 
 
 def square_loss() -> LossSpec:

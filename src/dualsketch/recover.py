@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, SpectrumInfo
 from .losses import LossSpec
 from .sketch import ProjectionSketch
-from .solve import ConvergenceError, LinearSolveError, SolverConfig, primal_from_dual, solve_primal
+from .solve import ConvergenceError, SolverConfig, _solve_positive, primal_from_dual, solve_primal
 
 __all__ = [
     "RecoveryResult",
@@ -107,12 +106,8 @@ def ridge_drp_closed_form(data: Dataset, lam: float, sketch: ProjectionSketch) -
     if xs.shape != (sketch.m, data.n):
         raise ValueError("sketch does not match the dataset")
     a = xs.T @ xs
-    a[np.diag_indices_from(a)] += lam
-    try:
-        t = scipy.linalg.solve(a, data.labels, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise LinearSolveError(f"sketched ridge system could not be solved: {exc}") from exc
-    return data.features @ t
+    a.flat[::data.n + 1] += lam
+    return data.features @ _solve_positive(a, data.labels, "sketched ridge system")
 
 
 def recover_iterative(

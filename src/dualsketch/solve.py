@@ -12,16 +12,17 @@ a gradient-norm certificate: a returned solution always satisfies
 caller handed in; failure to certify raises ``ConvergenceError`` carrying
 the best iterate.
 
-The method is damped Newton with a Cholesky-factored exact Hessian.  When
-p exceeds n the iterate lies in the span of the feature columns, so Newton
-runs on coordinates in that span; the certificate is evaluated in the full
-space, from margins recomputed there.  One pivoted Cholesky of the Gram
-matrix (LAPACK dpstrf), ``P' X' X P = L L'``, factors the span.  At full
-rank, when L's diagonal puts the rounding of the CholeskyQR basis
-``X P L'^-1`` below the tolerance, Newton runs on L' P'; at rank k < n, on
-an explicit QR of the k pivot columns that reproduces the columns to within
-``SPAN_RESIDUAL``; otherwise on the explicit QR of all the columns.  Failed
-certificates send Newton on with margins computed from the weights.
+The method is damped Newton on the exact Hessian, formed as one symmetric
+product and solved by LU.  When p exceeds n the iterate lies in the span of
+the feature columns, so Newton runs on coordinates in that span; the
+certificate is evaluated in the full space, from margins recomputed there.
+One pivoted Cholesky of the Gram matrix, ``P' X' X P = L L'`` with greedy
+diagonal pivoting, factors the span.  At full rank, when L's diagonal puts
+the rounding of the CholeskyQR basis ``X P L'^-1`` below the tolerance,
+Newton runs on L' P'; at rank k < n, on an explicit QR of the k pivot
+columns that reproduces the columns to within ``SPAN_RESIDUAL``; otherwise
+on the explicit QR of all the columns.  Failed certificates send Newton on
+with margins computed from the weights.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .losses import LossSpec
 
@@ -56,6 +58,9 @@ NOISE_EPS = 8.0 * np.finfo(float).eps
 # A rank-reduced span basis must reproduce the columns to this relative
 # Frobenius residual; exactly low-rank data measures 2-6 eps.
 SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
+# columns of the pivoted Cholesky formed one at a time between trailing updates, and
+# the rows of a triangular solve done per block
+CHOLESKY_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,64 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
+def _pivoted_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(L, piv, rank)`` with ``gram[piv][:, piv] = L L'`` for an n x rank lower-trapezoidal L.
+
+    Pivots greedily on the largest remaining diagonal and stops, as LAPACK's
+    dpstrf does by default, once that is at most n * eps/2 * max(diag(gram)).
+    ``piv`` is 0-based; its first ``rank`` entries are the pivots in order.
+    The columns are formed one at a time within a panel of
+    ``CHOLESKY_PANEL``, and the trailing matrix is updated once per panel.
+    """
+    n = len(gram)
+    piv = np.arange(n)
+    rank = 0
+    columns = [np.zeros((0, n))]  # each panel's columns of L, over gram's rows
+    work = np.asarray(gram, dtype=float)  # Schur complement of the pivots so far, over piv[rank:]
+    diag = work.diagonal().copy()
+    stop = n * 0.5 * np.finfo(float).eps * (diag.max() if n else 0.0)
+    while rank < n:
+        panel = np.empty((min(CHOLESKY_PANEL, n - rank), n - rank))  # row c: column rank + c
+        chosen = []
+        for c, col in enumerate(panel):
+            q = int(diag.argmax())
+            if not diag[q] > stop:  # also stops on NaN
+                break
+            np.dot(panel[:c, q], panel[:c], out=col)
+            np.subtract(work[q], col, out=col)
+            col *= 1.0 / math.sqrt(diag[q])
+            diag -= col * col
+            diag[q] = -np.inf
+            chosen.append(q)
+        width, rest = len(chosen), piv[rank:]
+        columns.append(np.zeros((width, n)))
+        columns[-1][:, rest] = panel[:width]
+        keep = np.ones(n - rank, dtype=bool)
+        keep[chosen] = False
+        piv[rank:] = np.concatenate([rest[chosen], rest[keep]])
+        rank += width
+        if width < len(panel) or rank == n:
+            break
+        below = panel[:, keep]
+        work = work[keep][:, keep] - below.T @ below
+        diag = diag[keep]
+    # tril clears the roundoff a panel leaves in its own pivots' rows above L's diagonal
+    return np.tril(np.concatenate(columns).T[piv]), piv, rank
+
+
+def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``upper^-1 z`` for an upper-triangular ``upper``: back-substitution by blocks of rows.
+
+    Each diagonal block goes to LU, which swaps no rows of a triangular matrix.
+    """
+    y = np.array(z, dtype=float)
+    for start in reversed(range(0, len(y), CHOLESKY_PANEL)):
+        block = slice(start, start + CHOLESKY_PANEL)
+        rhs = y[block] - upper[block, block.stop:] @ y[block.stop:]
+        y[block] = np.linalg.solve(upper[block, block], rhs)
+    return y
+
+
 def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
                 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Coordinates ``coords`` (k x n) of ``cols`` in a basis of their span, and ``to_full``.
@@ -110,23 +173,23 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     the residual check; otherwise the QR of all the columns.
     """
     n = cols.shape[1]
-    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(cols.T @ cols, lower=1)
+    factor, piv, rank = _pivoted_cholesky(cols.T @ cols)
     # eps * cond * ||cols||^2, from L's diagonal: CholeskyQR's map back loses about cond digits
     if rank == n and np.finfo(float).eps * factor[0, 0] ** 3 / factor[-1, -1] * bound <= tolerance:
-        upper = np.tril(factor).T  # dpstrf leaves the Gram matrix above the diagonal
+        upper = factor.T
         coords = np.empty((n, n))
-        coords[:, piv - 1] = upper
+        coords[:, piv] = upper
 
         def to_full(z):
             # cols @ y with y scattered to the columns' order: no permuted copy of cols
             y = np.empty(n)
-            y[piv - 1] = scipy.linalg.solve_triangular(upper, z, check_finite=False)
+            y[piv] = _solve_upper(upper, z)
             return cols @ y
 
         return coords, to_full
     del factor  # not held through the p x n temporaries below
     if 0 < rank < n:
-        basis = np.linalg.qr(cols[:, piv[:rank] - 1])[0]
+        basis = np.linalg.qr(cols[:, piv[:rank]])[0]
         coords = basis.T @ cols
         residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||
         residual -= cols
@@ -213,16 +276,13 @@ def solve_primal(
             raise ConvergenceError(
                 f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
             )
-        curv = loss.curvature(margins)
-        hess = (x * curv) @ x.T
-        hess[np.diag_indices_from(hess)] += lam
-        c_factor, info = scipy.linalg.lapack.dpotrf(hess, lower=1, overwrite_a=1)
-        if info > 0:  # lam > 0 makes this unlikely
-            raise ConvergenceError(
-                "Hessian factorization failed: "
-                f"{info}-th leading minor of the array is not positive definite", certified()
-            )
-        direction = scipy.linalg.lapack.dpotrs(c_factor, -g, lower=1)[0]
+        root = x * np.sqrt(loss.curvature(margins))
+        hess = root @ root.T  # one symmetric product: BLAS syrk
+        hess.flat[::k + 1] += lam
+        try:
+            direction = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
+            raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
         slope = float(g @ direction)
         if slope >= 0.0:
             direction, slope = -g, -float(g @ g)
@@ -268,16 +328,22 @@ def ridge_closed_form(features, labels, lam: float) -> np.ndarray:
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     d, n = x.shape
+    if d <= n:
+        a = x @ x.T
+        a.flat[::d + 1] += lam
+        return _solve_positive(a, x @ y, "ridge system")
+    a = x.T @ x
+    a.flat[::n + 1] += lam
+    return x @ _solve_positive(a, y, "ridge system")
+
+
+def _solve_positive(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """``a^-1 b`` for a symmetric ``a`` that must be numerically positive definite."""
     try:
-        if d <= n:
-            a = x @ x.T
-            a[np.diag_indices_from(a)] += lam
-            return scipy.linalg.solve(a, x @ y, assume_a="pos")
-        a = x.T @ x
-        a[np.diag_indices_from(a)] += lam
-        return x @ scipy.linalg.solve(a, y, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise LinearSolveError(f"ridge system could not be solved: {exc}") from exc
+        np.linalg.cholesky(a)  # LU alone would solve an indefinite system without a word
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"{what} could not be solved: {exc}") from exc
 
 
 def dual_from_primal(features, labels, loss: LossSpec, weights) -> np.ndarray:

@@ -4,8 +4,11 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +181,30 @@ class TestValidateConfig:
     def test_bad_loss_selector(self):
         with pytest.raises(ConfigError, match="loss"):
             validate_config("experiment = bounds\nloss = hinge\n")
+
+    @pytest.mark.parametrize("text", ["experiment = recover\n", 'experiment = "recover"\n', ""])
+    def test_override_may_repeat_the_experiment(self, text):
+        cfg = validate_config(text + "sketch_dim = 5\n", {"experiment": "recover"})
+        assert cfg.experiment == "recover"
+
+    def test_override_may_not_change_the_experiment(self):
+        with pytest.raises(ConfigError, match="key 'experiment': the config names 'bounds', not "
+                                              "'recover'"):
+            validate_config("experiment = bounds\n", {"experiment": "recover", "sketch_dim": "5"})
+
+    @pytest.mark.parametrize("first, second", [("sketch_dim", "from_bound"),
+                                               ("sketch_dim", "identity_sketch"),
+                                               ("from_bound", "identity_sketch")])
+    @pytest.mark.parametrize("experiment", ["recover", "full_rank"])
+    def test_one_source_of_the_sketch_dimension(self, first, second, experiment):
+        values = {"sketch_dim": 6, "from_bound": True, "identity_sketch": True}
+        entries = {"experiment": experiment, "data": "decaying", "d": 20, "n": 10}
+        with pytest.raises(ConfigError, match=f"keys '{first}' and '{second}'"):
+            config_from_mapping({**entries, first: values[first], second: values[second]})
+        for key in (first, second):
+            assert getattr(config_from_mapping({**entries, key: values[key]}), key) == values[key]
+        # bounds draws no sketch and reports the analytic m whatever sketch_dim says
+        config_from_mapping({"experiment": "bounds", first: values[first], second: values[second]})
 
     def test_missing_sketch_dim_when_needed(self):
         with pytest.raises(ConfigError, match="sketch_dim"):
@@ -637,6 +664,10 @@ class TestCliProcess:
         pytest.param(["recover", "--format", "xml"], {}, 2, id="format-not-a-choice"),
         pytest.param(SMALL_RECOVER + ["--config", "{tmp}/latin1.cfg"], {}, 2, id="config-not-utf8"),
         pytest.param(SMALL_RECOVER + ["--config", "{tmp}/no-such.cfg"], {}, 2, id="config-missing"),
+        pytest.param(SMALL_RECOVER + ["--config", "{tmp}/bounds.cfg"], {}, 2,
+                     id="config-names-another-experiment"),
+        pytest.param(["recover", "--d", "20", "--n", "10", "--rank", "2", "--identity-sketch",
+                      "--sketch-dim", "6"], {}, 2, id="sketch-dim-and-identity-sketch"),
         pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "abc"}, 2, id="workers-not-integer"),
         pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "0"}, 2, id="workers-zero"),
         pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/nan.csv", "--sketch-dim", "4"],
@@ -678,6 +709,7 @@ class TestCliProcess:
         save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
         (tmp_path / "nan-spectrum.txt").write_text("1.0\nnan\n")
         (tmp_path / "latin1.cfg").write_bytes("loss = logistic  # caf\u00e9\n".encode("latin-1"))
+        (tmp_path / "bounds.cfg").write_text("experiment = bounds\n")
         rows = (tmp_path / "good.csv").read_text().splitlines()
         for name in ("nan", "inf"):
             bad = rows[:2] + [rows[2].rsplit(",", 1)[0] + "," + name] + rows[3:]
@@ -741,3 +773,33 @@ class TestCliProcess:
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
         assert "ratio_of_means" in blob["aggregates"]
+
+
+# Every subcommand that solves, on both span branches, with scipy unimportable.
+NUMPY_ONLY = """
+import os, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from dualsketch.cli import main
+low = ["--d", "40", "--n", "15", "--rank", "3", "--trials", "2", "--output", os.devnull]
+decaying = ["--data", "decaying", "--d", "40", "--n", "15", "--top-singular", "4",
+            "--trials", "2", "--output", os.devnull]
+runs = [
+    ["recover", *low, "--sketch-dim", "30", "--loss", "logistic"],
+    ["recover", *low, "--sketch-dim", "10", "--method", "ridge-closed"],
+    ["iterate", *low, "--sketch-dim", "30", "--iters", "3", "--loss", "logistic"],
+    ["naive-vs-drp", *low, "--sketch-dim", "30", "--loss", "smoothed_hinge:0.5"],
+    ["full-rank", *decaying, "--loss", "logistic"],
+    ["concentration", "--rank", "3", "--sketch-dim", "20", "--trials", "2",
+     "--output", os.devnull],
+]
+sys.exit(max(main(argv) for argv in runs))
+"""
+
+
+def test_runs_without_scipy():
+    env = {key: value for key, value in os.environ.items() if key != "DUALSKETCH_WORKERS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,10 @@
 """Loss values, gradients, conjugates, and the Fenchel identities."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +129,31 @@ class TestConjugates:
         b = sample_alpha(rng, spec, 1000)
         mid = spec.conjugate((a + b) / 2.0)
         assert np.all(mid <= (spec.conjugate(a) + spec.conjugate(b)) / 2.0 + 1e-12)
+
+
+class TestLogisticAgainstScipy:
+    """The logistic terms within 4 ulp of ``scipy.special``, with no floating-point warning."""
+
+    Z = np.array([-1e3, -40.0, -1.0, 0.0, 1.0, 40.0, 1e3])
+    ALPHA = np.array([-1.0, -0.5, 0.0])
+
+    @staticmethod
+    def quietly(fn, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fn(values), [fn(v) for v in values]  # arrays and 0-d inputs alike
+
+    @pytest.mark.parametrize("term", ["grad", "curvature", "conjugate"])
+    def test_within_4_ulp(self, term):
+        expit, xlogy = scipy.special.expit, scipy.special.xlogy
+        oracle, values = {
+            "grad": (lambda z: -expit(-z), self.Z),
+            "curvature": (lambda z: expit(z) * (1.0 - expit(z)), self.Z),
+            "conjugate": (lambda a: xlogy(-a, -a) + xlogy(1.0 + a, 1.0 + a), self.ALPHA),
+        }[term]
+        whole, each = self.quietly(getattr(logistic_loss(), term), values)
+        np.testing.assert_array_max_ulp(whole, oracle(values), maxulp=4)
+        np.testing.assert_array_equal(each, whole)
 
 
 class TestSmoothnessConstants:

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from dualsketch import solve
 from dualsketch.data import make_decaying_spectrum, make_low_rank
 from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
 from dualsketch.recover import recover_iterative
 from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import (
+    _pivoted_cholesky,
     _span_basis,
     ConvergenceError,
     SolverConfig,
@@ -45,15 +47,15 @@ def count_qr_calls(monkeypatch):
 
 
 def count_triangular_solves(monkeypatch):
-    """Number of ``scipy.linalg.solve_triangular`` calls from here on, in a one-item list."""
+    """Number of ``solve._solve_upper`` calls from here on, in a one-item list."""
     calls = [0]
-    scipy_solve_triangular = scipy.linalg.solve_triangular
+    solve_upper = solve._solve_upper
 
-    def counting_solve_triangular(*args, **kwargs):
+    def counting_solve_upper(*args):
         calls[0] += 1
-        return scipy_solve_triangular(*args, **kwargs)
+        return solve_upper(*args)
 
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", counting_solve_triangular)
+    monkeypatch.setattr(solve, "_solve_upper", counting_solve_upper)
     return calls
 
 
@@ -146,13 +148,20 @@ class TestSolvePrimal:
             solve_primal(np.eye(2), np.array([1.0, -1.0]), square_loss(), 0.0)
 
     def test_hessian_factorization_failure_is_a_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda hess, **kwargs: (hess, 1))
+        numpy_solve = np.linalg.solve
+
+        def singular_hessian(a, b):
+            # the Hessian is the one full matrix; the span's map back solves triangular blocks
+            if np.any(np.tril(a, -1)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return numpy_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_hessian)
         rng = np.random.default_rng(5)
         features, labels = random_instance(rng, 30, 12)
         with pytest.raises(ConvergenceError) as err:
             solve_primal(features, labels, logistic_loss(), 1.0)
-        assert str(err.value) == ("Hessian factorization failed: 1-th leading minor of the "
-                                  "array is not positive definite")
+        assert str(err.value) == "Hessian solve failed: Singular matrix"
         assert np.isfinite(err.value.best.grad_norm)
         assert err.value.best.grad_norm == pytest.approx(
             stationarity_norm(features, labels, logistic_loss(), 1.0, err.value.best.weights),
@@ -234,6 +243,42 @@ class TestShiftedSolver:
         margins = labels * (features.T @ z) + s
         grad = lam * (z + u) + features @ (labels * loss.grad(margins))
         assert np.linalg.norm(grad) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blocked_back_substitution(n):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+    z = rng.standard_normal(n)
+    np.testing.assert_allclose(upper @ solve._solve_upper(upper, z), z, rtol=0, atol=1e-12)
+
+
+class TestPivotedCholesky:
+    """``_pivoted_cholesky`` against LAPACK's dpstrf, through scipy, as the oracle."""
+
+    @staticmethod
+    def gram(case):
+        rng = np.random.default_rng(21)
+        if case == "zero":
+            return np.zeros((7, 7))
+        if case == "tied diagonal":  # every pivot choice starts from a tie
+            return np.eye(6) + np.ones((6, 6))
+        rank, n = {"full rank": (40, 40), "full rank, several panels": (150, 150),
+                   "rank 1": (1, 40), "rank 5": (5, 40)}[case]
+        features = rng.standard_normal((200, rank)) @ rng.standard_normal((rank, n))
+        return features.T @ features
+
+    @pytest.mark.parametrize("case", ["full rank", "full rank, several panels", "rank 1",
+                                      "rank 5", "zero", "tied diagonal"])
+    def test_matches_lapack_rank_and_factors(self, case):
+        gram = self.gram(case)
+        factor, piv, rank = _pivoted_cholesky(gram)
+        assert rank == scipy.linalg.lapack.dpstrf(gram, lower=1)[2]
+        assert factor.shape == (len(gram), rank)
+        assert np.array_equal(factor, np.tril(factor))
+        assert sorted(piv) == list(range(len(gram)))
+        residual = gram[np.ix_(piv, piv)] - factor @ factor.T
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(gram)
 
 
 class TestSpanReduction:
