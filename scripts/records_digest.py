@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Hash the reports of a fixed set of small CLI runs, one line per run.
 
-Each line is the run's name, the first 16 hex digits of the sha256 of
-``json.dumps([records, aggregates, config])`` (key order included, wall
-time left out) and the exit code.  Run it before and after a change that
-should not move any number, and diff the two outputs; run it under
-``DUALSKETCH_WORKERS=1`` and ``2`` to cover the worker pool:
+Each line is the run's name, two hashes and the exit code.  A hash is the
+first 16 hex digits of a sha256: the first of ``json.dumps([records,
+aggregates])``, the second of ``json.dumps(config)`` (key order included,
+wall time left out).  A change to the config echo alone, such as a new or
+removed key, moves only the second column.  Run it before and after a
+change that should not move any number, and diff the two outputs; run it
+under ``DUALSKETCH_WORKERS=1`` and ``2`` to cover the worker pool:
 
     PYTHONPATH=src python scripts/records_digest.py > before.txt
 
@@ -42,8 +44,9 @@ RUNS = {
     "recover-ridge-closed": ["recover", *LOW, "--sketch-dim", "20", "--method", "ridge-closed",
                              "--trials", "2"],
     "recover-identity": ["recover", *LOW, "--identity-sketch", "--loss", "logistic"],
-    "recover-from-bound": ["recover", *LOW, "--from-bound", "--trials", "2"],
-    "recover-from-bound-decaying": ["recover", *DECAYING, "--from-bound", "--top-singular", "2"],
+    # without sketch_dim, m comes from the low-rank or the planted effective-rank bound
+    "recover-bound-m": ["recover", *LOW, "--trials", "2"],
+    "recover-bound-m-decaying": ["recover", *DECAYING, "--top-singular", "2"],
     "recover-csv": ["recover", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "25",
                     "--loss", "logistic", "--trials", "2"],
     "recover-naive-identity-csv": ["recover", "--data", "csv", "--csv", "low.csv", "--rank", "4",
@@ -67,7 +70,7 @@ RUNS = {
                                  "--loss", "logistic"],
     "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
                                "--iters", "200"],
-    "naive-vs-drp": ["naive-vs-drp", *LOW, "--from-bound", "--loss", "logistic", "--trials", "2"],
+    "naive-vs-drp": ["naive-vs-drp", *LOW, "--loss", "logistic", "--trials", "2"],
     "measurement": ["measurement", *LOW, "--sketch-dim", "30", "--trials", "2"],
     "span-error": ["span-error", *LOW, "--sketch-dim", "30", "--loss", "smoothed_hinge:0.5",
                    "--trials", "2"],
@@ -76,8 +79,7 @@ RUNS = {
     "concentration": ["concentration", "--rank", "3", "--sketch-dim", "60", "--trials", "4"],
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
-    "bounds-full-rank": ["bounds", "--full-rank", "--spectrum", "sv.txt", "--d", "100",
-                         "--loss", "logistic"],
+    "bounds-full-rank": ["bounds", "--spectrum", "sv.txt", "--d", "100", "--loss", "logistic"],
     "full-rank-decaying": ["full-rank", *DECAYING, "--label-rule", "sign_of_plant",
                            "--loss", "logistic", "--trials", "2"],
     "full-rank-identity": ["full-rank", *DECAYING, "--identity-sketch"],
@@ -88,20 +90,23 @@ RUNS = {
 }
 
 
-def digest(argv: list[str]) -> tuple[str, str, dict]:
-    """Exit code, hash and the hashed report parts of one CLI run."""
+def _sha(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()[:16]
+
+
+def digest(argv: list[str]) -> tuple[str, str, str, dict]:
+    """Exit code, records-and-aggregates hash, config hash and report parts of one CLI run."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(argv)
     except Exception as exc:  # a traceback breaks the exit-code contract
-        return f"traceback {type(exc).__name__}", "-", {}
+        return f"traceback {type(exc).__name__}", "-", "-", {}
     if not out.getvalue():
-        return str(code), "-", {}
+        return str(code), "-", "-", {}
     doc = json.loads(out.getvalue())
     parts = {key: doc[key] for key in ("records", "aggregates", "config")}
-    blob = json.dumps(list(parts.values()))
-    return str(code), hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16], parts
+    return str(code), _sha([parts["records"], parts["aggregates"]]), _sha(parts["config"]), parts
 
 
 def main() -> int:
@@ -127,9 +132,9 @@ def main() -> int:
                 fh.write("experiment = recover\nd = 60\nn = 20\nrank = 3  # planted\n"
                          "loss = logistic\nlambda = 0.5\ntrials = 5\n")
             for name, argv in RUNS.items():
-                code, sha, parts = digest(argv)
+                code, results_sha, config_sha, parts = digest(argv)
                 tracebacks += code.startswith("traceback")
-                print(f"{name:28s} {sha:16s} exit {code}")
+                print(f"{name:32s} {results_sha:16s} {config_sha:16s} exit {code}")
                 if dump:
                     with open(os.path.join(dump, f"{name}.json"), "w", encoding="utf-8") as fh:
                         json.dump({"exit": code, **parts}, fh, indent=1)

@@ -10,10 +10,11 @@ Exit status: 0 when every trial ran (bound violations are data, not
 errors), 1 when some trials failed (no convergence or a singular linear
 system), 2 for an invalid config (including an unreadable or non-UTF-8
 config file or one naming another experiment, a bad DUALSKETCH_WORKERS
-value, an unwritable ``--output`` or an iterate bound that overflows), 3
-for a dataset/spectrum I/O failure (including non-finite values, generated
-features whose squares overflow and an exactly zero reference solution), 4
-when every trial failed.
+value, an unwritable ``--output``, an iterate or sketch-size bound that
+overflows, a sketch too large for numpy to shape, and ``--csv`` without
+``--data csv``), 3 for a dataset/spectrum I/O failure (including
+non-finite values, generated features whose squares overflow and an
+exactly zero reference solution), 4 when every trial failed.
 """
 
 import argparse
@@ -47,8 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
             if experiment not in meta["commands"]:
                 continue
             flag = meta["flag"] or "--" + key.replace("_", "-")
-            if f.type is bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True, help=meta["help"])
+            if f.type is bool:  # --no-<key> clears a config file's true
+                p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                               help=meta["help"])
             else:
                 choices = "{" + ",".join(meta["choices"]) + "}" if meta["choices"] else None
                 p.add_argument(flag, dest=key, metavar=choices, help=meta["help"])

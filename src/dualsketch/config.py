@@ -79,8 +79,7 @@ class ExperimentConfig:
     max_iters: int = _field(100_000, "solver iteration cap", rule="be at least 1")
     reference_tol: float = _field(1e-12, "tolerance for the reference solve", rule="be positive")
     # sketch
-    sketch_dim: int = _field(0, "projection dimension m", rule="be nonnegative")
-    from_bound: bool = _field(False, "derive m from the analytic bound")
+    sketch_dim: int = _field(0, "projection dimension m (0: from the bound)", rule="be nonnegative")
     identity_sketch: bool = _field(False, "inject R = sqrt(m) I (exact sketch smoke test)")
     # recovery
     method: str = _field("drp", "recovery route", choices=("naive", "drp", "ridge_closed"),
@@ -92,8 +91,7 @@ class ExperimentConfig:
     epsilon: float = _field(0.5, "deviation target epsilon", flag="--eps", rule="lie in (0, 1]")
     delta: float = _field(0.1, "failure probability delta", rule="lie in (0, 1)")
     c: float = _field(0.0, "bound constant (0 means the per-experiment default)", rule="be nonnegative")
-    full_rank: bool = _field(False, "use the effective-rank bound", commands=("bounds",))
-    spectrum: str = _field("", "singular values, one per line", commands=("bounds",))
+    spectrum: str = _field("", "singular values for the effective-rank bound", commands=("bounds",))
     find_min_m: bool = _field(False, "also search for the smallest empirically sufficient m",
                               commands=("concentration",))
     # harness
@@ -154,31 +152,20 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.rank > min(cfg.d, cfg.n) and cfg.data == "low_rank":
         raise ConfigError(f"key 'rank': must not exceed min(d, n) = {min(cfg.d, cfg.n)}")
 
-    sources = [key for key, given in (("sketch_dim", cfg.sketch_dim > 0),
-                                      ("from_bound", cfg.from_bound),
-                                      ("identity_sketch", cfg.identity_sketch)) if given]
-    if cfg.experiment in SKETCHED and len(sources) > 1:
-        raise ConfigError(f"keys '{sources[0]}' and '{sources[1]}': each sets the sketch "
+    if cfg.experiment in SKETCHED and cfg.sketch_dim > 0 and cfg.identity_sketch:
+        raise ConfigError("keys 'sketch_dim' and 'identity_sketch': each sets the sketch "
                           "dimension m; give one")
-    derives_m = cfg.from_bound or cfg.identity_sketch or cfg.experiment == "full_rank"
-    if cfg.experiment in SKETCHED and cfg.sketch_dim == 0 and not derives_m:
-        raise ConfigError(
-            "key 'sketch_dim': required (or set from_bound/identity_sketch) for this experiment"
-        )
     if cfg.experiment == "full_rank" and cfg.data == "low_rank":
         raise ConfigError("key 'data': full_rank needs full-rank data (decaying or csv)")
     if cfg.experiment == "recover" and cfg.method == "ridge_closed" and cfg.loss != "square":
         raise ConfigError("key 'method': ridge_closed requires the square loss")
-    if cfg.data == "csv":
-        if not cfg.csv:
-            raise ConfigError("key 'csv': a dataset path is required when data = csv")
-        if not os.path.exists(cfg.csv):
-            raise DatasetIOError(f"dataset file not found: {cfg.csv}")
-    if cfg.experiment == "bounds" and cfg.full_rank:
-        if not cfg.spectrum:
-            raise ConfigError("key 'spectrum': required for the full-rank bound")
-        if not os.path.exists(cfg.spectrum):
-            raise DatasetIOError(f"spectrum file not found: {cfg.spectrum}")
+    if (cfg.data == "csv") != bool(cfg.csv):
+        raise ConfigError("keys 'data' and 'csv': data = csv needs a csv path, "
+                          "and a csv path needs data = csv")
+    if cfg.csv and not os.path.exists(cfg.csv):
+        raise DatasetIOError(f"dataset file not found: {cfg.csv}")
+    if cfg.spectrum and not os.path.exists(cfg.spectrum):
+        raise DatasetIOError(f"spectrum file not found: {cfg.spectrum}")
     # the loss selector is validated by the loss module; surface its message
     from .losses import parse_loss
 

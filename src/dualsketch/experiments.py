@@ -160,11 +160,12 @@ def _reference(cfg: ExperimentConfig, data: Dataset, loss: LossSpec) -> np.ndarr
 def _plan(cfg: ExperimentConfig) -> _Plan:
     """Derive m, k, the bound value and every CSV result, once per run.
 
-    The spectrum behind the effective-rank bound is measured for CSV data,
-    planted for generated data and read from the file for ``bounds
-    --full-rank``; without one, m comes from the low-rank bound.  Every
-    config error is raised here, before the CSV reference solve; generated
-    data is solved and decomposed per trial instead.
+    m is d under ``identity_sketch``, else ``sketch_dim`` if above 0, else
+    the analytic bound: the effective-rank one given a spectrum (measured
+    for ``full_rank`` on CSV data, planted for decaying data, read from
+    ``spectrum`` for ``bounds``), else the low-rank one.  Every config error
+    is raised here, before the CSV reference solve; generated data is
+    solved and decomposed per trial instead.
     """
     exp, eps = cfg.experiment, cfg.epsilon
     sketched = exp in SKETCHED
@@ -173,14 +174,14 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     d = cfg.d if data is None else data.d
     spec = spectrum(data) if data is not None and exp in ("span_error", "full_rank") else None
     sv = None
-    if exp == "bounds" and cfg.full_rank:
+    if exp == "bounds" and cfg.spectrum:
         sv = _read(lambda path: np.loadtxt(path, dtype=float, ndmin=1), cfg.spectrum, "spectrum")
         if not np.all(np.isfinite(sv) & (sv >= 0)):
             raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: values must be finite and "
                                  "nonnegative")
     elif exp == "full_rank" and spec is not None:
         sv = spec.singular_values
-    elif exp == "full_rank" or (sketched and cfg.from_bound and cfg.data == "decaying"):
+    elif exp == "full_rank" or (sketched and cfg.data == "decaying"):
         sv = cfg.top_singular * np.arange(1, min(cfg.d, cfg.n) + 1, dtype=float) ** (-cfg.decay)
 
     if sketched and cfg.identity_sketch:
@@ -194,10 +195,15 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
             else:
                 m = conc.full_rank_sample_bound(sv, cfg.lam, loss.gamma, eps, cfg.delta, d,
                                                 cfg.c or conc.FULL_RANK_C)
-        except ValueError as exc:  # epsilon above 1/2 for the low-rank bound, or squares of sv overflow
+        except ValueError as exc:  # epsilon above 1/2 for the low-rank bound
             raise ConfigError(str(exc)) from None
+        except OverflowError:  # squares of sv, or the bound itself, overflow a float
+            raise ConfigError("the analytic sketch-size bound overflows a float") from None
         if sketched and m < 1:
             raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
+    # the Gaussian draw is d x m, or rank x m for concentration; bounds only reports m
+    if exp != "bounds" and (d if sketched else cfg.rank) * m * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"sketch dimension m = {m} is too large for numpy to draw the sketch")
 
     k, bound = 0, 0.0
     if exp == "full_rank":
@@ -442,7 +448,7 @@ def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
 
 
 def _run_bounds(cfg: ExperimentConfig, plan: _Plan) -> list:
-    if cfg.full_rank:
+    if cfg.spectrum:
         return [{
             "trial": 0, "m": plan.m, "kind": "full_rank", "epsilon": cfg.epsilon,
             "delta": cfg.delta, "c": cfg.c or conc.FULL_RANK_C, "d": cfg.d,

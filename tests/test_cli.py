@@ -25,7 +25,7 @@ from dualsketch.config import (
     config_from_mapping,
     validate_config,
 )
-from dualsketch.concentration import FULL_RANK_C, full_rank_sample_bound
+from dualsketch.concentration import FULL_RANK_C, full_rank_sample_bound, sample_size_bound
 from dualsketch.data import (
     Dataset,
     load_csv,
@@ -64,23 +64,23 @@ FUZZ_FLAGS = {
     "--tol": ["1e-8", "0", "-1", "nan", "inf"],
     "--max-iters": ["1", "50", "0", "-1"],
     "--reference-tol": ["1e-12", "0", "nan", "inf"],
-    "--sketch-dim": ["0", "1", "5", "40", "-2"],
-    "--from-bound": None,
+    "--sketch-dim": ["0", "1", "5", "40", "-2", "99999999999999999999"],
     "--identity-sketch": None,
+    "--no-identity-sketch": None,
     "--eps": ["0.3", "0.5", "0.75", "0.99", "1", "0", "-0.5", "nan", "inf"],
     "--delta": ["0.1", "0.5", "0", "1", "nan"],
-    "--c": ["0.25", "1", "0", "-1", "nan", "inf"],
+    "--c": ["0.25", "1", "0", "-1", "nan", "inf", "1e-300"],
     "--trials": ["1", "2", "0", "-1"],
     "--seed": ["0", "7", "-5"],
 }
 FUZZ_SUBCOMMAND_FLAGS = {
     "recover": {"--method": ["naive", "drp", "ridge-closed"]},
-    "iterate": {"--iters": ["1", "3", "200", "0"], "--early-stop": None},
+    "iterate": {"--iters": ["1", "3", "200", "0"], "--early-stop": None, "--no-early-stop": None},
     "naive-vs-drp": {},
     "measurement": {},
     "span-error": {},
     "concentration": {"--find-min-m": None},
-    "bounds": {"--full-rank": None},
+    "bounds": {"--spectrum": ["no-such-spectrum.txt"]},
     "full-rank": {},
 }
 
@@ -88,17 +88,17 @@ FUZZ_SUBCOMMAND_FLAGS = {
 COMMON_OPTIONS = {
     "-h", "--help", "--config", "--output", "--format", "--trials", "--seed", "--data", "--d",
     "--n", "--rank", "--label-rule", "--decay", "--top-singular", "--csv", "--loss", "--lambda",
-    "--tol", "--max-iters", "--reference-tol", "--sketch-dim", "--from-bound", "--identity-sketch",
-    "--eps", "--delta", "--c",
+    "--tol", "--max-iters", "--reference-tol", "--sketch-dim", "--identity-sketch",
+    "--no-identity-sketch", "--eps", "--delta", "--c",
 }
 SUBCOMMAND_OPTIONS = {
     "recover": {"--method"},
-    "iterate": {"--iters", "--early-stop"},
+    "iterate": {"--iters", "--early-stop", "--no-early-stop"},
     "naive-vs-drp": set(),
     "measurement": set(),
     "span-error": set(),
-    "concentration": {"--find-min-m"},
-    "bounds": {"--full-rank", "--spectrum"},
+    "concentration": {"--find-min-m", "--no-find-min-m"},
+    "bounds": {"--spectrum"},
     "full-rank": set(),
 }
 
@@ -107,10 +107,9 @@ FIELD_TEXT = {
     "data": "decaying", "d": "12", "n": "9", "rank": "3", "label_rule": "sign_of_plant",
     "decay": "0.5", "top_singular": "4", "csv": "x.csv", "loss": "logistic", "lam": "2.5",
     "tol": "1e-8", "max_iters": "50", "reference_tol": "1e-11", "sketch_dim": "7",
-    "from_bound": "true", "identity_sketch": "true", "method": "ridge_closed", "iters": "3",
-    "early_stop": "true", "epsilon": "0.25", "delta": "0.2", "c": "2", "full_rank": "true",
-    "spectrum": "sv.txt", "find_min_m": "true", "trials": "4", "seed": "0x10",
-    "output": "report.json", "format": "csv",
+    "identity_sketch": "true", "method": "ridge_closed", "iters": "3", "early_stop": "true",
+    "epsilon": "0.25", "delta": "0.2", "c": "2", "spectrum": "sv.txt", "find_min_m": "true",
+    "trials": "4", "seed": "0x10", "output": "report.json", "format": "csv",
 }
 
 
@@ -150,17 +149,19 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="'d'"):
             validate_config("experiment = recover\nsketch_dim = 4\nd = many\n")
 
-    def test_comments_and_quotes(self):
+    def test_comments_and_quotes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a#b.txt").write_text("1.0\n")  # a spectrum file must exist
         cfg = validate_config(
             "# a recovery run\nexperiment = recover  # inline\n"
             'loss = "logistic"\nsketch_dim = 12\n'
             'spectrum = "a#b.txt"  # a quoted # is part of the value\n'
-            "# commented = out\ncsv = it's.csv # an unpaired quote quotes nothing\n"
+            "# commented = out\noutput = it's.json # an unpaired quote quotes nothing\n"
         )
         assert cfg.loss == "logistic"
         assert cfg.sketch_dim == 12
         assert cfg.spectrum == "a#b.txt"
-        assert cfg.csv == "it's.csv"
+        assert cfg.output == "it's.json"
 
     @pytest.mark.parametrize("lines", ["d = 5\nd = 6", "lam = 1\nlambda = 2", "lambda = 1\nlam = 2"])
     def test_duplicate_key_rejected(self, lines):
@@ -192,23 +193,27 @@ class TestValidateConfig:
                                               "'recover'"):
             validate_config("experiment = bounds\n", {"experiment": "recover", "sketch_dim": "5"})
 
-    @pytest.mark.parametrize("first, second", [("sketch_dim", "from_bound"),
-                                               ("sketch_dim", "identity_sketch"),
-                                               ("from_bound", "identity_sketch")])
     @pytest.mark.parametrize("experiment", ["recover", "full_rank"])
-    def test_one_source_of_the_sketch_dimension(self, first, second, experiment):
-        values = {"sketch_dim": 6, "from_bound": True, "identity_sketch": True}
+    def test_one_source_of_the_sketch_dimension(self, experiment):
+        given = {"sketch_dim": 6, "identity_sketch": True}
         entries = {"experiment": experiment, "data": "decaying", "d": 20, "n": 10}
-        with pytest.raises(ConfigError, match=f"keys '{first}' and '{second}'"):
-            config_from_mapping({**entries, first: values[first], second: values[second]})
-        for key in (first, second):
-            assert getattr(config_from_mapping({**entries, key: values[key]}), key) == values[key]
+        with pytest.raises(ConfigError, match="keys 'sketch_dim' and 'identity_sketch'"):
+            config_from_mapping({**entries, **given})
+        for key, value in given.items():
+            assert getattr(config_from_mapping({**entries, key: value}), key) == value
         # bounds draws no sketch and reports the analytic m whatever sketch_dim says
-        config_from_mapping({"experiment": "bounds", first: values[first], second: values[second]})
+        config_from_mapping({"experiment": "bounds", **given})
 
-    def test_missing_sketch_dim_when_needed(self):
-        with pytest.raises(ConfigError, match="sketch_dim"):
-            validate_config("experiment = recover\n")
+    def test_missing_sketch_dim_takes_the_bound(self):
+        cfg = validate_config("experiment = recover\n")
+        assert cfg.sketch_dim == 0
+        assert experiments._plan(cfg).m == sample_size_bound(cfg.rank, cfg.epsilon, cfg.delta)
+
+    @pytest.mark.parametrize("key", ["from_bound", "full_rank"])
+    def test_removed_switches_are_unknown_keys(self, tmp_path, capsys, key):
+        (tmp_path / "run.cfg").write_text(f"{key} = true\n")
+        assert main(["bounds", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_ridge_closed_requires_square(self):
         with pytest.raises(ConfigError, match="method"):
@@ -267,18 +272,21 @@ class TestRunExperiment:
         })
         report = run_experiment(cfg)
         assert report.records[0]["m"] == 443
+        assert report.records[0]["kind"] == "low_rank"  # no spectrum file
 
     def test_full_rank_bounds_from_spectrum_file(self, tmp_path):
         path = tmp_path / "spectrum.txt"
         sv = np.arange(1, 101, dtype=float) ** -1.0
         np.savetxt(path, sv)
         cfg = config_from_mapping({
-            "experiment": "bounds", "full_rank": True, "spectrum": str(path),
+            "experiment": "bounds", "spectrum": str(path),
             "d": 100, "loss": "logistic", "lambda": 1.0,
         })
         report = run_experiment(cfg)
         assert report.records[0]["kind"] == "full_rank"
-        assert 0 < report.records[0]["m"] < 443 * 100
+        assert report.records[0]["m"] == full_rank_sample_bound(
+            sv, 1.0, parse_loss("logistic").gamma, 0.5, 0.1, 100, FULL_RANK_C)
+        assert report.records[0]["m"] == 69  # the low-rank bound at rank 5 is 443
 
     def test_records_reproducible_bitwise(self):
         cfg = config_from_mapping({
@@ -387,10 +395,37 @@ class TestRunExperiment:
     def test_sketch_dim_from_bound(self):
         cfg = config_from_mapping({
             "experiment": "recover", "d": 600, "n": 100, "rank": 5,
-            "from_bound": True, "epsilon": 0.5, "delta": 0.1, "trials": 1, "seed": 0,
+            "epsilon": 0.5, "delta": 0.1, "trials": 1, "seed": 0,
         })
         report = run_experiment(cfg)
         assert report.records[0]["m"] == 443
+
+    @pytest.mark.parametrize("experiment", ["recover", "iterate", "naive_vs_drp", "measurement",
+                                            "span_error"])
+    def test_every_sketched_experiment_takes_m_from_the_bound(self, experiment):
+        low = config_from_mapping({"experiment": experiment, "d": 20, "n": 10, "rank": 2})
+        assert run_experiment(low).records[0]["m"] == sample_size_bound(2, 0.5, 0.1)
+        decaying = config_from_mapping({"experiment": experiment, "data": "decaying", "d": 20,
+                                        "n": 10, "top_singular": 4.0, "loss": "logistic"})
+        planted = 4.0 * np.arange(1, 11, dtype=float) ** -1.0
+        assert run_experiment(decaying).records[0]["m"] == full_rank_sample_bound(
+            planted, 1.0, parse_loss("logistic").gamma, 0.5, 0.1, 20, FULL_RANK_C)
+
+    @pytest.mark.parametrize("entries", [
+        {"experiment": "recover", "d": 5, "n": 3, "rank": 1, "sketch_dim": 10**20},
+        {"experiment": "recover", "d": 5, "n": 3, "rank": 1, "sketch_dim": 2 * 10**18},
+        {"experiment": "concentration", "rank": 3, "c": 1e-300},
+    ], ids=["beyond-intp", "too-many-bytes", "derived"])
+    def test_unshapeable_sketch_fails_in_the_plan(self, entries):
+        cfg = config_from_mapping(entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="too large"):
+                experiments._plan(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_concentration_find_min_m(self):
         cfg = config_from_mapping({
@@ -632,18 +667,34 @@ class TestCliProcess:
     def test_flag_and_file_key_give_equal_configs(self, tmp_path, monkeypatch, f):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sv.txt").write_text("1.0\n0.5\n")
+        (tmp_path / "x.csv").write_text("")
         commands, key, text = f.metadata["commands"], FILE_KEYS[f.name], FIELD_TEXT[f.name]
         sub = commands[0].replace("_", "-") if len(commands) == 1 else "bounds"
-        base = [sub, "--spectrum", "sv.txt"] if f.name == "full_rank" else [sub]
-        if sub != "bounds":  # recover and iterate need m
-            base += ["--sketch-dim", "5"]
+        base = [sub, "--data", "csv"] if f.name == "csv" else [sub]
         flag = f.metadata["flag"] or "--" + key.replace("_", "-")
         (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
         parser = _build_parser()
         from_flag = _merge_config(parser.parse_args([*base, flag] + ([] if f.type is bool else [text])))
         from_file = _merge_config(parser.parse_args([*base, "--config", "run.cfg"]))
         assert from_flag == from_file
-        assert from_flag != _merge_config(parser.parse_args(base))
+        assert getattr(from_flag, f.name) != f.default
+
+    @pytest.mark.parametrize("f", [f for f in fields(ExperimentConfig) if f.type is bool],
+                             ids=lambda f: f.name)
+    def test_no_flag_clears_a_file_true(self, tmp_path, f):
+        sub = f.metadata["commands"][0] if len(f.metadata["commands"]) == 1 else "recover"
+        (tmp_path / "run.cfg").write_text(f"{f.name} = true\n")
+        parser = _build_parser()
+        args = [sub.replace("_", "-"), "--config", str(tmp_path / "run.cfg")]
+        assert getattr(_merge_config(parser.parse_args(args)), f.name) is True
+        no_flag = "--no-" + f.name.replace("_", "-")
+        assert getattr(_merge_config(parser.parse_args([*args, no_flag])), f.name) is False
+
+    def test_no_early_stop_is_echoed(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("early_stop = true\n")
+        assert main(["iterate", *SMALL, "--iters", "2", "--config", str(tmp_path / "run.cfg"),
+                     "--no-early-stop"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["early_stop"] is False
 
     def test_ridge_closed_flag_takes_either_spelling(self, capsys):
         reports = []
@@ -689,16 +740,21 @@ class TestCliProcess:
         *[pytest.param([sub, *(DECAYING if sub == "full-rank" else SMALL), "--eps", "1"], {}, 2,
                        id=f"{sub}-eps-1")
           for sub in ("recover", "iterate", "measurement", "span-error", "full-rank")],
-        pytest.param(["recover", "--d", "20", "--n", "10", "--rank", "2", "--from-bound",
-                      "--eps", "0.75"], {}, 2, id="from-bound-eps-0.75"),
+        pytest.param(["recover", "--d", "20", "--n", "10", "--rank", "2", "--eps", "0.75"], {}, 2,
+                     id="bound-m-eps-0.75"),
         pytest.param(["bounds", "--eps", "0.75"], {}, 2, id="bounds-eps-0.75"),
         pytest.param(["concentration", "--rank", "2", "--eps", "0.75"], {}, 2,
                      id="concentration-eps-0.75"),
         *[pytest.param([sub, *ZERO_CSV], {}, 3, id=f"{sub}-zero-reference")
           for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
-        pytest.param(["bounds", "--full-rank", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3,
-                     id="spectrum-nan"),
+        pytest.param(["bounds", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3, id="spectrum-nan"),
+        pytest.param(["full-rank", "--data", "decaying", "--d", "5", "--n", "3", "--top-singular",
+                      "1e200"], {}, 2, id="full-rank-bound-overflows"),
+        pytest.param(["bounds", "--spectrum", "{tmp}/huge-spectrum.txt"], {}, 2,
+                     id="spectrum-bound-overflows"),
+        pytest.param(["recover", *SMALL, "--csv", "{tmp}/good.csv"], {}, 2,
+                     id="csv-without-data-csv"),
         pytest.param(["iterate", *SMALL, "--eps", "0.99", "--iters", "200"], {}, 2,
                      id="iterate-bound-overflows"),
         pytest.param(["full-rank", *DECAYING, "--top-singular", "1e300", "--sketch-dim", "6"], {}, 3,
@@ -708,6 +764,7 @@ class TestCliProcess:
         save_csv(Dataset(np.zeros((6, 4)), np.array([1.0, -1.0, 1.0, -1.0])), tmp_path / "zero.csv")
         save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
         (tmp_path / "nan-spectrum.txt").write_text("1.0\nnan\n")
+        (tmp_path / "huge-spectrum.txt").write_text("1e200\n")
         (tmp_path / "latin1.cfg").write_bytes("loss = logistic  # caf\u00e9\n".encode("latin-1"))
         (tmp_path / "bounds.cfg").write_text("experiment = bounds\n")
         rows = (tmp_path / "good.csv").read_text().splitlines()
