@@ -3,16 +3,15 @@
 
 For a given rank and accuracy target, reports the analytic bound, the
 empirical failure rate at that size, and the smallest size at which the
-deviation event still holds in 95% of trials.
+deviation event still holds in 95% of trials.  Both come from one run of
+the ``concentration`` experiment with ``find_min_m`` set.
 """
 
 import argparse
 
-from dualsketch.concentration import (
-    run_deviation_trials,
-    sample_size_bound,
-    smallest_passing_m,
-)
+from dualsketch.concentration import PASS_RATE
+from dualsketch.config import config_from_mapping
+from dualsketch.experiments import run_experiment
 
 
 def main() -> None:
@@ -24,16 +23,18 @@ def main() -> None:
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
 
-    analytic = sample_size_bound(args.rank, args.eps, args.delta)
-    report, _ = run_deviation_trials(args.rank, analytic, args.eps,
-                                     args.trials, args.seed, delta=args.delta)
-    empirical = smallest_passing_m(args.rank, args.eps, args.trials, args.seed,
-                                   m_hint=analytic)
+    doc = run_experiment(config_from_mapping({
+        "experiment": "concentration", "rank": args.rank, "epsilon": args.eps,
+        "delta": args.delta, "trials": args.trials, "seed": args.seed, "find_min_m": True,
+    }))
+    analytic = doc.records[0]["m"]  # sketch_dim unset: the low-rank bound at eps, delta
+    failures = sum(1 for rec in doc.records if not rec["pass"])
+    empirical = doc.aggregates["smallest_passing_m"]
     print(f"rank {args.rank}, eps {args.eps}, delta {args.delta}:")
     print(f"  analytic bound        m = {analytic}")
-    print(f"  failures at bound       = {report.failures}/{report.trials} "
-          f"(worst deviation {report.deviation:.3f})")
-    print(f"  smallest m at 95% pass  = {empirical} "
+    print(f"  failures at bound       = {failures}/{args.trials} "
+          f"(worst deviation {doc.aggregates['max_deviation']:.3f})")
+    print(f"  smallest m at {PASS_RATE:.0%} pass  = {empirical} "
           f"({analytic / empirical:.1f}x smaller than the bound)")
 
 

@@ -42,9 +42,11 @@ def main() -> None:
             ref = solve_reference(data.features, data.labels, loss, args.lam)
             z_sol = ds.solve_primal(sk.sketched_features, data.labels, loss, args.lam)
             naive = ds.recover_naive(sk.matrix_r, z_sol.weights, m)
-            dual = ds.recover_drp(data, loss, args.lam, sk, reference=ref.weights)
+            # DRP from the same solve: the duals off the loss gradient, mapped back through X
+            dual = ds.dual_from_primal(sk.sketched_features, data.labels, loss, z_sol.weights)
+            drp = ds.primal_from_dual(data.features, data.labels, args.lam, dual)
             naive_rel.append(ds.relative_error(naive, ref.weights))
-            dual_rel.append(dual.rel_error)
+            dual_rel.append(ds.relative_error(drp, ref.weights))
         nm, dm = np.mean(naive_rel), np.mean(dual_rel)
         print(f"{m:>6} {nm:>12.4f} {dm:>12.4f} {nm / dm:>8.1f}")
 

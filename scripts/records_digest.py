@@ -15,6 +15,11 @@ under ``DUALSKETCH_WORKERS=1`` and ``2`` to cover the worker pool:
 config to ``DIR/<name>.json``, so two commits whose hashes differ can be
 compared value by value; the printed lines are the same with or without it.
 
+A run that ends in ``--format csv`` prints the hash of its CSV report text
+in the first column and ``-`` in the second, since a CSV report carries no
+config echo.  It checks that the CSV writer sees the same values as JSON:
+``json.dumps`` prints a numpy float like a float, the CSV writer does not.
+
 Input files are written to a temporary directory that becomes the working
 directory, so the config echo holds the same relative paths on every run.
 A run that escapes ``dualsketch.cli.main`` with an exception prints
@@ -88,10 +93,11 @@ RUNS = {
     "full-rank-overflowing-data": ["full-rank", *DECAYING, "--top-singular", "1e300",
                                    "--sketch-dim", "6"],
 }
+RUNS["full-rank-decaying-csv"] = [*RUNS["full-rank-decaying"], "--format", "csv"]
 
 
-def _sha(value) -> str:
-    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()[:16]
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def digest(argv: list[str]) -> tuple[str, str, str, dict]:
@@ -102,11 +108,15 @@ def digest(argv: list[str]) -> tuple[str, str, str, dict]:
             code = cli_main(argv)
     except Exception as exc:  # a traceback breaks the exit-code contract
         return f"traceback {type(exc).__name__}", "-", "-", {}
-    if not out.getvalue():
+    text = out.getvalue()
+    if not text:
         return str(code), "-", "-", {}
-    doc = json.loads(out.getvalue())
+    if argv[-2:] == ["--format", "csv"]:
+        return str(code), _sha(text), "-", {"csv": text}
+    doc = json.loads(text)
     parts = {key: doc[key] for key in ("records", "aggregates", "config")}
-    return str(code), _sha([parts["records"], parts["aggregates"]]), _sha(parts["config"]), parts
+    results_sha = _sha(json.dumps([parts["records"], parts["aggregates"]]))
+    return str(code), results_sha, _sha(json.dumps(parts["config"])), parts
 
 
 def main() -> int:

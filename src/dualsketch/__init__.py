@@ -7,7 +7,6 @@ iterating the recovery on the residual drives the error down geometrically.
 """
 
 from .concentration import (
-    ConcentrationReport,
     full_rank_sample_bound,
     sample_size_bound,
     spectral_deviation,

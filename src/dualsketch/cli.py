@@ -9,8 +9,9 @@ Reports go to ``--output`` or stdout as JSON or CSV.
 Exit status: 0 when every trial ran (bound violations are data, not
 errors), 1 when some trials failed (no convergence or a singular linear
 system), 2 for an invalid config (including an unreadable or non-UTF-8
-config file or one naming another experiment, a bad DUALSKETCH_WORKERS
-value, an unwritable ``--output``, an iterate or sketch-size bound that
+config file, one naming another experiment or setting a key only another
+subcommand reads, a bad DUALSKETCH_WORKERS value, an unwritable
+``--output`` or a closed stdout, an iterate or sketch-size bound that
 overflows, a sketch too large for numpy to shape, and ``--csv`` without
 ``--data csv``), 3 for a dataset/spectrum I/O failure (including
 non-finite values, generated features whose squares overflow and an
@@ -18,6 +19,7 @@ exactly zero reference solution), 4 when every trial failed.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -96,7 +98,14 @@ def main(argv=None) -> int:
             print(f"output error: cannot write {cfg.output}: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, say; stdout is then unusable
+            # point stdout at /dev/null, or the interpreter's flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"output error: cannot write to stdout: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
 
     if report.records and report.errored_trials == len(report.records):
         return EXIT_ALL_TRIALS_FAILED

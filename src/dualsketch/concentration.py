@@ -1,46 +1,36 @@
-"""Sample-size calculators and empirical spectral-concentration checks.
+"""Sample-size bounds and the spectral deviation they control.
 
 The recovery guarantees all reduce to how tightly A A'/m concentrates
 around the identity for a Gaussian matrix A.  This module exposes the two
-analytic sketch-size formulas (low-rank and effective-rank flavors) and
-the measured spectral deviation they control.  The analytic
-constants are conservative defaults; the Monte-Carlo helpers expose the
-gap between them and what actually suffices.
+analytic sketch-size formulas (low-rank and effective-rank flavors), the
+measured spectral deviation they control, and a search for the smallest
+sketch size that empirically suffices.  The analytic constants are
+conservative defaults; the search exposes the gap between them and what
+actually suffices.  The seeded trial set itself is the ``concentration``
+experiment in ``experiments``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import effective_rank
 
 __all__ = [
-    "ConcentrationReport",
     "sample_size_bound",
     "full_rank_sample_bound",
     "spectral_deviation",
-    "run_deviation_trials",
     "smallest_passing_m",
     "LOW_RANK_C",
     "FULL_RANK_C",
+    "PASS_RATE",
 ]
 
 LOW_RANK_C = 0.25
 FULL_RANK_C = 1.0 / 32.0
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Outcome of repeated deviation trials against a threshold."""
-
-    deviation: float  # worst deviation observed
-    threshold: float
-    passed: bool
-    trials: int
-    failures: int
+PASS_RATE = 0.95  # the share of trials within epsilon that smallest_passing_m asks for
 
 
 def sample_size_bound(r: int, epsilon: float, delta: float, c: float = LOW_RANK_C) -> int:
@@ -100,65 +90,28 @@ def spectral_deviation(r: int, m: int, seed: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(dev))))
 
 
-def run_deviation_trials(
-    r: int, m: int, epsilon: float, trials: int, base_seed: int, delta: float | None = None
-) -> tuple[ConcentrationReport, list[dict]]:
-    """Repeat ``spectral_deviation`` over seeds base_seed + t and score trials.
+def smallest_passing_m(r: int, epsilon: float, trials: int, base_seed: int,
+                       m_hint: int | None = None) -> int:
+    """Smallest sketch size whose epsilon-deviation event holds in PASS_RATE of trials.
 
-    A trial fails when its deviation exceeds epsilon.  When ``delta`` is
-    given, the report passes iff the failure rate stays within
-    delta + 3 sqrt(delta (1 - delta) / trials); otherwise it requires zero
-    failures.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    records = []
-    worst = 0.0
-    failures = 0
-    for t in range(trials):
-        seed = base_seed + t
-        dev = spectral_deviation(r, m, seed)
-        ok = dev <= epsilon
-        failures += 0 if ok else 1
-        worst = max(worst, dev)
-        records.append({"trial": t, "seed": seed, "deviation": dev, "pass": ok})
-    if delta is None:
-        passed = failures == 0
-    else:
-        slack = 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
-        passed = failures / trials <= delta + slack
-    report = ConcentrationReport(
-        deviation=worst, threshold=epsilon, passed=passed, trials=trials, failures=failures
-    )
-    return report, records
-
-
-def smallest_passing_m(
-    r: int,
-    epsilon: float,
-    trials: int,
-    base_seed: int,
-    target_rate: float = 0.95,
-    m_hint: int | None = None,
-) -> int:
-    """Smallest sketch size whose epsilon-deviation event holds at target_rate.
-
+    Trial t of a probe is ``spectral_deviation(r, m, base_seed + t)``.
     Geometric bracketing followed by bisection; each probe reruns the full
     trial set, so this is a measurement tool, not a fast path.  The analytic
     bound is a safe starting hint and typically far above the answer.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
 
     def rate(m):
-        _, recs = run_deviation_trials(r, m, epsilon, trials, base_seed)
-        return sum(1 for rec in recs if rec["pass"]) / trials
+        return sum(spectral_deviation(r, m, base_seed + t) <= epsilon for t in range(trials)) / trials
 
     hi = m_hint if m_hint is not None else sample_size_bound(r, min(epsilon, 0.5), 0.1)
-    while rate(hi) < target_rate:
+    while rate(hi) < PASS_RATE:
         hi *= 2
     lo = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rate(mid) >= target_rate:
+        if rate(mid) >= PASS_RATE:
             hi = mid
         else:
             lo = mid

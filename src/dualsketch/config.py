@@ -8,10 +8,10 @@ values share one coercion and validation path, ``config_from_mapping``.
 
 The text format is one ``key = value`` pair per line, ``#`` comments, and
 optional quotes around string values.  Unknown keys, keys given twice,
-type mismatches, and out-of-range values are all rejected with the
-offending key named.  Every field has a default except ``experiment``
-itself, and the fully-populated config (defaults included) is echoed into
-every report.
+type mismatches, out-of-range values and a non-default value for a key
+that the experiment does not read are all rejected with the offending key
+named.  Every field has a default except ``experiment`` itself, and the
+fully-populated config (defaults included) is echoed into every report.
 """
 
 import math
@@ -146,6 +146,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"key '{key}': must be finite, got {value}")
         if meta["rule"] and not _RULES[meta["rule"]](value):
             raise ConfigError(f"key '{key}': must {meta['rule']}, got {value}")
+        if meta["commands"] and cfg.experiment not in meta["commands"] and value != f.default:
+            raise ConfigError(f"key '{key}': only {', '.join(meta['commands'])} reads it, "
+                              f"not {cfg.experiment}")
     if cfg.epsilon == 1.0 and cfg.experiment in ("recover", "iterate", "measurement", "span_error",
                                                  "full_rank"):
         raise ConfigError("key 'epsilon': must be below 1 here, since this bound divides by 1 - epsilon")

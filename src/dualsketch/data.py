@@ -157,14 +157,20 @@ def gram(data: Dataset) -> np.ndarray:
 
 
 def effective_rank(singular_values: np.ndarray, lam: float, gamma: float) -> float:
-    """Regularization-weighted rank: sum_i sigma_i^2 / (lam/gamma + sigma_i^2)."""
+    """Regularization-weighted rank: sum_i sigma_i^2 / (lam/gamma + sigma_i^2).
+
+    Raises ``OverflowError`` when some sigma_i^2 overflows a float.
+    """
     if lam <= 0 or gamma <= 0:
         raise ValueError("lam and gamma must be positive")
     s = np.asarray(singular_values, dtype=float)
     if np.any(s < 0):
         raise ValueError("singular values must be nonnegative")
-    ratio = lam / gamma
-    return float(np.sum(s**2 / (ratio + s**2)))
+    with np.errstate(over="ignore"):
+        squares = s**2
+    if not np.all(np.isfinite(squares)):
+        raise OverflowError("a squared singular value overflows a float")
+    return float(np.sum(squares / (lam / gamma + squares)))
 
 
 def numerical_rank(singular_values: np.ndarray, nu: float) -> int:

@@ -1,8 +1,9 @@
 """Experiment drivers: one runnable experiment per recovery guarantee.
 
 Each experiment maps a config to a ``ReportDocument``: a config echo, one
-record per trial, and aggregates recomputable from the records.  Trial t
-derives every random object (generated dataset, projection) from
+record per trial, and aggregates recomputable from the records.  Records
+hold built-in Python values only, so JSON and CSV print the same numbers.
+Trial t derives every random object (generated dataset, projection) from
 ``seed + t``, so runs are reproducible and resumable; a worker pool (size
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
 never the records.  The run's constants (the sketch size m, the full-rank k,
@@ -211,7 +212,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         if k < 1:
             raise ConfigError("the top singular value must exceed sqrt(lambda/gamma) "
                               "for the full-rank bound to apply")
-        bound = (eps / (1.0 - eps)) * (1.0 + math.sqrt(cfg.lam) / (math.sqrt(loss.gamma) * sv[k - 1]))
+        sigma_k = float(sv[k - 1])  # records hold built-in types only; sv is a numpy array
+        bound = (eps / (1.0 - eps)) * (1.0 + math.sqrt(cfg.lam) / (math.sqrt(loss.gamma) * sigma_k))
     elif exp == "iterate":
         try:
             bound = (eps / (1.0 - eps)) ** cfg.iters
@@ -363,27 +365,11 @@ _TRIALS = {
 }
 
 
-def _py(value):
-    """Coerce numpy scalars and arrays so records serialize as plain JSON."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_py(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _py(v) for k, v in value.items()}
-    return value
-
-
 def _run_one(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     error = plan.reference_error
     if not error:
         try:
-            record = _TRIALS[cfg.experiment](cfg, plan, t)
-            return {key: _py(val) for key, val in record.items()}
+            return _TRIALS[cfg.experiment](cfg, plan, t)
         except (ConvergenceError, LinearSolveError) as exc:
             error = str(exc)
     return {"trial": t, "seed": cfg.seed + t, "error": error}

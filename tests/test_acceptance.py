@@ -245,18 +245,20 @@ def test_criterion_6_measurement_approximation(low_rank_m443_trials):
 def test_criterion_7_spectral_concentration():
     # at the analytic sketch size for rank 50 the deviation stays under
     # eps = 0.5 in at least 95 of 100 seeded trials
-    from dualsketch.concentration import run_deviation_trials
-
     elapsed = timer()
     m = ds.sample_size_bound(50, 0.5, 0.1)
-    report_doc, records = run_deviation_trials(50, m, 0.5, trials=100, base_seed=100000,
-                                               delta=0.1)
+    doc = run_experiment(config_from_mapping({
+        "experiment": "concentration", "rank": 50, "epsilon": 0.5, "delta": 0.1,
+        "trials": 100, "seed": 100000,
+    }))
+    records = doc.records
+    assert [rec["m"] for rec in records] == [m] * 100
     hits = sum(1 for rec in records if rec["pass"])
     seconds = elapsed()
     ok = hits >= 95 and seconds < 60.0
     report("criterion 7: spectral concentration", ok,
            f"m={m}, deviation <= 0.5 in {hits}/100 (>= 95), "
-           f"worst {report_doc.deviation:.3f}, {seconds:.1f}s (< 60s)")
+           f"worst {doc.aggregates['max_deviation']:.3f}, {seconds:.1f}s (< 60s)")
     assert hits >= 95
     assert seconds < 60.0
 

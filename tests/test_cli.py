@@ -153,7 +153,7 @@ class TestValidateConfig:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a#b.txt").write_text("1.0\n")  # a spectrum file must exist
         cfg = validate_config(
-            "# a recovery run\nexperiment = recover  # inline\n"
+            "# a bounds run\nexperiment = bounds  # inline\n"
             'loss = "logistic"\nsketch_dim = 12\n'
             'spectrum = "a#b.txt"  # a quoted # is part of the value\n'
             "# commented = out\noutput = it's.json # an unpaired quote quotes nothing\n"
@@ -171,6 +171,18 @@ class TestValidateConfig:
     def test_lambda_alias(self):
         cfg = validate_config("experiment = bounds\nlambda = 2.5\n")
         assert cfg.lam == 2.5
+
+    @pytest.mark.parametrize("line", ["method = naive", "iters = 3", "early_stop = true",
+                                      "spectrum = sv.txt", "find_min_m = true"])
+    def test_key_of_another_subcommand_rejected(self, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sv.txt").write_text("1.0\n")
+        with pytest.raises(ConfigError, match=f"key '{line.split()[0]}': only "):
+            validate_config(f"experiment = measurement\n{line}\n")
+
+    def test_key_of_another_subcommand_at_its_default(self):
+        cfg = validate_config("experiment = measurement\nmethod = drp\niters = 8\n")
+        assert (cfg.method, cfg.iters) == ("drp", 8)
 
     @pytest.mark.parametrize("first, second", [("lam", "lambda"), ("lambda", "lam")])
     def test_key_and_alias_are_one_key(self, first, second):
@@ -256,7 +268,61 @@ def in_process_pool(sizes, jobs):
     return InProcessPool
 
 
+# Every trial route: (experiment, its own config fields).
+TRIAL_ROUTES = [
+    ("recover", {"method": "drp", "loss": "logistic"}),
+    ("recover", {"method": "naive"}),
+    ("recover", {"method": "ridge_closed"}),
+    ("iterate", {"iters": 3, "loss": "logistic"}),
+    ("naive_vs_drp", {}),
+    ("measurement", {}),
+    ("span_error", {}),
+    ("full_rank", {"loss": "logistic"}),
+]
+
+
+def _builtin_only(value) -> bool:
+    """True when value and everything in it is a built-in int, float, bool, str, list or dict.
+
+    ``type(...) in`` rather than ``isinstance``: np.float64 subclasses float.
+    """
+    if type(value) is list:
+        return all(_builtin_only(v) for v in value)
+    if type(value) is dict:
+        return all(_builtin_only(v) for v in value.values())
+    return type(value) in (int, float, bool, str)
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize("source", ["generated", "csv"])
+    @pytest.mark.parametrize("experiment, extra", TRIAL_ROUTES, ids=[
+        f"{e}-{x['method']}" if "method" in x else e for e, x in TRIAL_ROUTES])
+    def test_records_hold_builtin_types(self, tmp_path, source, experiment, extra):
+        cfg = {"experiment": experiment, "sketch_dim": 15, "trials": 2, **extra}
+        if source == "csv":
+            path = tmp_path / "decaying.csv"
+            save_csv(make_decaying_spectrum(30, 12, 1.0, seed=5, top_singular_value=5.0), path)
+            cfg.update(data="csv", csv=str(path))
+        else:
+            cfg.update(d=30, n=12, rank=2, top_singular=4.0,
+                       data="decaying" if experiment == "full_rank" else "low_rank")
+        doc = run_experiment(config_from_mapping(cfg))
+        assert doc.errored_trials == 0
+        assert all(_builtin_only(record) for record in doc.records)
+
+    @pytest.mark.parametrize("fields", [
+        {"experiment": "concentration", "rank": 3, "trials": 2, "find_min_m": True},
+        {"experiment": "bounds"},
+        {"experiment": "bounds", "spectrum": "sv.txt"},
+        {"experiment": "recover", "d": 20, "n": 10, "rank": 2, "sketch_dim": 6,
+         "loss": "logistic", "max_iters": 1},  # error records
+    ], ids=["concentration", "bounds", "bounds-spectrum", "errored"])
+    def test_other_records_hold_builtin_types(self, tmp_path, monkeypatch, fields):
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("sv.txt", np.arange(1, 31, dtype=float) ** -1.0)
+        doc = run_experiment(config_from_mapping(fields))
+        assert all(_builtin_only(record) for record in doc.records)
+
     def test_identity_sketch_smoke(self):
         cfg = config_from_mapping({
             "experiment": "recover", "d": 40, "n": 25, "rank": 3,
@@ -551,7 +617,8 @@ class TestRunExperiment:
         monkeypatch.setattr(recover, "solve_primal", counting_solve)
         monkeypatch.setattr(experiments, "spectrum", counting_spectrum)
         cfg = config_from_mapping({"experiment": experiment, "data": "csv", "csv": str(path),
-                                   "sketch_dim": 10, "iters": 2, "trials": 3})
+                                   "sketch_dim": 10, "trials": 3,
+                                   **({"iters": 2} if experiment == "iterate" else {})})
         assert run_experiment(cfg).errored_trials == 0
         assert shapes.count((40, 20)) == 1
         assert len(spectra) <= 1
@@ -749,10 +816,14 @@ class TestCliProcess:
           for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
         pytest.param(["bounds", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3, id="spectrum-nan"),
+        # the squares overflow: a config error, with no RuntimeWarning before it
         pytest.param(["full-rank", "--data", "decaying", "--d", "5", "--n", "3", "--top-singular",
-                      "1e200"], {}, 2, id="full-rank-bound-overflows"),
+                      "1e200"], {}, 2, id="full-rank-bound-overflows",
+                     marks=pytest.mark.filterwarnings("error")),
         pytest.param(["bounds", "--spectrum", "{tmp}/huge-spectrum.txt"], {}, 2,
-                     id="spectrum-bound-overflows"),
+                     id="spectrum-bound-overflows", marks=pytest.mark.filterwarnings("error")),
+        *[pytest.param(["measurement", *SMALL, "--config", f"{{tmp}}/{key}.cfg"], {}, 2,
+                       id=f"config-{key}-of-another-subcommand") for key in ("method", "iters")],
         pytest.param(["recover", *SMALL, "--csv", "{tmp}/good.csv"], {}, 2,
                      id="csv-without-data-csv"),
         pytest.param(["iterate", *SMALL, "--eps", "0.99", "--iters", "200"], {}, 2,
@@ -767,6 +838,8 @@ class TestCliProcess:
         (tmp_path / "huge-spectrum.txt").write_text("1e200\n")
         (tmp_path / "latin1.cfg").write_bytes("loss = logistic  # caf\u00e9\n".encode("latin-1"))
         (tmp_path / "bounds.cfg").write_text("experiment = bounds\n")
+        (tmp_path / "method.cfg").write_text("method = naive\n")
+        (tmp_path / "iters.cfg").write_text("iters = 3\n")
         rows = (tmp_path / "good.csv").read_text().splitlines()
         for name in ("nan", "inf"):
             bad = rows[:2] + [rows[2].rsplit(",", 1)[0] + "," + name] + rows[3:]
@@ -853,10 +926,33 @@ sys.exit(max(main(argv) for argv in runs))
 """
 
 
-def test_runs_without_scipy():
+def _subprocess_env() -> dict:
+    """This environment, serial, with the checkout's src first on the import path."""
     env = {key: value for key, value in os.environ.items() if key != "DUALSKETCH_WORKERS"}
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=env, capture_output=True,
-                          text=True, timeout=300)
+    return env
+
+
+def test_runs_without_scipy():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_is_an_output_error():
+    # as under `dualsketch ... | head -c 10`, but deterministic: the reader is gone before
+    # the first write, so every write to the pipe fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dualsketch.cli import main; sys.exit(main())",
+             "iterate", *SMALL, "--trials", "2"],
+            env=_subprocess_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("output error: cannot write to stdout: "), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

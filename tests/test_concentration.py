@@ -9,11 +9,12 @@ import pytest
 from dualsketch.concentration import (
     FULL_RANK_C,
     full_rank_sample_bound,
-    run_deviation_trials,
     sample_size_bound,
     smallest_passing_m,
     spectral_deviation,
 )
+from dualsketch.config import config_from_mapping
+from dualsketch.experiments import run_experiment
 
 
 class TestSampleSizeBound:
@@ -116,29 +117,40 @@ class TestSpectralDeviation:
         assert hits >= 18
 
 
+def _concentration(**fields):
+    """The ``concentration`` experiment's report for these config fields."""
+    return run_experiment(config_from_mapping({"experiment": "concentration", **fields}))
+
+
 class TestTrialRunner:
     def test_counts_and_report_consistency(self):
-        report, records = run_deviation_trials(3, 20, 0.5, trials=25, base_seed=50)
-        assert report.trials == 25 and len(records) == 25
-        assert report.failures == sum(1 for r in records if not r["pass"])
-        assert report.deviation == max(r["deviation"] for r in records)
+        doc = _concentration(rank=3, sketch_dim=20, epsilon=0.5, trials=25, seed=50)
+        records = doc.records
+        assert doc.aggregates["trials"] == 25 and len(records) == 25
+        assert [r["deviation"] for r in records] == [spectral_deviation(3, 20, s)
+                                                     for s in range(50, 75)]
+        assert all(r["pass"] == (r["deviation"] <= 0.5) for r in records)
+        assert doc.aggregates["success_fraction"] == sum(r["pass"] for r in records) / 25
+        assert doc.aggregates["max_deviation"] == max(r["deviation"] for r in records)
         seeds = [r["seed"] for r in records]
         assert seeds == list(range(50, 75))
 
     def test_failure_rate_within_declared_confidence(self):
         # invariant check: at the analytic m the empirical failure rate stays
         # within delta plus three binomial standard errors
-        r, eps, delta = 5, 0.5, 0.1
-        m = sample_size_bound(r, eps, delta)
-        report, _ = run_deviation_trials(r, m, eps, trials=100, base_seed=0, delta=delta)
-        assert report.passed
-        slack = 3.0 * math.sqrt(delta * (1.0 - delta) / report.trials)
-        assert report.failures / report.trials <= delta + slack
+        r, eps, delta, trials = 5, 0.5, 0.1, 100
+        records = _concentration(rank=r, epsilon=eps, delta=delta, trials=trials, seed=0).records
+        assert records[0]["m"] == sample_size_bound(r, eps, delta)
+        failures = sum(1 for rec in records if not rec["pass"])
+        slack = 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
+        assert failures / trials <= delta + slack
 
     def test_smallest_passing_m_is_sufficient(self):
         m_star = smallest_passing_m(2, 0.5, trials=20, base_seed=10)
-        _, records = run_deviation_trials(2, m_star, 0.5, trials=20, base_seed=10)
-        rate = sum(1 for r in records if r["pass"]) / 20
-        assert rate >= 0.95
+        doc = _concentration(rank=2, sketch_dim=m_star, epsilon=0.5, trials=20, seed=10)
+        assert doc.aggregates["success_fraction"] >= 0.95
         assert m_star < sample_size_bound(2, 0.5, 0.1)
 
+    def test_smallest_passing_m_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials"):
+            smallest_passing_m(2, 0.5, trials=0, base_seed=10)

@@ -214,6 +214,11 @@ class TestRankFunctionals:
         with pytest.raises(ValueError):
             effective_rank(np.ones(3), 1.0, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_effective_rank_overflow_raises_without_warning(self):
+        with pytest.raises(OverflowError, match="overflows"):
+            effective_rank(np.array([1e200, 1.0]), 1.0, 1.0)
+
     def test_numerical_rank_threshold_above_all(self):
         assert numerical_rank(np.array([5.0, 4.0, 3.0]), 10.0) == 0
 
