@@ -81,6 +81,9 @@ RUNS = {
                    "--trials", "2"],
     "span-error-csv": ["span-error", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "25",
                        "--trials", "3"],
+    # sigma_i = 4 i^-8 falls below the rank threshold at i = 14: the span is the planted top 13
+    "span-error-decaying": ["span-error", *DECAYING, "--decay", "8", "--sketch-dim", "30",
+                            "--trials", "2"],
     "concentration": ["concentration", "--rank", "3", "--sketch-dim", "60", "--trials", "4"],
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],

@@ -91,23 +91,29 @@ def spectral_deviation(r: int, m: int, seed: int) -> float:
 
 
 def smallest_passing_m(r: int, epsilon: float, trials: int, base_seed: int,
-                       m_hint: int | None = None) -> int:
+                       m_hint: int | None = None, hint_rate: float | None = None) -> int:
     """Smallest sketch size whose epsilon-deviation event holds in PASS_RATE of trials.
 
     Trial t of a probe is ``spectral_deviation(r, m, base_seed + t)``.
     Geometric bracketing followed by bisection; each probe reruns the full
     trial set, so this is a measurement tool, not a fast path.  The analytic
     bound is a safe starting hint and typically far above the answer.
+    ``hint_rate``, when given, is the pass rate already measured at
+    ``m_hint`` on this trial set, and stands in for the first probe.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if hint_rate is not None and m_hint is None:
+        raise ValueError("hint_rate needs the m_hint it was measured at")
 
     def rate(m):
         return sum(spectral_deviation(r, m, base_seed + t) <= epsilon for t in range(trials)) / trials
 
     hi = m_hint if m_hint is not None else sample_size_bound(r, min(epsilon, 0.5), 0.1)
-    while rate(hi) < PASS_RATE:
+    hi_rate = hint_rate if hint_rate is not None else rate(hi)
+    while hi_rate < PASS_RATE:
         hi *= 2
+        hi_rate = rate(hi)
     lo = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -34,6 +34,10 @@ EXPERIMENTS = {
 }
 # the experiments that draw a sketch, so need its dimension m
 SKETCHED = ("recover", "iterate", "naive_vs_drp", "measurement", "span_error", "full_rank")
+# bounds reads d, the loss and lambda for the effective-rank bound, but no data or solver key
+_SKETCHED_AND_BOUNDS = (*SKETCHED, "bounds")
+# every experiment but bounds, which reports one bound and runs no trials
+_SKETCHED_AND_CONCENTRATION = (*SKETCHED, "concentration")
 
 # range rule -> the test a value must pass; the rule names it in the error
 _RULES = {
@@ -64,23 +68,34 @@ def _field(default=MISSING, help="", *, key=None, flag=None, choices=(), rule=No
 class ExperimentConfig:
     experiment: str = _field(choices=tuple(EXPERIMENTS), commands=())  # the subcommand
     # dataset
-    data: str = _field("low_rank", "dataset source", choices=("low_rank", "decaying", "csv"))
-    d: int = _field(100, "feature dimension", rule="be at least 1")
-    n: int = _field(50, "number of examples", rule="be at least 1")
+    data: str = _field("low_rank", "dataset source", choices=("low_rank", "decaying", "csv"),
+                       commands=SKETCHED)
+    d: int = _field(100, "feature dimension", rule="be at least 1",
+                    commands=_SKETCHED_AND_BOUNDS)
+    n: int = _field(50, "number of examples", rule="be at least 1", commands=SKETCHED)
     rank: int = _field(5, "planted (or assumed) rank", rule="be at least 1")
-    label_rule: str = _field("random", "synthetic labels", choices=("random", "sign_of_plant"))
-    decay: float = _field(1.0, "spectrum decay exponent", rule="be positive")
-    top_singular: float = _field(1.0, "largest planted singular value", rule="be positive")
-    csv: str = _field("", "dataset CSV (label, then features, per row)")
+    label_rule: str = _field("random", "synthetic labels", choices=("random", "sign_of_plant"),
+                             commands=SKETCHED)
+    decay: float = _field(1.0, "spectrum decay exponent", rule="be positive", commands=SKETCHED)
+    top_singular: float = _field(1.0, "largest planted singular value", rule="be positive",
+                                 commands=SKETCHED)
+    csv: str = _field("", "dataset CSV (label, then features, per row)", commands=SKETCHED)
     # problem
-    loss: str = _field("square", "square | logistic | smoothed_hinge:<mu>")
-    lam: float = _field(1.0, "regularization weight", key="lambda", rule="be positive")
-    tol: float = _field(1e-10, "solver gradient-norm tolerance", rule="be positive")
-    max_iters: int = _field(100_000, "solver iteration cap", rule="be at least 1")
-    reference_tol: float = _field(1e-12, "tolerance for the reference solve", rule="be positive")
+    loss: str = _field("square", "square | logistic | smoothed_hinge:<mu>",
+                       commands=_SKETCHED_AND_BOUNDS)
+    lam: float = _field(1.0, "regularization weight", key="lambda", rule="be positive",
+                        commands=_SKETCHED_AND_BOUNDS)
+    tol: float = _field(1e-10, "solver gradient-norm tolerance", rule="be positive",
+                        commands=SKETCHED)
+    max_iters: int = _field(100_000, "solver iteration cap", rule="be at least 1",
+                            commands=SKETCHED)
+    reference_tol: float = _field(1e-12, "tolerance for the reference solve", rule="be positive",
+                                  commands=SKETCHED)
     # sketch
-    sketch_dim: int = _field(0, "projection dimension m (0: from the bound)", rule="be nonnegative")
-    identity_sketch: bool = _field(False, "inject R = sqrt(m) I (exact sketch smoke test)")
+    sketch_dim: int = _field(0, "projection dimension m (0: from the bound)", rule="be nonnegative",
+                             commands=_SKETCHED_AND_CONCENTRATION)
+    identity_sketch: bool = _field(False, "inject R = sqrt(m) I (exact sketch smoke test)",
+                                   commands=SKETCHED)
     # recovery
     method: str = _field("drp", "recovery route", choices=("naive", "drp", "ridge_closed"),
                          commands=("recover",))
@@ -95,8 +110,10 @@ class ExperimentConfig:
     find_min_m: bool = _field(False, "also search for the smallest empirically sufficient m",
                               commands=("concentration",))
     # harness
-    trials: int = _field(1, "number of trials", rule="be at least 1")
-    seed: int = _field(0, "base seed; trial t uses seed + t", rule="be nonnegative")
+    trials: int = _field(1, "number of trials", rule="be at least 1",
+                         commands=_SKETCHED_AND_CONCENTRATION)
+    seed: int = _field(0, "base seed; trial t uses seed + t", rule="be nonnegative",
+                       commands=_SKETCHED_AND_CONCENTRATION)
     output: str = _field("", "report destination (default stdout)")
     format: str = _field("json", "report format", choices=("json", "csv"))
 
@@ -152,7 +169,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.epsilon == 1.0 and cfg.experiment in ("recover", "iterate", "measurement", "span_error",
                                                  "full_rank"):
         raise ConfigError("key 'epsilon': must be below 1 here, since this bound divides by 1 - epsilon")
-    if cfg.rank > min(cfg.d, cfg.n) and cfg.data == "low_rank":
+    if cfg.rank > min(cfg.d, cfg.n) and cfg.experiment in SKETCHED and cfg.data == "low_rank":
         raise ConfigError(f"key 'rank': must not exceed min(d, n) = {min(cfg.d, cfg.n)}")
 
     if cfg.experiment in SKETCHED and cfg.sketch_dim > 0 and cfg.identity_sketch:

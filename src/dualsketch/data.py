@@ -2,14 +2,17 @@
 
 A dataset is a feature matrix with examples as *columns* (d rows of
 features, n columns of examples) plus a vector of binary labels in
-{-1, +1}.  Generators are deterministic per seed (NumPy PCG64 via
-``default_rng``), so trial workers can derive independent streams from
-``base_seed + trial_index``.
+{-1, +1}.  Generators are deterministic per seed: each draws from
+``default_rng(seed)`` (NumPy PCG64).  ``sketch.gaussian_matrix`` seeds the
+same way, so a dataset and a sketch drawn from one seed share a stream, not
+independent ones: the sketch's first entries are the dataset's draws.  The
+experiments draw both from the trial seed; ROADMAP item 3 gives the sketch
+a stream of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +36,13 @@ DEFAULT_RANK_THRESHOLD = 1e-9
 class Dataset:
     """Feature matrix (d x n, one example per column) and labels in {-1, +1}.
 
-    The features, and the sum of their squares, must be finite.
+    The features, and the sum of their squares, must be finite.  ``planted``
+    is the SVD the features were built from, when a generator knows it.
     """
 
     features: np.ndarray
     labels: np.ndarray
+    planted: SpectrumInfo | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -120,7 +125,8 @@ def make_decaying_spectrum(
     factors.  ``label_rule = random`` draws iid signs; ``sign_of_plant``
     labels by the sign of the margin against the leading left singular
     direction, which concentrates the learned weights near the top of the
-    spectrum.
+    spectrum.  The dataset's ``planted`` field holds these sigma and factors,
+    with the rank counted as ``spectrum`` counts it.
     """
     if d < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -140,11 +146,17 @@ def make_decaying_spectrum(
         labels = rng.choice([-1.0, 1.0], size=n)
     else:
         labels = np.where(u[:, 0] @ feats >= 0.0, 1.0, -1.0)
-    return Dataset(feats, labels)
+    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_THRESHOLD * sigma[0]))
+    return Dataset(feats, labels, SpectrumInfo(sigma, u, v, rank))
 
 
 def spectrum(data: Dataset) -> SpectrumInfo:
-    """Thin SVD of the features; rank counts sigma_i > DEFAULT_RANK_THRESHOLD * sigma_1."""
+    """Thin SVD of the features; rank counts sigma_i > DEFAULT_RANK_THRESHOLD * sigma_1.
+
+    A dataset's planted SVD is returned as it is; other data is decomposed.
+    """
+    if data.planted is not None:
+        return data.planted
     u, s, vt = np.linalg.svd(data.features, full_matrices=False)
     rank = int(np.count_nonzero(s > DEFAULT_RANK_THRESHOLD * s[0])) if s[0] > 0 else 0
     return SpectrumInfo(singular_values=s, left_vectors=u, right_vectors=vt.T, rank=rank)

@@ -166,7 +166,9 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     for ``full_rank`` on CSV data, planted for decaying data, read from
     ``spectrum`` for ``bounds``), else the low-rank one.  Every config error
     is raised here, before the CSV reference solve; generated data is
-    solved and decomposed per trial instead.
+    solved per trial instead.  Generated decaying data carries its planted
+    SVD, which ``spectrum`` returns; ``span_error`` decomposes generated
+    low-rank data per trial.
     """
     exp, eps = cfg.experiment, cfg.epsilon
     sketched = exp in SKETCHED
@@ -243,10 +245,12 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
     """Trial t's seed, dataset, sketch and reference weights.
 
-    A generated dataset's reference is solved before the sketch is drawn:
-    the two come from independent generators, so the order moves no
-    number, and the d x m projection is not held through the reference
-    solve's d x n span work.
+    A generated dataset's reference is solved before the sketch is drawn,
+    so the d x m projection is not held through the reference solve's
+    d x n span work; each draw seeds its own generator, so the order moves
+    no number.  The draws are not independent, though: both seed
+    ``default_rng(seed)``, so the sketch's first entries are the dataset's
+    draws (ROADMAP item 3 gives the sketch a stream of its own).
     """
     seed = cfg.seed + t
     data, w_star = plan.data, plan.w_star
@@ -480,6 +484,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     if cfg.experiment == "concentration" and cfg.find_min_m:
         aggregates["smallest_passing_m"] = conc.smallest_passing_m(
             cfg.rank, cfg.epsilon, cfg.trials, cfg.seed, m_hint=plan.m,
+            hint_rate=sum(r["pass"] for r in records) / cfg.trials,
         )
     wall = time.perf_counter() - start
     return ReportDocument(

@@ -85,21 +85,23 @@ FUZZ_SUBCOMMAND_FLAGS = {
 }
 
 # The option strings every subcommand takes, and each subcommand's own.
-COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--output", "--format", "--trials", "--seed", "--data", "--d",
-    "--n", "--rank", "--label-rule", "--decay", "--top-singular", "--csv", "--loss", "--lambda",
-    "--tol", "--max-iters", "--reference-tol", "--sketch-dim", "--identity-sketch",
-    "--no-identity-sketch", "--eps", "--delta", "--c",
+COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--format", "--rank", "--eps", "--delta",
+                  "--c"}
+# every subcommand that draws a sketch takes the data, problem, sketch and trial options
+SKETCHED_OPTIONS = {
+    "--trials", "--seed", "--data", "--d", "--n", "--label-rule", "--decay", "--top-singular",
+    "--csv", "--loss", "--lambda", "--tol", "--max-iters", "--reference-tol", "--sketch-dim",
+    "--identity-sketch", "--no-identity-sketch",
 }
 SUBCOMMAND_OPTIONS = {
-    "recover": {"--method"},
-    "iterate": {"--iters", "--early-stop", "--no-early-stop"},
-    "naive-vs-drp": set(),
-    "measurement": set(),
-    "span-error": set(),
-    "concentration": {"--find-min-m", "--no-find-min-m"},
-    "bounds": {"--spectrum"},
-    "full-rank": set(),
+    "recover": SKETCHED_OPTIONS | {"--method"},
+    "iterate": SKETCHED_OPTIONS | {"--iters", "--early-stop", "--no-early-stop"},
+    "naive-vs-drp": SKETCHED_OPTIONS,
+    "measurement": SKETCHED_OPTIONS,
+    "span-error": SKETCHED_OPTIONS,
+    "concentration": {"--trials", "--seed", "--sketch-dim", "--find-min-m", "--no-find-min-m"},
+    "bounds": {"--d", "--loss", "--lambda", "--spectrum"},
+    "full-rank": SKETCHED_OPTIONS,
 }
 
 # A valid value, other than the default, for every field that has a flag.
@@ -116,9 +118,13 @@ FIELD_TEXT = {
 @st.composite
 def fuzz_argv(draw):
     sub = draw(st.sampled_from(sorted(FUZZ_SUBCOMMAND_FLAGS)))
-    pools = {**FUZZ_FLAGS, **FUZZ_SUBCOMMAND_FLAGS[sub]}
-    argv = [sub, "--d", "12", "--n", "10", "--rank", "2", "--sketch-dim", "6",
-            "--output", os.devnull]
+    taken = COMMON_OPTIONS | SUBCOMMAND_OPTIONS[sub]
+    pools = {flag: values for flag, values in {**FUZZ_FLAGS, **FUZZ_SUBCOMMAND_FLAGS[sub]}.items()
+             if flag in taken}
+    argv = [sub]
+    for flag, value in [("--d", "12"), ("--n", "10"), ("--rank", "2"), ("--sketch-dim", "6"),
+                        ("--output", os.devnull)]:
+        argv += [flag, value] if flag in taken else []
     for flag in draw(st.lists(st.sampled_from(sorted(pools)), max_size=6, unique=True)):
         values = pools[flag]
         argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
@@ -154,12 +160,12 @@ class TestValidateConfig:
         (tmp_path / "a#b.txt").write_text("1.0\n")  # a spectrum file must exist
         cfg = validate_config(
             "# a bounds run\nexperiment = bounds  # inline\n"
-            'loss = "logistic"\nsketch_dim = 12\n'
+            'loss = "logistic"\nd = 12\n'
             'spectrum = "a#b.txt"  # a quoted # is part of the value\n'
             "# commented = out\noutput = it's.json # an unpaired quote quotes nothing\n"
         )
         assert cfg.loss == "logistic"
-        assert cfg.sketch_dim == 12
+        assert cfg.d == 12
         assert cfg.spectrum == "a#b.txt"
         assert cfg.output == "it's.json"
 
@@ -179,6 +185,21 @@ class TestValidateConfig:
         (tmp_path / "sv.txt").write_text("1.0\n")
         with pytest.raises(ConfigError, match=f"key '{line.split()[0]}': only "):
             validate_config(f"experiment = measurement\n{line}\n")
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("concentration", "data = decaying"), ("concentration", "csv = x.csv"),
+        ("concentration", "loss = logistic"), ("concentration", "lambda = 3"),
+        ("concentration", "d = 20"), ("bounds", "csv = x.csv"), ("bounds", "sketch_dim = 10"),
+        ("bounds", "tol = 1e-6"), ("bounds", "trials = 3"),
+    ])
+    def test_keys_concentration_and_bounds_never_read(self, experiment, line):
+        with pytest.raises(ConfigError, match=f"key '{line.split()[0]}': only "):
+            validate_config(f"experiment = {experiment}\n{line}\n")
+
+    @pytest.mark.parametrize("experiment", ["concentration", "bounds"])
+    def test_rank_not_capped_by_unread_dimensions(self, experiment):
+        # d and n default to 100 and 50, but neither experiment builds a dataset
+        assert config_from_mapping({"experiment": experiment, "rank": 60}).rank == 60
 
     def test_key_of_another_subcommand_at_its_default(self):
         cfg = validate_config("experiment = measurement\nmethod = drp\niters = 8\n")
@@ -213,8 +234,10 @@ class TestValidateConfig:
             config_from_mapping({**entries, **given})
         for key, value in given.items():
             assert getattr(config_from_mapping({**entries, key: value}), key) == value
-        # bounds draws no sketch and reports the analytic m whatever sketch_dim says
-        config_from_mapping({"experiment": "bounds", **given})
+        # bounds draws no sketch and reports the analytic m, so it reads neither key
+        for key, value in given.items():
+            with pytest.raises(ConfigError, match=f"key '{key}': only "):
+                config_from_mapping({"experiment": "bounds", key: value})
 
     def test_missing_sketch_dim_takes_the_bound(self):
         cfg = validate_config("experiment = recover\n")
@@ -599,6 +622,34 @@ class TestRunExperiment:
         assert run_experiment(cfg).errored_trials == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("source, svds", [("decaying", 0), ("csv", 1)])
+    def test_full_rank_svds_per_run(self, tmp_path, monkeypatch, source, svds):
+        # generated decaying data carries its planted SVD; CSV data is decomposed once per run
+        path = tmp_path / "decaying.csv"
+        save_csv(make_decaying_spectrum(30, 12, 1.0, seed=5, top_singular_value=4.0), path)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1)
+                            or svd(*args, **kwargs))
+        data = {"data": "csv", "csv": str(path)} if source == "csv" else {
+            "data": "decaying", "d": 30, "n": 12, "top_singular": 4.0}
+        cfg = config_from_mapping({"experiment": "full_rank", **data, "trials": 3})
+        assert run_experiment(cfg).errored_trials == 0
+        assert len(calls) == svds
+
+    def test_full_rank_planted_leakage_matches_the_svd(self, monkeypatch):
+        cfg = config_from_mapping({"experiment": "full_rank", "data": "decaying", "d": 40,
+                                   "n": 25, "top_singular": 4.0, "label_rule": "sign_of_plant",
+                                   "loss": "logistic", "trials": 3})
+        planted = run_experiment(cfg).records
+        # the same run with every spectrum measured by an SVD of the features
+        monkeypatch.setattr(experiments, "spectrum",
+                            lambda data: spectrum(Dataset(data.features, data.labels)))
+        measured = run_experiment(cfg).records
+        for a, b in zip(planted, measured):
+            assert a["subspace_leakage"] == pytest.approx(b["subspace_leakage"], rel=1e-12)
+            assert {**a, "subspace_leakage": 0} == {**b, "subspace_leakage": 0}
+
     @pytest.mark.parametrize("experiment", ["span_error", "iterate"])
     def test_csv_reference_and_spectrum_once_per_run(self, tmp_path, monkeypatch, experiment):
         path = tmp_path / "train.csv"
@@ -736,7 +787,7 @@ class TestCliProcess:
         (tmp_path / "sv.txt").write_text("1.0\n0.5\n")
         (tmp_path / "x.csv").write_text("")
         commands, key, text = f.metadata["commands"], FILE_KEYS[f.name], FIELD_TEXT[f.name]
-        sub = commands[0].replace("_", "-") if len(commands) == 1 else "bounds"
+        sub = "bounds" if "bounds" in commands else commands[0].replace("_", "-")
         base = [sub, "--data", "csv"] if f.name == "csv" else [sub]
         flag = f.metadata["flag"] or "--" + key.replace("_", "-")
         (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dualsketch import concentration
 from dualsketch.concentration import (
     FULL_RANK_C,
     full_rank_sample_bound,
@@ -150,6 +151,23 @@ class TestTrialRunner:
         doc = _concentration(rank=2, sketch_dim=m_star, epsilon=0.5, trials=20, seed=10)
         assert doc.aggregates["success_fraction"] >= 0.95
         assert m_star < sample_size_bound(2, 0.5, 0.1)
+
+    def test_find_min_m_reads_its_first_probe_off_the_records(self, monkeypatch):
+        calls = []
+        deviation = concentration.spectral_deviation
+        monkeypatch.setattr(concentration, "spectral_deviation",
+                            lambda *args: calls.append(args) or deviation(*args))
+        doc = _concentration(rank=10, trials=100, find_min_m=True)
+        # the records take 100 calls and the search 10 probes of 100; its first probe, at the
+        # records' m, reads their pass rate instead of redrawing them
+        assert len(calls) == 100 + 1000
+        assert sum(m == doc.records[0]["m"] for _, m, _ in calls) == 100
+        assert doc.aggregates["smallest_passing_m"] == smallest_passing_m(
+            10, 0.5, trials=100, base_seed=0, m_hint=doc.records[0]["m"])
+
+    def test_hint_rate_needs_its_m(self):
+        with pytest.raises(ValueError, match="m_hint"):
+            smallest_passing_m(2, 0.5, trials=5, base_seed=0, hint_rate=1.0)
 
     def test_smallest_passing_m_needs_a_trial(self):
         with pytest.raises(ValueError, match="trials"):

@@ -164,6 +164,36 @@ class TestSpectrum:
         assert rel <= 1e-8
 
 
+class TestPlantedSpectrum:
+    @pytest.mark.parametrize("d, n", [(40, 25), (25, 40), (30, 30)], ids=["d>n", "d<n", "d=n"])
+    def test_agrees_with_the_svd_of_the_features(self, d, n):
+        data = make_decaying_spectrum(d, n, 1.0, seed=7, top_singular_value=3.0)
+        info = spectrum(data)
+        assert info is data.planted
+        measured = spectrum(Dataset(data.features, data.labels))
+        np.testing.assert_allclose(info.singular_values, measured.singular_values, rtol=1e-12)
+        overlap = np.abs(np.diag(info.left_vectors.T @ measured.left_vectors))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-10)
+        assert info.rank == measured.rank == min(d, n)
+
+    @pytest.mark.parametrize("d, n", [(40, 25), (25, 40), (30, 30)], ids=["d>n", "d<n", "d=n"])
+    def test_rank_below_the_threshold_matches_the_svd(self, d, n):
+        # sigma_i = i**-8 drops below 1e-9 * sigma_1 at i = 14
+        data = make_decaying_spectrum(d, n, 8.0, seed=7)
+        assert spectrum(data).rank == spectrum(Dataset(data.features, data.labels)).rank == 13
+
+    def test_only_the_decaying_generator_plants(self):
+        assert make_low_rank(20, 10, 3, "random", seed=1).planted is None
+        assert Dataset(np.eye(2), np.array([1.0, -1.0])).planted is None
+
+    def test_csv_round_trip_carries_no_planted_svd(self, tmp_path):
+        data = make_decaying_spectrum(12, 8, 1.0, seed=3)
+        save_csv(data, tmp_path / "d.csv")
+        again = load_csv(tmp_path / "d.csv")
+        assert data.planted is not None and again.planted is None
+        assert np.array_equal(again.features, data.features)
+
+
 class TestGram:
     def test_identity_features(self):
         data = Dataset(np.eye(2), np.array([1.0, -1.0]))
