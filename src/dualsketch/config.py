@@ -73,7 +73,9 @@ class ExperimentConfig:
     d: int = _field(100, "feature dimension", rule="be at least 1",
                     commands=_SKETCHED_AND_BOUNDS)
     n: int = _field(50, "number of examples", rule="be at least 1", commands=SKETCHED)
-    rank: int = _field(5, "planted (or assumed) rank", rule="be at least 1")
+    # full_rank's data is never low-rank, and its m comes from the effective-rank bound
+    rank: int = _field(5, "planted (or assumed) rank", rule="be at least 1",
+                       commands=tuple(e for e in EXPERIMENTS if e != "full_rank"))
     label_rule: str = _field("random", "synthetic labels", choices=("random", "sign_of_plant"),
                              commands=SKETCHED)
     decay: float = _field(1.0, "spectrum decay exponent", rule="be positive", commands=SKETCHED)

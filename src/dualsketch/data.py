@@ -21,6 +21,7 @@ __all__ = [
     "SpectrumInfo",
     "make_low_rank",
     "make_decaying_spectrum",
+    "planted_spectrum",
     "spectrum",
     "gram",
     "effective_rank",
@@ -110,6 +111,11 @@ def make_low_rank(d: int, n: int, r: int, label_rule: str = "random", seed: int 
     return Dataset(feats, labels)
 
 
+def planted_spectrum(d: int, n: int, decay: float, top_singular_value: float = 1.0) -> np.ndarray:
+    """The power law sigma_i = top_singular_value * i**(-decay), i = 1..min(d, n)."""
+    return top_singular_value * np.arange(1, min(d, n) + 1, dtype=float) ** (-decay)
+
+
 def make_decaying_spectrum(
     d: int,
     n: int,
@@ -120,12 +126,11 @@ def make_decaying_spectrum(
 ) -> Dataset:
     """Full-rank dataset with a planted power-law spectrum.
 
-    Singular values follow sigma_i = top_singular_value * i**(-decay) for
-    i = 1..min(d, n); the singular bases are Haar-random orthonormal
-    factors.  ``label_rule = random`` draws iid signs; ``sign_of_plant``
-    labels by the sign of the margin against the leading left singular
-    direction, which concentrates the learned weights near the top of the
-    spectrum.  The dataset's ``planted`` field holds these sigma and factors,
+    Singular values follow ``planted_spectrum``; the singular bases are
+    Haar-random orthonormal factors.  ``label_rule = random`` draws iid
+    signs; ``sign_of_plant`` labels by the sign of the margin against the
+    leading left singular direction, which concentrates the learned weights
+    near the top of the spectrum.  The dataset's ``planted`` field holds these sigma and factors,
     with the rank counted as ``spectrum`` counts it.
     """
     if d < 1 or n < 1:
@@ -138,7 +143,7 @@ def make_decaying_spectrum(
         raise ValueError(f"unknown label rule {label_rule!r}")
     rng = np.random.default_rng(seed)
     k = min(d, n)
-    sigma = top_singular_value * np.arange(1, k + 1, dtype=float) ** (-decay)
+    sigma = planted_spectrum(d, n, decay, top_singular_value)
     u, _ = np.linalg.qr(rng.standard_normal((d, k)))
     v, _ = np.linalg.qr(rng.standard_normal((n, k)))
     feats = (u * sigma) @ v.T

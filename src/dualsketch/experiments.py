@@ -3,6 +3,10 @@
 Each experiment maps a config to a ``ReportDocument``: a config echo, one
 record per trial, and aggregates recomputable from the records.  Records
 hold built-in Python values only, so JSON and CSV print the same numbers.
+A sketched experiment's trial is one ``recover_iterative`` run (``iters``
+passes for iterate, one elsewhere) plus its readouts: DRP is the run's
+recovered weights, and naive recovery and the measurement ratio read its
+sketched solution.
 Trial t derives every random object (generated dataset, projection) from
 ``seed + t``, so runs are reproducible and resumable; a worker pool (size
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
@@ -33,11 +37,10 @@ from . import concentration as conc
 from . import recover as rec
 from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
-from .data import numerical_rank, spectrum
+from .data import numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import gaussian_sketch, identity_sketch
 from .solve import ConvergenceError, LinearSolveError, PrimalSolution, SolverConfig, solve_primal
-from .solve import dual_from_primal, primal_from_dual
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
 
@@ -185,7 +188,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     elif exp == "full_rank" and spec is not None:
         sv = spec.singular_values
     elif exp == "full_rank" or (sketched and cfg.data == "decaying"):
-        sv = cfg.top_singular * np.arange(1, min(cfg.d, cfg.n) + 1, dtype=float) ** (-cfg.decay)
+        sv = planted_spectrum(cfg.d, cfg.n, cfg.decay, cfg.top_singular)
 
     if sketched and cfg.identity_sketch:
         m = d
@@ -242,17 +245,22 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     return _Plan(data, loss, solver, m, k, bound, w_star, spec, reference_error)
 
 
-def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
-    """Trial t's seed, dataset, sketch and reference weights.
+# --- per-trial workers -------------------------------------------------
 
-    A generated dataset's reference is solved before the sketch is drawn,
-    so the d x m projection is not held through the reference solve's
-    d x n span work; each draw seeds its own generator, so the order moves
-    no number.  The draws are not independent, though: both seed
-    ``default_rng(seed)``, so the sketch's first entries are the dataset's
-    draws (ROADMAP item 3 gives the sketch a stream of its own).
+def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    """Trial t of a sketched experiment: one ``recover_iterative`` run and its readouts.
+
+    The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
+    recovered weights, and naive recovery and the measurement ratio read
+    its sketched solution z*.  ``recover --method ridge_closed`` solves no
+    sketched problem.  A generated dataset's reference is solved before the
+    sketch is drawn, so the d x m projection is not held through the
+    reference solve's d x n span work; each draw seeds its own generator,
+    so the order moves no number.  The draws are not independent, though:
+    both seed ``default_rng(seed)``, so the sketch's first entries are the
+    dataset's draws (ROADMAP item 3 gives the sketch a stream of its own).
     """
-    seed = cfg.seed + t
+    seed, exp = cfg.seed + t, cfg.experiment
     data, w_star = plan.data, plan.w_star
     if data is None:
         try:
@@ -266,90 +274,46 @@ def _setup(cfg: ExperimentConfig, plan: _Plan, t: int):
     if w_star is None:
         w_star = _reference(cfg, data, plan.loss)
     sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
-    return seed, data, sk, w_star
 
-
-# --- per-trial workers -------------------------------------------------
-
-def _trial_recover(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    seed, data, sk, w_star = _setup(cfg, plan, t)
-    if cfg.method == "naive":
-        z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
-        rel = rec.relative_error(rec.recover_naive(sk.matrix_r, z, sk.m), w_star)
-    elif cfg.method == "ridge_closed":
+    head = {"trial": t, "seed": seed, "m": sk.m}
+    bound = {"epsilon": cfg.epsilon, "value": plan.bound}
+    if cfg.method == "ridge_closed":  # only recover reads method; this route solves nothing
         rel = rec.relative_error(rec.ridge_drp_closed_form(data, cfg.lam, sk), w_star)
     else:
-        rel = rec.recover_drp(data, plan.loss, cfg.lam, sk, plan.solver, reference=w_star).rel_error
-    return {
-        "trial": t, "seed": seed, "method": cfg.method, "m": sk.m,
-        "rel_error": rel, "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
-        # the naive bound is a lower bound: failure to be bad is the anomaly
-        "within_bound": rel >= plan.bound if cfg.method == "naive" else rel <= plan.bound,
-        "trace": [],
-    }
+        result, trace = rec.recover_iterative(
+            data, plan.loss, cfg.lam, sk, cfg.iters if exp == "iterate" else 1, plan.solver,
+            reference=w_star, early_stop=cfg.early_stop,
+        )
+        rel, z = result.rel_error, trace.sketched_weights
+    if cfg.method == "naive" or exp in ("naive_vs_drp", "span_error"):
+        naive = rec.recover_naive(sk.matrix_r, z, sk.m)
+        naive_rel = rec.relative_error(naive, w_star)
 
-
-def _trial_iterate(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    seed, data, sk, w_star = _setup(cfg, plan, t)
-    result, trace = rec.recover_iterative(
-        data, plan.loss, cfg.lam, sk, cfg.iters, plan.solver,
-        reference=w_star, early_stop=cfg.early_stop,
-    )
-    return {
-        "trial": t, "seed": seed, "method": "drp_iterative", "m": sk.m,
-        "rel_error": result.rel_error, "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
-        "within_bound": result.rel_error <= plan.bound,
-        "trace": [float(v) for v in trace.per_iteration_errors],
-    }
-
-
-def _trial_naive_vs_drp(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    seed, data, sk, w_star = _setup(cfg, plan, t)
-    z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
-    naive_rel = rec.relative_error(rec.recover_naive(sk.matrix_r, z, sk.m), w_star)
-    dual = dual_from_primal(sk.sketched_features, data.labels, plan.loss, z)
-    drp_rel = rec.relative_error(primal_from_dual(data.features, data.labels, cfg.lam, dual), w_star)
-    return {
-        "trial": t, "seed": seed, "m": sk.m,
-        "naive_rel_error": naive_rel, "drp_rel_error": drp_rel,
-        "ratio": naive_rel / drp_rel if drp_rel > 0 else math.inf,
-    }
-
-
-def _trial_measurement(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    seed, data, sk, w_star = _setup(cfg, plan, t)
-    z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
-    ratio = rec.measurement_error(z, sk.matrix_r, sk.m, w_star)
-    return {
-        "trial": t, "seed": seed, "m": sk.m, "measurement_error": ratio,
-        "bound": {"epsilon": cfg.epsilon, "value": plan.bound}, "within_bound": ratio <= plan.bound,
-    }
-
-
-def _trial_span_error(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    seed, data, sk, w_star = _setup(cfg, plan, t)
-    z = solve_primal(sk.sketched_features, data.labels, plan.loss, cfg.lam, plan.solver).weights
-    naive = rec.recover_naive(sk.matrix_r, z, sk.m)
-    spec = plan.spec or spectrum(data)
-    span_rel = rec.span_restricted_error(spec, naive, w_star) / float(np.linalg.norm(w_star))
-    return {
-        "trial": t, "seed": seed, "m": sk.m,
-        "span_rel_error": span_rel, "full_rel_error": rec.relative_error(naive, w_star),
-        "bound": {"epsilon": cfg.epsilon, "value": plan.bound}, "within_bound": span_rel <= plan.bound,
-    }
-
-
-def _trial_full_rank(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    seed, data, sk, w_star = _setup(cfg, plan, t)
-    result = rec.recover_drp(data, plan.loss, cfg.lam, sk, plan.solver, reference=w_star)
-    top_k = (plan.spec or spectrum(data)).left_vectors[:, :plan.k]
+    if exp in ("recover", "iterate"):
+        method = "drp_iterative" if exp == "iterate" else cfg.method
+        rel = naive_rel if method == "naive" else rel
+        return {
+            "trial": t, "seed": seed, "method": method, "m": sk.m, "rel_error": rel, "bound": bound,
+            # the naive bound is a lower bound: failure to be bad is the anomaly
+            "within_bound": rel >= plan.bound if method == "naive" else rel <= plan.bound,
+            "trace": [float(v) for v in trace.per_iteration_errors] if exp == "iterate" else [],
+        }
+    if exp == "naive_vs_drp":
+        return {**head, "naive_rel_error": naive_rel, "drp_rel_error": rel,
+                "ratio": naive_rel / rel if rel > 0 else math.inf}
+    if exp == "measurement":
+        ratio = rec.measurement_error(z, sk.matrix_r, sk.m, w_star)
+        return {**head, "measurement_error": ratio, "bound": bound,
+                "within_bound": ratio <= plan.bound}
+    if exp == "span_error":
+        spec = plan.spec or spectrum(data)
+        span_rel = rec.span_restricted_error(spec, naive, w_star) / float(np.linalg.norm(w_star))
+        return {**head, "span_rel_error": span_rel, "full_rel_error": naive_rel, "bound": bound,
+                "within_bound": span_rel <= plan.bound}
+    top_k = (plan.spec or spectrum(data)).left_vectors[:, :plan.k]  # full_rank
     leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star))
-    return {
-        "trial": t, "seed": seed, "m": sk.m, "k": plan.k,
-        "rel_error": result.rel_error, "subspace_leakage": leakage,
-        "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
-        "within_bound": result.rel_error <= plan.bound,
-    }
+    return {**head, "k": plan.k, "rel_error": rel, "subspace_leakage": leakage, "bound": bound,
+            "within_bound": rel <= plan.bound}
 
 
 def _trial_concentration(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
@@ -358,22 +322,12 @@ def _trial_concentration(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     return {"trial": t, "seed": seed, "m": plan.m, "deviation": dev, "pass": dev <= cfg.epsilon}
 
 
-_TRIALS = {
-    "recover": _trial_recover,
-    "iterate": _trial_iterate,
-    "naive_vs_drp": _trial_naive_vs_drp,
-    "measurement": _trial_measurement,
-    "span_error": _trial_span_error,
-    "full_rank": _trial_full_rank,
-    "concentration": _trial_concentration,
-}
-
-
 def _run_one(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     error = plan.reference_error
     if not error:
         try:
-            return _TRIALS[cfg.experiment](cfg, plan, t)
+            trial = _trial_concentration if cfg.experiment == "concentration" else _trial_sketched
+            return trial(cfg, plan, t)
         except (ConvergenceError, LinearSolveError) as exc:
             error = str(exc)
     return {"trial": t, "seed": cfg.seed + t, "error": error}

@@ -50,15 +50,19 @@ class RecoveryResult:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Relative-error trail of the iterative recovery plus its final duals.
+    """Relative-error trail of the iterative recovery plus its last pass's solutions.
 
     ``per_iteration_errors[t]`` is ||w_t - w*|| / ||w*||; entry 0 is exactly
     1 because the iteration starts from the zero vector.  Errors are NaN
-    when no reference was supplied.
+    when no reference was supplied.  ``duals`` and ``sketched_weights`` are
+    the last pass's alpha and v; after one pass, ``sketched_weights`` is the
+    one-shot sketched solution z*, which naive recovery and the measurement
+    ratio read.
     """
 
     per_iteration_errors: np.ndarray
     duals: np.ndarray
+    sketched_weights: np.ndarray
 
 
 def relative_error(recovered, reference) -> float:
@@ -149,7 +153,6 @@ def recover_iterative(
     sqrt_m = np.sqrt(sketch.m)
 
     w = np.zeros(data.d)
-    alphas = np.zeros(data.n)
     offset, shift = np.zeros(sketch.m), np.zeros(data.n)  # their values at w_0 = 0
     errors = [1.0 if ref is not None else np.nan]
     for t in range(1, t_iters + 1):
@@ -165,7 +168,8 @@ def recover_iterative(
         errors.append(relative_error(w, ref) if ref is not None else np.nan)
         if early_stop and np.linalg.norm(v - offset) <= 1e-12 * np.linalg.norm(w):
             break
-    trace = IterationTrace(per_iteration_errors=np.array(errors), duals=alphas)
+    trace = IterationTrace(per_iteration_errors=np.array(errors), duals=alphas,
+                           sketched_weights=v)
     return RecoveryResult(w, None if ref is None else errors[-1]), trace
 
 

@@ -37,7 +37,15 @@ from dualsketch.data import (
 )
 from dualsketch.experiments import run_experiment, solve_reference
 from dualsketch.losses import parse_loss
-from dualsketch.recover import recover_drp, recover_naive, relative_error
+from dualsketch.recover import (
+    measurement_error,
+    recover_drp,
+    recover_iterative,
+    recover_naive,
+    relative_error,
+    ridge_drp_closed_form,
+    span_restricted_error,
+)
 from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import SolverConfig, solve_primal
 
@@ -85,22 +93,23 @@ FUZZ_SUBCOMMAND_FLAGS = {
 }
 
 # The option strings every subcommand takes, and each subcommand's own.
-COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--format", "--rank", "--eps", "--delta",
-                  "--c"}
+COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--format", "--eps", "--delta", "--c"}
 # every subcommand that draws a sketch takes the data, problem, sketch and trial options
 SKETCHED_OPTIONS = {
     "--trials", "--seed", "--data", "--d", "--n", "--label-rule", "--decay", "--top-singular",
     "--csv", "--loss", "--lambda", "--tol", "--max-iters", "--reference-tol", "--sketch-dim",
     "--identity-sketch", "--no-identity-sketch",
 }
+# full-rank alone takes no --rank: its data is never low-rank, and its m comes from its spectrum
 SUBCOMMAND_OPTIONS = {
-    "recover": SKETCHED_OPTIONS | {"--method"},
-    "iterate": SKETCHED_OPTIONS | {"--iters", "--early-stop", "--no-early-stop"},
-    "naive-vs-drp": SKETCHED_OPTIONS,
-    "measurement": SKETCHED_OPTIONS,
-    "span-error": SKETCHED_OPTIONS,
-    "concentration": {"--trials", "--seed", "--sketch-dim", "--find-min-m", "--no-find-min-m"},
-    "bounds": {"--d", "--loss", "--lambda", "--spectrum"},
+    "recover": SKETCHED_OPTIONS | {"--rank", "--method"},
+    "iterate": SKETCHED_OPTIONS | {"--rank", "--iters", "--early-stop", "--no-early-stop"},
+    "naive-vs-drp": SKETCHED_OPTIONS | {"--rank"},
+    "measurement": SKETCHED_OPTIONS | {"--rank"},
+    "span-error": SKETCHED_OPTIONS | {"--rank"},
+    "concentration": {"--rank", "--trials", "--seed", "--sketch-dim", "--find-min-m",
+                      "--no-find-min-m"},
+    "bounds": {"--rank", "--d", "--loss", "--lambda", "--spectrum"},
     "full-rank": SKETCHED_OPTIONS,
 }
 
@@ -190,7 +199,7 @@ class TestValidateConfig:
         ("concentration", "data = decaying"), ("concentration", "csv = x.csv"),
         ("concentration", "loss = logistic"), ("concentration", "lambda = 3"),
         ("concentration", "d = 20"), ("bounds", "csv = x.csv"), ("bounds", "sketch_dim = 10"),
-        ("bounds", "tol = 1e-6"), ("bounds", "trials = 3"),
+        ("bounds", "tol = 1e-6"), ("bounds", "trials = 3"), ("full_rank", "rank = 7"),
     ])
     def test_keys_concentration_and_bounds_never_read(self, experiment, line):
         with pytest.raises(ConfigError, match=f"key '{line.split()[0]}': only "):
@@ -327,8 +336,9 @@ class TestRunExperiment:
             save_csv(make_decaying_spectrum(30, 12, 1.0, seed=5, top_singular_value=5.0), path)
             cfg.update(data="csv", csv=str(path))
         else:
-            cfg.update(d=30, n=12, rank=2, top_singular=4.0,
-                       data="decaying" if experiment == "full_rank" else "low_rank")
+            cfg.update(d=30, n=12, top_singular=4.0)
+            cfg.update({"data": "decaying"} if experiment == "full_rank" else {"data": "low_rank",
+                                                                               "rank": 2})
         doc = run_experiment(config_from_mapping(cfg))
         assert doc.errored_trials == 0
         assert all(_builtin_only(record) for record in doc.records)
@@ -558,7 +568,14 @@ class TestRunExperiment:
         # each job is a bare trial index: no dataset, spectrum or plan array rides along
         assert jobs == [0, 1, 2] and all(type(job) is int for job in jobs)
 
-    def test_naive_vs_drp_solves_once_per_problem(self, monkeypatch):
+    @pytest.mark.parametrize("experiment, method, sketched_solves", [
+        ("recover", "drp", 1), ("recover", "naive", 1), ("recover", "ridge_closed", 0),
+        ("iterate", "drp", 3), ("naive_vs_drp", "drp", 1), ("measurement", "drp", 1),
+        ("span_error", "drp", 1), ("full_rank", "drp", 1),
+    ])
+    def test_naive_vs_drp_solves_once_per_problem(self, monkeypatch, experiment, method,
+                                                  sketched_solves):
+        # every route shares one sketched solve per pass; ridge_closed solves an n x n system
         shapes = []
 
         def counting_solve(features, *args, **kwargs):
@@ -567,12 +584,15 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "solve_primal", counting_solve)
         monkeypatch.setattr(recover, "solve_primal", counting_solve)
+        entries = {"rank": 3, **({"iters": 3} if experiment == "iterate" else {})}
+        if experiment == "full_rank":
+            entries = {"data": "decaying", "top_singular": 4.0}
         cfg = config_from_mapping({
-            "experiment": "naive_vs_drp", "d": 80, "n": 30, "rank": 3,
+            "experiment": experiment, "d": 80, "n": 30, **entries, "method": method,
             "sketch_dim": 20, "trials": 1, "seed": 3,
         })
-        run_experiment(cfg)
-        assert shapes == [(80, 30), (20, 30)]  # the reference, then the sketch
+        assert run_experiment(cfg).errored_trials == 0
+        assert shapes == [(80, 30)] + [(20, 30)] * sketched_solves  # the reference, then the sketch
 
     def test_trial_peak_memory(self):
         # the reference solve ends before the sketch is drawn, and its span
@@ -692,23 +712,54 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert solves == [] and pools == []
 
-    def test_naive_vs_drp_matches_recovery_routes(self):
+    @pytest.mark.parametrize("experiment, method", [
+        ("recover", "drp"), ("recover", "naive"), ("recover", "ridge_closed"), ("iterate", "drp"),
+        ("naive_vs_drp", "drp"), ("measurement", "drp"), ("span_error", "drp"),
+        ("full_rank", "drp"),
+    ])
+    def test_naive_vs_drp_matches_recovery_routes(self, experiment, method):
+        # each record holds the public route functions' values, bit for bit
+        loss_name = "square" if method == "ridge_closed" else "logistic"
+        if experiment == "full_rank":
+            entries = {"data": "decaying", "top_singular": 4.0}
+            data = make_decaying_spectrum(120, 40, 1.0, seed=9, top_singular_value=4.0)
+        else:
+            entries = {"rank": 3}
+            data = make_low_rank(120, 40, 3, "random", seed=9)
         cfg = config_from_mapping({
-            "experiment": "naive_vs_drp", "d": 120, "n": 40, "rank": 3,
-            "sketch_dim": 30, "trials": 1, "seed": 9, "loss": "logistic",
+            "experiment": experiment, "d": 120, "n": 40, **entries, "method": method,
+            "sketch_dim": 30, "trials": 1, "seed": 9, "loss": loss_name,
         })
         record = run_experiment(cfg).records[0]
-        data = make_low_rank(120, 40, 3, "random", seed=9)
-        loss = parse_loss("logistic")
+        loss = parse_loss(loss_name)
         sk = gaussian_sketch(data, 30, seed=9)
         w_star = solve_reference(data.features, data.labels, loss, cfg.lam,
                                  cfg.reference_tol).weights
         solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
         z = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver).weights
-        drp = recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star)
-        assert record["drp_rel_error"] == drp.rel_error
-        assert record["naive_rel_error"] == relative_error(recover_naive(sk.matrix_r, z, sk.m),
-                                                           w_star)
+        naive = recover_naive(sk.matrix_r, z, sk.m)
+        drp = recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star).rel_error
+        if experiment == "recover":
+            closed = relative_error(ridge_drp_closed_form(data, cfg.lam, sk), w_star)
+            rel = {"drp": drp, "naive": relative_error(naive, w_star), "ridge_closed": closed}
+            expected = {"rel_error": rel[method]}
+        elif experiment == "iterate":
+            result, trace = recover_iterative(data, loss, cfg.lam, sk, cfg.iters, solver,
+                                              reference=w_star)
+            expected = {"rel_error": result.rel_error,
+                        "trace": [float(v) for v in trace.per_iteration_errors]}
+        elif experiment == "naive_vs_drp":
+            expected = {"naive_rel_error": relative_error(naive, w_star), "drp_rel_error": drp}
+        elif experiment == "measurement":
+            expected = {"measurement_error": measurement_error(z, sk.matrix_r, sk.m, w_star)}
+        elif experiment == "span_error":
+            span = span_restricted_error(spectrum(data), naive, w_star) / np.linalg.norm(w_star)
+            expected = {"span_rel_error": span, "full_rel_error": relative_error(naive, w_star)}
+        else:
+            top_k = spectrum(data).left_vectors[:, :record["k"]]
+            leakage = np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star)
+            expected = {"rel_error": drp, "subspace_leakage": leakage}
+        assert {key: record[key] for key in expected} == expected
 
 
 class TestCliProcess:
@@ -947,6 +998,18 @@ class TestCliProcess:
         assert code == 4
         blob = json.loads(capsys.readouterr().out)
         assert all("error" in r for r in blob["records"])
+
+    @pytest.mark.parametrize("argv", [
+        ["recover", *SMALL], ["recover", *SMALL, "--method", "naive"], ["iterate", *SMALL],
+        ["naive-vs-drp", *SMALL], ["measurement", *SMALL], ["span-error", *SMALL],
+        ["full-rank", *DECAYING, "--sketch-dim", "6"],
+    ], ids=["recover-drp", "recover-naive", "iterate", "naive-vs-drp", "measurement", "span-error",
+            "full-rank"])
+    def test_sketched_solve_failure_names_its_pass(self, capsys, argv):
+        # every sketched route solves through recover_iterative, whose errors name the pass
+        assert main([*argv, "--loss", "logistic", "--max-iters", "1", "--trials", "2"]) == 4
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r["error"][:len("pass 1: ")] for r in records] == ["pass 1: "] * 2
 
     def test_underscore_alias_subcommand(self, capsys):
         code = main(["naive_vs_drp", "--d", "60", "--n", "20", "--rank", "2",
