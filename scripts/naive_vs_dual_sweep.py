@@ -39,14 +39,12 @@ def main() -> None:
             data = ds.make_low_rank(args.d, args.n, args.rank, "random",
                                     seed=args.seed + t)
             sk = ds.gaussian_sketch(data, m, args.seed + 1000 + t)
-            ref = solve_reference(data.features, data.labels, loss, args.lam)
-            z_sol = ds.solve_primal(sk.sketched_features, data.labels, loss, args.lam)
-            naive = ds.recover_naive(sk.matrix_r, z_sol.weights, m)
-            # DRP from the same solve: the duals off the loss gradient, mapped back through X
-            dual = ds.dual_from_primal(sk.sketched_features, data.labels, loss, z_sol.weights)
-            drp = ds.primal_from_dual(data.features, data.labels, args.lam, dual)
-            naive_rel.append(ds.relative_error(naive, ref.weights))
-            dual_rel.append(ds.relative_error(drp, ref.weights))
+            ref = solve_reference(data.features, data.labels, loss, args.lam).weights
+            # one sketched solve: DRP is its recovery, naive back-projects its sketched weights
+            drp, trace = ds.recover_iterative(data, loss, args.lam, sk, 1, reference=ref)
+            naive = ds.recover_naive(sk.matrix_r, trace.sketched_weights, m)
+            naive_rel.append(ds.relative_error(naive, ref))
+            dual_rel.append(drp.rel_error)
         nm, dm = np.mean(naive_rel), np.mean(dual_rel)
         print(f"{m:>6} {nm:>12.4f} {dm:>12.4f} {nm / dm:>8.1f}")
 

@@ -67,6 +67,9 @@ RUNS = {
     "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],
     "iterate-logistic-early-stop": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "12",
                                     "--loss", "logistic", "--early-stop"],
+    # the exact sketch makes pass 2's increment negligible, so the run stops there
+    "iterate-identity-early-stop": ["iterate", *LOW, "--identity-sketch", "--iters", "6",
+                                    "--early-stop"],
     "iterate-csv": ["iterate", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "20",
                     "--iters", "3", "--trials", "3"],
     "iterate-decaying-full-rank": ["iterate", *DECAYING, "--sketch-dim", "40", "--iters", "3",
@@ -98,7 +101,9 @@ RUNS = {
     "full-rank-overflowing-data": ["full-rank", *DECAYING, "--top-singular", "1e300",
                                    "--sketch-dim", "6"],
 }
-RUNS["full-rank-decaying-csv"] = [*RUNS["full-rank-decaying"], "--format", "csv"]
+# CSV twins: bools, the flattened bound, empty trace lists and quoted error texts
+for _name in ("full-rank-decaying", "recover-naive", "recover-csv-reference-stall"):
+    RUNS[f"{_name}-csv"] = [*RUNS[_name], "--format", "csv"]
 
 
 def _sha(text: str) -> str:

@@ -9,8 +9,8 @@ Reports go to ``--output`` or stdout as JSON or CSV.
 Exit status: 0 when every trial ran (bound violations are data, not
 errors), 1 when some trials failed (no convergence or a singular linear
 system), 2 for an invalid config (including an unreadable or non-UTF-8
-config file, one naming another experiment or setting a key only another
-subcommand reads, a bad DUALSKETCH_WORKERS value, an unwritable
+config file, one naming another experiment, a key that only another
+subcommand or data source reads, a bad DUALSKETCH_WORKERS value, an unwritable
 ``--output`` or a closed stdout, an iterate or sketch-size bound that
 overflows, a sketch too large for numpy to shape, and ``--csv`` without
 ``--data csv``), 3 for a dataset/spectrum I/O failure (including

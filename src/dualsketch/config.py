@@ -2,16 +2,18 @@
 
 Each ``ExperimentConfig`` field's metadata is its schema: help text, file
 key (default the field name), CLI flag (default ``--`` plus the key with
-dashes), allowed values, range rule and the subcommands that take the flag
-(default all).  ``cli`` derives its flags from it, and flag values and file
-values share one coercion and validation path, ``config_from_mapping``.
+dashes), allowed values, range rule, the subcommands that take the flag
+(default all) and the data sources whose runs read it (default all).
+``cli`` derives its flags from it, and flag values and file values share
+one coercion and validation path, ``config_from_mapping``.
 
 The text format is one ``key = value`` pair per line, ``#`` comments, and
 optional quotes around string values.  Unknown keys, keys given twice,
 type mismatches, out-of-range values and a non-default value for a key
-that the experiment does not read are all rejected with the offending key
-named.  Every field has a default except ``experiment`` itself, and the
-fully-populated config (defaults included) is echoed into every report.
+that the experiment or its data source does not read are all rejected
+with the offending key named.  Every field has a default except
+``experiment`` itself, and the fully-populated config (defaults included)
+is echoed into every report.
 """
 
 import math
@@ -32,6 +34,8 @@ EXPERIMENTS = {
     "bounds": "print the analytic sketch-size bound",
     "full_rank": "recovery on full-rank data with a decaying spectrum",
 }
+DATA_SOURCES = ("low_rank", "decaying", "csv")
+_GENERATED = ("low_rank", "decaying")  # a CSV file fixes d and n and carries its labels
 # the experiments that draw a sketch, so need its dimension m
 SKETCHED = ("recover", "iterate", "naive_vs_drp", "measurement", "span_error", "full_rank")
 # bounds reads d, the loss and lambda for the effective-rank bound, but no data or solver key
@@ -58,29 +62,33 @@ class DatasetIOError(RuntimeError):
 
 
 def _field(default=MISSING, help="", *, key=None, flag=None, choices=(), rule=None,
-           commands=tuple(EXPERIMENTS)):
+           commands=tuple(EXPERIMENTS), sources=DATA_SOURCES):
     """A config field whose metadata is its schema (see the module docstring)."""
     return field(default=default, metadata={"help": help, "key": key, "flag": flag,
-                                            "choices": choices, "rule": rule, "commands": commands})
+                                            "choices": choices, "rule": rule, "commands": commands,
+                                            "sources": sources})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = _field(choices=tuple(EXPERIMENTS), commands=())  # the subcommand
     # dataset
-    data: str = _field("low_rank", "dataset source", choices=("low_rank", "decaying", "csv"),
-                       commands=SKETCHED)
+    data: str = _field("low_rank", "dataset source", choices=DATA_SOURCES, commands=SKETCHED)
     d: int = _field(100, "feature dimension", rule="be at least 1",
-                    commands=_SKETCHED_AND_BOUNDS)
-    n: int = _field(50, "number of examples", rule="be at least 1", commands=SKETCHED)
-    # full_rank's data is never low-rank, and its m comes from the effective-rank bound
+                    commands=_SKETCHED_AND_BOUNDS, sources=_GENERATED)
+    n: int = _field(50, "number of examples", rule="be at least 1", commands=SKETCHED,
+                    sources=_GENERATED)
+    # full_rank's data is never low-rank, and its m comes from the effective-rank bound;
+    # decaying data has its planted numerical rank, which the naive bound counts
     rank: int = _field(5, "planted (or assumed) rank", rule="be at least 1",
-                       commands=tuple(e for e in EXPERIMENTS if e != "full_rank"))
+                       commands=tuple(e for e in EXPERIMENTS if e != "full_rank"),
+                       sources=("low_rank", "csv"))
     label_rule: str = _field("random", "synthetic labels", choices=("random", "sign_of_plant"),
-                             commands=SKETCHED)
-    decay: float = _field(1.0, "spectrum decay exponent", rule="be positive", commands=SKETCHED)
+                             commands=SKETCHED, sources=_GENERATED)
+    decay: float = _field(1.0, "spectrum decay exponent", rule="be positive", commands=SKETCHED,
+                          sources=("decaying",))
     top_singular: float = _field(1.0, "largest planted singular value", rule="be positive",
-                                 commands=SKETCHED)
+                                 commands=SKETCHED, sources=("decaying",))
     csv: str = _field("", "dataset CSV (label, then features, per row)", commands=SKETCHED)
     # problem
     loss: str = _field("square", "square | logistic | smoothed_hinge:<mu>",
@@ -168,6 +176,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if meta["commands"] and cfg.experiment not in meta["commands"] and value != f.default:
             raise ConfigError(f"key '{key}': only {', '.join(meta['commands'])} reads it, "
                               f"not {cfg.experiment}")
+        if cfg.data not in meta["sources"] and value != f.default:
+            raise ConfigError(f"key '{key}': only data = {' | '.join(meta['sources'])} reads it, "
+                              f"not {cfg.data}")
     if cfg.epsilon == 1.0 and cfg.experiment in ("recover", "iterate", "measurement", "span_error",
                                                  "full_rank"):
         raise ConfigError("key 'epsilon': must be below 1 here, since this bound divides by 1 - epsilon")

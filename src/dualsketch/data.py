@@ -151,7 +151,7 @@ def make_decaying_spectrum(
         labels = rng.choice([-1.0, 1.0], size=n)
     else:
         labels = np.where(u[:, 0] @ feats >= 0.0, 1.0, -1.0)
-    rank = int(np.count_nonzero(sigma > DEFAULT_RANK_THRESHOLD * sigma[0]))
+    rank = numerical_rank(sigma, DEFAULT_RANK_THRESHOLD * sigma[0])
     return Dataset(feats, labels, SpectrumInfo(sigma, u, v, rank))
 
 
@@ -163,8 +163,8 @@ def spectrum(data: Dataset) -> SpectrumInfo:
     if data.planted is not None:
         return data.planted
     u, s, vt = np.linalg.svd(data.features, full_matrices=False)
-    rank = int(np.count_nonzero(s > DEFAULT_RANK_THRESHOLD * s[0])) if s[0] > 0 else 0
-    return SpectrumInfo(singular_values=s, left_vectors=u, right_vectors=vt.T, rank=rank)
+    return SpectrumInfo(singular_values=s, left_vectors=u, right_vectors=vt.T,
+                        rank=numerical_rank(s, DEFAULT_RANK_THRESHOLD * s[0]))
 
 
 def gram(data: Dataset) -> np.ndarray:
@@ -207,33 +207,28 @@ def save_csv(data: Dataset, path) -> None:
 
     Values are emitted with 17 significant digits so a round trip is exact.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["label"] + [f"f{j}" for j in range(data.d)]) + "\n")
-        for i in range(data.n):
-            row = [f"{data.labels[i]:.17g}"] + [f"{v:.17g}" for v in data.features[:, i]]
-            fh.write(",".join(row) + "\n")
+    header = ",".join(["label"] + [f"f{j}" for j in range(data.d)])
+    np.savetxt(path, np.column_stack([data.labels, data.features.T]), fmt="%.17g",
+               delimiter=",", header=header, comments="")
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
-    A header row is optional and detected by a non-numeric first cell.
-    ``Dataset`` rejects ``nan`` and ``inf`` cells.
+    A header row is optional and detected by a non-numeric first cell;
+    blank lines are skipped.  ``Dataset`` rejects ``nan`` and ``inf`` cells.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty dataset file: {path}")
-    first_cell = lines[0].split(",")[0].strip()
     try:
-        float(first_cell)
+        float(lines[0].split(",")[0])
     except ValueError:
         lines = lines[1:]
     if not lines:
         raise ValueError(f"dataset file has a header but no rows: {path}")
-    rows = [np.array([float(c) for c in ln.split(",")]) for ln in lines]
-    width = rows[0].size
-    if width < 2 or any(r.size != width for r in rows):
+    table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    if table.shape[1] < 2:
         raise ValueError("every row must contain a label followed by d feature values")
-    table = np.vstack(rows)
     return Dataset(features=table[:, 1:].T.copy(), labels=table[:, 0].copy())

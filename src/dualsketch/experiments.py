@@ -37,7 +37,7 @@ from . import concentration as conc
 from . import recover as rec
 from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
-from .data import numerical_rank, planted_spectrum, spectrum
+from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import gaussian_sketch, identity_sketch
 from .solve import ConvergenceError, LinearSolveError, PrimalSolution, SolverConfig, solve_primal
@@ -72,21 +72,14 @@ class ReportDocument:
         Nested objects (like the bound block) flatten into key_subkey
         columns so the table stays one row per trial.
         """
+        import csv  # here, so a JSON run does not pay for the import
         flat_records = [_flatten(r) for r in self.records]
-        if not flat_records:
-            return f"schema_version\n{self.schema_version}\n"
-        columns = []
-        for record in flat_records:
-            for key in record:
-                if key not in columns:
-                    columns.append(key)
+        columns = list(dict.fromkeys(key for record in flat_records for key in record))
         out = io.StringIO()
-        out.write(",".join(["schema_version"] + columns) + "\n")
-        for record in flat_records:
-            cells = [str(self.schema_version)]
-            for key in columns:
-                cells.append(_csv_cell(record.get(key)))
-            out.write(",".join(cells) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["schema_version", *columns])
+        for record in flat_records or [{}]:  # no records still print the schema version row
+            writer.writerow([self.schema_version, *(_csv_cell(record.get(key)) for key in columns)])
         return out.getvalue()
 
 
@@ -101,17 +94,12 @@ def _flatten(record: dict) -> dict:
     return out
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
+def _csv_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (list, tuple)):
-        return ";".join(_csv_cell(v) for v in value)
-    text = str(value)
-    return '"' + text.replace('"', '""') + '"' if ("," in text or '"' in text) else text
+        return ";".join(map(str, value))
+    return value
 
 
 def solve_reference(features, labels, loss: LossSpec, lam: float, tol: float = 1e-12) -> PrimalSolution:
@@ -226,8 +214,9 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
             raise ConfigError(f"the bound (eps/(1-eps))**iters overflows at epsilon {eps} "
                               f"and {cfg.iters} iterations") from None
     elif exp == "recover" and cfg.method == "naive":  # a lower bound; at most 0 for eps above ~0.376
+        rank = cfg.rank if sv is None else numerical_rank(sv, DEFAULT_RANK_THRESHOLD * sv[0])
         shortfall = 1.0 - eps * math.sqrt(2.0 * (1.0 + eps)) / (1.0 - eps)
-        bound = 0.5 * math.sqrt(max(d - cfg.rank, 0) / m) * shortfall
+        bound = 0.5 * math.sqrt(max(d - rank, 0) / m) * shortfall
     elif exp == "recover":
         bound = eps / (1.0 - eps)
     elif exp == "measurement":

@@ -135,10 +135,11 @@ def recover_iterative(
     xhat_i' o), which ``solve_primal`` solves as is; pass 1 (w_0 = 0) is
     exactly one-shot DRP.  The pass reads off the cumulative dual
     alpha_t,i = grad l(y_i xhat_i' v + s_i) and rebuilds
-    w_t = -(1/lam) X D(y) alpha_t.  The per-example dot products
-    w_{t-1}' x_i live in the original space; the projection matrix is
-    sampled once, before the loop.  At w_0 = 0 the offset and the shift are
-    zero, so pass 1 reads only the sketched features.
+    w_t = -(1/lam) X D(y) alpha_t.  The same map through the sketched
+    features gives the next offset, o = Xhat beta with beta = -(1/lam) D(y)
+    alpha_t (``primal_from_dual``), so no pass reads R; only
+    ``recover_naive`` and ``measurement_error`` do.  At w_0 = 0 the offset
+    and the shift are zero, so pass 1 reads only the sketched features.
 
     Solver failure at any pass raises ``ConvergenceError`` with the pass
     index in the message.  ``early_stop`` ends the loop once the sketched
@@ -150,14 +151,13 @@ def recover_iterative(
     if xs.shape != (sketch.m, data.n):
         raise ValueError("sketch does not match the dataset")
     ref = None if reference is None else np.asarray(reference, dtype=float)
-    sqrt_m = np.sqrt(sketch.m)
 
     w = np.zeros(data.d)
     offset, shift = np.zeros(sketch.m), np.zeros(data.n)  # their values at w_0 = 0
     errors = [1.0 if ref is not None else np.nan]
     for t in range(1, t_iters + 1):
-        if t > 1:  # pass 1 reads neither R nor X
-            offset = (sketch.matrix_r.T @ w) / sqrt_m
+        if t > 1:  # pass 1 reads only the sketched features
+            offset = primal_from_dual(xs, data.labels, lam, alphas)
             shift = data.labels * (data.features.T @ w - xs.T @ offset)
         try:
             v = solve_primal(xs, data.labels, loss, lam, config, margin_shift=shift).weights

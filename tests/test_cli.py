@@ -336,9 +336,9 @@ class TestRunExperiment:
             save_csv(make_decaying_spectrum(30, 12, 1.0, seed=5, top_singular_value=5.0), path)
             cfg.update(data="csv", csv=str(path))
         else:
-            cfg.update(d=30, n=12, top_singular=4.0)
-            cfg.update({"data": "decaying"} if experiment == "full_rank" else {"data": "low_rank",
-                                                                               "rank": 2})
+            cfg.update(d=30, n=12)
+            cfg.update({"data": "decaying", "top_singular": 4.0} if experiment == "full_rank"
+                       else {"data": "low_rank", "rank": 2})
         doc = run_experiment(config_from_mapping(cfg))
         assert doc.errored_trials == 0
         assert all(_builtin_only(record) for record in doc.records)
@@ -431,6 +431,22 @@ class TestRunExperiment:
         assert header[0] == "schema_version"
         assert {"seed", "deviation", "pass"} <= set(header)
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("records, text", [
+        ([], "schema_version\n1\n"),
+        ([{"trial": 0, "seed": 3, "error": 'pass 1: no convergence, "grad" 2.5'},
+          {"trial": 1, "seed": 4, "m": 6, "rel_error": 0.25, "bound": {"epsilon": 0.5, "value": 1.0},
+           "within_bound": True, "trace": [1.0, 0.5, 1e-17]},
+          {"trial": 2, "seed": 5, "m": 6, "rel_error": float("inf"), "within_bound": False,
+           "trace": []}],
+         "schema_version,trial,seed,error,m,rel_error,bound_epsilon,bound_value,within_bound,trace\n"
+         '1,0,3,"pass 1: no convergence, ""grad"" 2.5",,,,,,\n'
+         "1,1,4,,6,0.25,0.5,1.0,true,1.0;0.5;1e-17\n"
+         "1,2,5,,6,inf,,,false,\n"),
+    ], ids=["no-records", "mixed-records"])
+    def test_csv_report_text(self, records, text):
+        report = experiments.ReportDocument(1, {}, records, {}, 0.0)
+        assert report.to_csv() == text
 
     def test_csv_dataset_experiment(self, tmp_path):
         data = make_low_rank(20, 10, 2, "random", seed=3)
@@ -839,7 +855,8 @@ class TestCliProcess:
         (tmp_path / "x.csv").write_text("")
         commands, key, text = f.metadata["commands"], FILE_KEYS[f.name], FIELD_TEXT[f.name]
         sub = "bounds" if "bounds" in commands else commands[0].replace("_", "-")
-        base = [sub, "--data", "csv"] if f.name == "csv" else [sub]
+        data = "csv" if f.name == "csv" else f.metadata["sources"][0]  # a source that reads f
+        base = [sub] if data == "low_rank" else [sub, "--data", data]
         flag = f.metadata["flag"] or "--" + key.replace("_", "-")
         (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
         parser = _build_parser()
@@ -955,6 +972,34 @@ class TestCliProcess:
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_any_argv_ends_in_a_documented_exit_code(self, argv):
         assert main(argv) in range(5)
+
+    @pytest.mark.parametrize("argv, key", [
+        pytest.param(["recover", *SMALL, "--decay", "3"], "decay", id="low_rank-decay"),
+        pytest.param(["recover", *SMALL, "--top-singular", "7"], "top_singular",
+                     id="low_rank-top_singular"),
+        pytest.param(["naive-vs-drp", *DECAYING, "--rank", "7", "--sketch-dim", "6"], "rank",
+                     id="decaying-rank"),
+        pytest.param(["recover", "--method", "naive", *DECAYING, "--rank", "1", "--sketch-dim", "6"],
+                     "rank", id="decaying-rank-naive"),
+        *[pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/good.csv", "--sketch-dim", "4",
+                        flag, value], flag[2:].replace("-", "_"), id=f"csv-{flag[2:]}")
+          for flag, value in [("--d", "77"), ("--n", "99"), ("--label-rule", "sign_of_plant"),
+                              ("--decay", "5"), ("--top-singular", "2")]],
+        pytest.param(["full-rank", "--data", "csv", "--csv", "{tmp}/good.csv", "--decay", "2"],
+                     "decay", id="csv-decay-full-rank"),
+    ])
+    def test_key_its_data_never_reads_exits_two(self, tmp_path, capsys, argv, key):
+        save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        assert f"config error: key '{key}': only data = " in capsys.readouterr().err
+
+    def test_naive_bound_on_decaying_data_counts_the_planted_rank(self, capsys):
+        # sigma_i = 4/i, i = 1..10, are all above the rank threshold: d - rank = 20 - 10
+        assert main(["recover", "--method", "naive", *DECAYING, "--sketch-dim", "6",
+                     "--eps", "0.2"]) == 0
+        bound = json.loads(capsys.readouterr().out)["records"][0]["bound"]["value"]
+        shortfall = 1 - 0.2 * math.sqrt(2 * 1.2) / 0.8
+        assert bound == pytest.approx(0.5 * math.sqrt((20 - 10) / 6) * shortfall, rel=1e-12)
 
     def test_missing_dataset_exits_three(self, capsys):
         code = main(["recover", "--data", "csv", "--csv", "/no/such/file.csv",

@@ -298,22 +298,28 @@ class TestCsvRoundTrip:
         again = load_csv(path)
         assert np.array_equal(again.features, data.features)
 
-    def test_header_detected_by_nonnumeric_cell(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "label,f0\n1,0.25\n-1,0.5\n",
+        "label,f0\r\n1,0.25\r\n-1,0.5\r\n",
+        "label , f0\n 1 , 0.25 \n-1,  0.5\n",
+        "label,f0\n\n1,0.25\n   \n\n-1,0.5\n\n",
+    ], ids=["plain", "crlf", "spaces-around-cells", "blank-lines"])
+    def test_header_detected_by_nonnumeric_cell(self, tmp_path, text):
         path = tmp_path / "h.csv"
-        path.write_text("label,f0\n1,0.25\n-1,0.5\n")
+        path.write_bytes(text.encode())
         data = load_csv(path)
         assert data.n == 2 and data.d == 1
-        np.testing.assert_allclose(data.features, [[0.25, 0.5]])
+        np.testing.assert_array_equal(data.features, [[0.25, 0.5]])
+        np.testing.assert_array_equal(data.labels, [1.0, -1.0])
 
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            load_csv(path)
-
-    def test_rejects_ragged_rows(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1,0.5,0.25\n-1,0.5\n")
+    @pytest.mark.parametrize("text", [
+        "", "\n  \n", "1,0.5,0.25\n-1,0.5\n", "label,f0\n", "1,0.25,\n-1,0.5,\n", "1\n-1\n",
+        "1,0.25#x\n-1,0.5\n",
+    ], ids=["empty", "blank-only", "ragged", "header-only", "trailing-comma", "single-column",
+            "hash-in-cell"])
+    def test_rejects_malformed_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
         with pytest.raises(ValueError):
             load_csv(path)
 

@@ -133,14 +133,15 @@ class TestIterative:
         gap = np.linalg.norm(res.recovered - one_shot.recovered)
         assert gap <= 10.0 * TOL / lam
 
-    def test_first_pass_reads_no_projection_matrix(self):
-        # at w_0 = 0 the offset R'w/sqrt(m) and the margin shift are zero
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_no_pass_reads_projection_matrix(self, passes):
+        # the offset R'w/sqrt(m) is read off the sketched features as Xhat beta
         data = make_low_rank(50, 25, 4, "random", seed=13)
         sk = gaussian_sketch(data, 15, seed=14)
         blind = dataclasses.replace(sk, matrix_r=np.full_like(sk.matrix_r, np.nan))
-        expected = recover_drp(data, logistic_loss(), 1.0, sk, CFG).recovered
-        recovered = recover_drp(data, logistic_loss(), 1.0, blind, CFG).recovered
-        np.testing.assert_array_equal(recovered, expected)
+        expected, _ = recover_iterative(data, logistic_loss(), 1.0, sk, passes, CFG)
+        recovered, _ = recover_iterative(data, logistic_loss(), 1.0, blind, passes, CFG)
+        np.testing.assert_array_equal(recovered.recovered, expected.recovered)
 
     def test_exact_sketch_converges_immediately(self):
         data = make_low_rank(20, 12, 3, "random", seed=15)
