@@ -58,6 +58,9 @@ RUNS = {
                                    "--method", "naive", "--identity-sketch"],
     "recover-csv-reference-stall": ["recover", "--data", "csv", "--csv", "stall.csv",
                                     "--sketch-dim", "20", "--loss", "logistic", "--trials", "2"],
+    # low.csv without its header and with every cell of the first row quoted: the same records
+    "recover-csv-quoted": ["recover", "--data", "csv", "--csv", "quoted.csv", "--sketch-dim", "25",
+                           "--loss", "logistic", "--trials", "2"],
     "recover-no-convergence": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic",
                                "--max-iters", "1", "--trials", "2"],
     "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
@@ -93,6 +96,7 @@ RUNS = {
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
     "bounds-full-rank": ["bounds", "--spectrum", "sv.txt", "--d", "100", "--loss", "logistic"],
+    "bounds-spectrum-empty": ["bounds", "--spectrum", "empty.txt", "--d", "10"],
     "full-rank-decaying": ["full-rank", *DECAYING, "--label-rule", "sign_of_plant",
                            "--loss", "logistic", "--trials", "2"],
     "full-rank-identity": ["full-rank", *DECAYING, "--identity-sketch"],
@@ -147,7 +151,13 @@ def main() -> int:
             save_csv(Dataset(low.features * 1e5, low.labels), "stall.csv")
             save_csv(make_decaying_spectrum(60, 30, 1.0, seed=5, top_singular_value=5.0),
                      "decaying.csv")
+            with open("low.csv", encoding="utf-8") as fh:
+                rows = fh.read().splitlines()[1:]
+            rows[0] = ",".join(f'"{cell}"' for cell in rows[0].split(","))
+            with open("quoted.csv", "w", encoding="utf-8") as fh:
+                fh.write("\n".join(rows) + "\n")
             np.savetxt("sv.txt", np.arange(1, 101, dtype=float) ** -1.0)
+            open("empty.txt", "w").close()
             with open("run.cfg", "w", encoding="utf-8") as fh:
                 fh.write("experiment = recover\nd = 60\nn = 20\nrank = 3  # planted\n"
                          "loss = logistic\nlambda = 0.5\ntrials = 5\n")

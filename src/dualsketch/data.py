@@ -72,11 +72,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SpectrumInfo:
-    """Thin SVD of a feature matrix plus its thresholded rank."""
+    """sigma, the left singular vectors U and the thresholded rank of a feature matrix; no V."""
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
-    right_vectors: np.ndarray
     rank: int
 
     def top_left_basis(self) -> np.ndarray:
@@ -130,8 +129,8 @@ def make_decaying_spectrum(
     Haar-random orthonormal factors.  ``label_rule = random`` draws iid
     signs; ``sign_of_plant`` labels by the sign of the margin against the
     leading left singular direction, which concentrates the learned weights
-    near the top of the spectrum.  The dataset's ``planted`` field holds these sigma and factors,
-    with the rank counted as ``spectrum`` counts it.
+    near the top of the spectrum.  The dataset's ``planted`` field holds these sigma and the
+    left factor, with the rank counted as ``spectrum`` counts it.
     """
     if d < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -152,18 +151,18 @@ def make_decaying_spectrum(
     else:
         labels = np.where(u[:, 0] @ feats >= 0.0, 1.0, -1.0)
     rank = numerical_rank(sigma, DEFAULT_RANK_THRESHOLD * sigma[0])
-    return Dataset(feats, labels, SpectrumInfo(sigma, u, v, rank))
+    return Dataset(feats, labels, SpectrumInfo(sigma, u, rank))
 
 
 def spectrum(data: Dataset) -> SpectrumInfo:
-    """Thin SVD of the features; rank counts sigma_i > DEFAULT_RANK_THRESHOLD * sigma_1.
+    """The features' sigma and U (thin SVD); rank counts sigma_i > DEFAULT_RANK_THRESHOLD * sigma_1.
 
     A dataset's planted SVD is returned as it is; other data is decomposed.
     """
     if data.planted is not None:
         return data.planted
-    u, s, vt = np.linalg.svd(data.features, full_matrices=False)
-    return SpectrumInfo(singular_values=s, left_vectors=u, right_vectors=vt.T,
+    u, s, _ = np.linalg.svd(data.features, full_matrices=False)
+    return SpectrumInfo(singular_values=s, left_vectors=u,
                         rank=numerical_rank(s, DEFAULT_RANK_THRESHOLD * s[0]))
 
 
@@ -215,20 +214,27 @@ def save_csv(data: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
-    A header row is optional and detected by a non-numeric first cell;
+    A header row is optional: the first row is one when none of its cells,
+    with double quotes stripped, parses as a number.  Cells may be quoted;
     blank lines are skipped.  ``Dataset`` rejects ``nan`` and ``inf`` cells.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty dataset file: {path}")
-    try:
-        float(lines[0].split(",")[0])
-    except ValueError:
+    if not any(_is_number(cell.strip().strip('"')) for cell in lines[0].split(",")):
         lines = lines[1:]
     if not lines:
         raise ValueError(f"dataset file has a header but no rows: {path}")
-    table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
     if table.shape[1] < 2:
         raise ValueError("every row must contain a label followed by d feature values")
     return Dataset(features=table[:, 1:].T.copy(), labels=table[:, 0].copy())
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

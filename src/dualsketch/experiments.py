@@ -24,8 +24,9 @@ import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 # numpy loads these on first use: np.random in every trial, numpy.ma inside np.median.
@@ -141,6 +142,15 @@ def _read(loader, path: str, what: str):
         raise DatasetIOError(f"bad {what} file {path}: {exc}") from exc
 
 
+def _load_spectrum(path: str) -> np.ndarray:
+    with warnings.catch_warnings():  # an empty file is reported below, as a bad file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        sv = np.loadtxt(path, dtype=float, ndmin=1)
+    if not (np.all(np.isfinite(sv) & (sv >= 0)) and np.any(sv > 0)):  # all zeros: no rank to bound
+        raise ValueError("values must be finite and nonnegative, at least one of them positive")
+    return sv
+
+
 def _reference(cfg: ExperimentConfig, data: Dataset, loss: LossSpec) -> np.ndarray:
     w_star = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol).weights
     if np.linalg.norm(w_star) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
@@ -169,10 +179,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     spec = spectrum(data) if data is not None and exp in ("span_error", "full_rank") else None
     sv = None
     if exp == "bounds" and cfg.spectrum:
-        sv = _read(lambda path: np.loadtxt(path, dtype=float, ndmin=1), cfg.spectrum, "spectrum")
-        if not np.all(np.isfinite(sv) & (sv >= 0)):
-            raise DatasetIOError(f"bad spectrum file {cfg.spectrum}: values must be finite and "
-                                 "nonnegative")
+        sv = _read(_load_spectrum, cfg.spectrum, "spectrum")
     elif exp == "full_rank" and spec is not None:
         sv = spec.singular_values
     elif exp == "full_rank" or (sketched and cfg.data == "decaying"):
@@ -242,12 +249,14 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
     recovered weights, and naive recovery and the measurement ratio read
     its sketched solution z*.  ``recover --method ridge_closed`` solves no
-    sketched problem.  A generated dataset's reference is solved before the
-    sketch is drawn, so the d x m projection is not held through the
-    reference solve's d x n span work; each draw seeds its own generator,
-    so the order moves no number.  The draws are not independent, though:
-    both seed ``default_rng(seed)``, so the sketch's first entries are the
-    dataset's draws (ROADMAP item 3 gives the sketch a stream of its own).
+    sketched problem.  Only naive recovery and the measurement ratio read
+    the d x m projection R; on every other route R is freed right after
+    projection, so it is held through neither the reference solve (a
+    generated dataset's reference is solved before the sketch is drawn)
+    nor the sketched one.  Each draw seeds its own generator, so the order
+    moves no number.  The draws are not independent, though: both seed
+    ``default_rng(seed)``, so the sketch's first entries are the dataset's
+    draws (ROADMAP item 3 gives the sketch a stream of its own).
     """
     seed, exp = cfg.seed + t, cfg.experiment
     data, w_star = plan.data, plan.w_star
@@ -263,6 +272,9 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     if w_star is None:
         w_star = _reference(cfg, data, plan.loss)
     sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
+    naive_read = cfg.method == "naive" or exp in ("naive_vs_drp", "span_error")
+    r_matrix = sk.matrix_r if naive_read or exp == "measurement" else None
+    sk = replace(sk, matrix_r=None)  # the solve reads only the sketched features
 
     head = {"trial": t, "seed": seed, "m": sk.m}
     bound = {"epsilon": cfg.epsilon, "value": plan.bound}
@@ -274,8 +286,8 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
             reference=w_star, early_stop=cfg.early_stop,
         )
         rel, z = result.rel_error, trace.sketched_weights
-    if cfg.method == "naive" or exp in ("naive_vs_drp", "span_error"):
-        naive = rec.recover_naive(sk.matrix_r, z, sk.m)
+    if naive_read:
+        naive = rec.recover_naive(r_matrix, z, sk.m)
         naive_rel = rec.relative_error(naive, w_star)
 
     if exp in ("recover", "iterate"):
@@ -291,7 +303,7 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
         return {**head, "naive_rel_error": naive_rel, "drp_rel_error": rel,
                 "ratio": naive_rel / rel if rel > 0 else math.inf}
     if exp == "measurement":
-        ratio = rec.measurement_error(z, sk.matrix_r, sk.m, w_star)
+        ratio = rec.measurement_error(z, r_matrix, sk.m, w_star)
         return {**head, "measurement_error": ratio, "bound": bound,
                 "within_bound": ratio <= plan.bound}
     if exp == "span_error":

@@ -30,10 +30,13 @@ class ProjectionSketch:
     """A projection matrix together with the sketched features it produced.
 
     ``seed`` is None for injected (non-Gaussian) matrices; otherwise
-    ``gaussian_matrix(d, m, seed)`` reproduces ``matrix_r`` exactly.
+    ``gaussian_matrix(d, m, seed)`` reproduces ``matrix_r`` exactly.  The
+    constructors below always set ``matrix_r``; dual recovery reads only
+    the sketched features, so a caller that reads R for nothing else may
+    keep a copy with ``matrix_r=None`` and let the d x m matrix go.
     """
 
-    matrix_r: np.ndarray
+    matrix_r: np.ndarray | None
     m: int
     seed: int | None
     sketched_features: np.ndarray

