@@ -65,6 +65,9 @@ RUNS = {
                                "--max-iters", "1", "--trials", "2"],
     "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
                                          "--loss", "logistic"],
+    # spans of exact rank 12, above solve.LOW_RANK_PIVOTS: ranked through their Gram matrix
+    "recover-rank-above-pivot-limit": ["recover", "--d", "60", "--n", "20", "--rank", "12",
+                                       "--sketch-dim", "40"],
     # run.cfg spells lam as its file key; one flag completes it and one overrides trials
     "recover-config-file": ["recover", "--config", "run.cfg", "--sketch-dim", "20", "--trials", "2"],
     "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],

@@ -215,14 +215,16 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`.
 
     A header row is optional: the first row is one when none of its cells,
-    with double quotes stripped, parses as a number.  Cells may be quoted;
-    blank lines are skipped.  ``Dataset`` rejects ``nan`` and ``inf`` cells.
+    with double quotes stripped, parses as a number.  Cells may be quoted,
+    with whitespace around the quotes; blank lines are skipped.  ``Dataset``
+    rejects ``nan`` and ``inf`` cells.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
+        # each cell is stripped before numpy reads its quotes
+        lines = [",".join(cell.strip() for cell in ln.split(",")) for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty dataset file: {path}")
-    if not any(_is_number(cell.strip().strip('"')) for cell in lines[0].split(",")):
+    if not any(_is_number(cell.strip('"')) for cell in lines[0].split(",")):
         lines = lines[1:]
     if not lines:
         raise ValueError(f"dataset file has a header but no rows: {path}")

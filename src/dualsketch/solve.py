@@ -17,7 +17,9 @@ product and solved by LU.  When p exceeds n the iterate lies in the span of
 the feature columns, so Newton runs on coordinates in that span; the
 certificate is evaluated in the full space, from margins recomputed there.
 One pivoted Cholesky of the Gram matrix, ``P' X' X P = L L'`` with greedy
-diagonal pivoting, factors the span.  At full rank, when L's diagonal puts
+diagonal pivoting, factors the span.  It runs first on the columns, forming
+only its pivots' Gram columns, so a span of rank at most ``LOW_RANK_PIVOTS``
+forms no Gram matrix.  At full rank, when L's diagonal puts
 the rounding of the CholeskyQR basis ``X P L'^-1`` below the tolerance,
 Newton runs on L' P'; at rank k < n, on an explicit QR of the k pivot
 columns that reproduces the columns to within ``SPAN_RESIDUAL``; otherwise
@@ -61,6 +63,8 @@ SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
 # columns of the pivoted Cholesky formed one at a time between trailing updates, and
 # the rows of a triangular solve done per block
 CHOLESKY_PANEL = 64
+# the most pivots taken on a span's own columns; a span of higher rank forms its Gram matrix
+LOW_RANK_PIVOTS = 8
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,11 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
+def _rank_floor(diag: np.ndarray) -> float:
+    """The pivoted Cholesky's stopping value: n * eps/2 * max(diag), dpstrf's default."""
+    return len(diag) * 0.5 * np.finfo(float).eps * (diag.max() if len(diag) else 0.0)
+
+
 def _pivoted_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """``(L, piv, rank)`` with ``gram[piv][:, piv] = L L'`` for an n x rank lower-trapezoidal L.
 
@@ -119,7 +128,7 @@ def _pivoted_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     columns = [np.zeros((0, n))]  # each panel's columns of L, over gram's rows
     work = np.asarray(gram, dtype=float)  # Schur complement of the pivots so far, over piv[rank:]
     diag = work.diagonal().copy()
-    stop = n * 0.5 * np.finfo(float).eps * (diag.max() if n else 0.0)
+    stop = _rank_floor(diag)
     while rank < n:
         panel = np.empty((min(CHOLESKY_PANEL, n - rank), n - rank))  # row c: column rank + c
         chosen = []
@@ -149,6 +158,36 @@ def _pivoted_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return np.tril(np.concatenate(columns).T[piv]), piv, rank
 
 
+def _low_rank_pivots(cols: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Pivots and rank of the pivoted Cholesky of ``cols' cols``, or None past the limit.
+
+    The same greedy pivoting and stopping value as :func:`_pivoted_cholesky`,
+    but each pivot forms only its own Gram column, from the columns
+    themselves, so a span of low rank never forms the n x n Gram matrix.
+    None when the rank exceeds ``LOW_RANK_PIVOTS`` or is full.
+    """
+    n = cols.shape[1]
+    diag = np.einsum("ij,ij->j", cols, cols)
+    stop = _rank_floor(diag)
+    last = min(LOW_RANK_PIVOTS, n - 1)
+    factor = np.empty((LOW_RANK_PIVOTS, n))  # row j: column j of L, over cols' columns
+    piv = []
+    for rank in range(last + 1):
+        q = int(diag.argmax())
+        if not diag[q] > stop:  # also stops on NaN
+            return np.array(piv, dtype=int), rank
+        if rank == last:
+            break
+        col = factor[rank]
+        np.dot(factor[:rank, q], factor[:rank], out=col)
+        np.subtract(cols.T @ cols[:, q], col, out=col)
+        col *= 1.0 / math.sqrt(diag[q])
+        diag -= col * col
+        diag[q] = -np.inf
+        piv.append(q)
+    return None
+
+
 def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``upper^-1 z`` for an upper-triangular ``upper``: back-substitution by blocks of rows.
 
@@ -170,24 +209,30 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     the basis is CholeskyQR's ``cols P L'^-1``, never formed, if the rounding
     it leaves in the gradient at weights of norm ``bound`` is within
     ``tolerance``; at rank k, the QR of the k pivot columns if that passes
-    the residual check; otherwise the QR of all the columns.
+    the residual check; otherwise the QR of all the columns.  Rank and
+    pivots come from the columns themselves when the rank is at most
+    ``LOW_RANK_PIVOTS`` and below n, and then no Gram matrix is formed.
     """
     n = cols.shape[1]
-    factor, piv, rank = _pivoted_cholesky(cols.T @ cols)
-    # eps * cond * ||cols||^2, from L's diagonal: CholeskyQR's map back loses about cond digits
-    if rank == n and np.finfo(float).eps * factor[0, 0] ** 3 / factor[-1, -1] * bound <= tolerance:
-        upper = factor.T
-        coords = np.empty((n, n))
-        coords[:, piv] = upper
+    if (low := _low_rank_pivots(cols)) is not None:
+        piv, rank = low
+    else:
+        factor, piv, rank = _pivoted_cholesky(cols.T @ cols)
+        # eps * cond * ||cols||^2, from L's diagonal: CholeskyQR's map back loses about cond digits
+        if (rank == n and np.finfo(float).eps * factor[0, 0] ** 3 / factor[-1, -1] * bound
+                <= tolerance):
+            upper = factor.T
+            coords = np.empty((n, n))
+            coords[:, piv] = upper
 
-        def to_full(z):
-            # cols @ y with y scattered to the columns' order: no permuted copy of cols
-            y = np.empty(n)
-            y[piv] = _solve_upper(upper, z)
-            return cols @ y
+            def to_full(z):
+                # cols @ y with y scattered to the columns' order: no permuted copy of cols
+                y = np.empty(n)
+                y[piv] = _solve_upper(upper, z)
+                return cols @ y
 
-        return coords, to_full
-    del factor  # not held through the p x n temporaries below
+            return coords, to_full
+        del factor  # not held through the p x n temporaries below
     if 0 < rank < n:
         basis = np.linalg.qr(cols[:, piv[:rank]])[0]
         coords = basis.T @ cols
@@ -254,8 +299,11 @@ def solve_primal(
     def certified():
         """The current iterate in the full space, with its objective and gradient norm there."""
         z_f = to_full(z)
-        f_f, margins_f = (f, margins) if refine or x is x_full else objective(z_f, x_full)
-        grad_norm = float(np.linalg.norm(lam * z_f + x_full @ (y * loss.grad(margins_f))))
+        if x is x_full:  # Newton ran in the caller's space, where g is the gradient
+            f_f, grad_norm = f, float(np.linalg.norm(g))
+        else:
+            f_f, margins_f = (f, margins) if refine else objective(z_f, x_full)
+            grad_norm = float(np.linalg.norm(lam * z_f + x_full @ (y * loss.grad(margins_f))))
         return PrimalSolution(weights=z_f, objective=f_f, grad_norm=grad_norm,
                               iterations=iters, newton_dim=k)
 

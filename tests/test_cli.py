@@ -1018,6 +1018,8 @@ class TestCliProcess:
                        id=f"config-{key}-of-another-subcommand") for key in ("method", "iters")],
         pytest.param(["recover", *SMALL, "--csv", "{tmp}/good.csv"], {}, 2,
                      id="csv-without-data-csv"),
+        pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/quoted-comma.csv"], {}, 3,
+                     id="csv-comma-in-quoted-cell"),
         pytest.param(["iterate", *SMALL, "--eps", "0.99", "--iters", "200"], {}, 2,
                      id="iterate-bound-overflows"),
         pytest.param(["full-rank", *DECAYING, "--top-singular", "1e300", "--sketch-dim", "6"], {}, 3,
@@ -1030,6 +1032,7 @@ class TestCliProcess:
         (tmp_path / "huge-spectrum.txt").write_text("1e200\n")
         (tmp_path / "empty-spectrum.txt").write_text("")
         (tmp_path / "zero-spectrum.txt").write_text("0\n0\n")
+        (tmp_path / "quoted-comma.csv").write_text(' "1,5" , 0.25\n-1,0.5\n')
         (tmp_path / "latin1.cfg").write_bytes("loss = logistic  # caf\u00e9\n".encode("latin-1"))
         (tmp_path / "bounds.cfg").write_text("experiment = bounds\n")
         (tmp_path / "method.cfg").write_text("method = naive\n")

@@ -305,8 +305,9 @@ class TestCsvRoundTrip:
         "label,f0\n\n1,0.25\n   \n\n-1,0.5\n\n",
         '"label","f0"\n"1","0.25"\n-1,0.5\n',
         '"1",0.25\n-1,0.5\n',
+        ' "1" , 0.25\n-1,\t"0.5" \n',
     ], ids=["plain", "crlf", "spaces-around-cells", "blank-lines", "quoted-header",
-            "quoted-first-row"])
+            "quoted-first-row", "spaces-around-quoted-cells"])
     def test_header_detected_by_nonnumeric_cell(self, tmp_path, text):
         path = tmp_path / "h.csv"
         path.write_bytes(text.encode())
@@ -317,9 +318,9 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("text", [
         "", "\n  \n", "1,0.5,0.25\n-1,0.5\n", "label,f0\n", "1,0.25,\n-1,0.5,\n", "1\n-1\n",
-        "1,0.25#x\n-1,0.5\n",
+        "1,0.25#x\n-1,0.5\n", '"1,5",0.25\n-1,0.5\n',
     ], ids=["empty", "blank-only", "ragged", "header-only", "trailing-comma", "single-column",
-            "hash-in-cell"])
+            "hash-in-cell", "comma-in-quoted-cell"])
     def test_rejects_malformed_file(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -11,6 +11,8 @@ from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
 from dualsketch.recover import recover_iterative
 from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import (
+    LOW_RANK_PIVOTS,
+    _low_rank_pivots,
     _pivoted_cholesky,
     _span_basis,
     ConvergenceError,
@@ -281,6 +283,36 @@ class TestPivotedCholesky:
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(gram)
 
 
+class TestLowRankPivots:
+    """``_low_rank_pivots`` picks ``_pivoted_cholesky``'s pivots without the Gram matrix."""
+
+    @staticmethod
+    def columns(case):
+        rng = np.random.default_rng(22)
+        if case == "zero":
+            return np.zeros((30, 7))
+        if case == "duplicate columns":  # each diagonal entry is tied with its twin's
+            return np.repeat(rng.standard_normal((50, 3)) @ rng.standard_normal((3, 6)), 2, axis=1)
+        rank, n = {"rank 1": (1, 40), "rank 5": (5, 40), "rank at the limit": (LOW_RANK_PIVOTS, 40),
+                   "low rank, few columns": (3, 6), "rank above the limit": (LOW_RANK_PIVOTS + 1, 40),
+                   "full rank": (40, 40), "full rank, few columns": (6, 6)}[case]
+        return rng.standard_normal((200, rank)) @ rng.standard_normal((rank, n))
+
+    @pytest.mark.parametrize("case", ["rank 1", "rank 5", "rank at the limit", "zero",
+                                      "duplicate columns", "low rank, few columns"])
+    def test_matches_the_gram_factorisation(self, case):
+        cols = self.columns(case)
+        piv, rank = _low_rank_pivots(cols)
+        _, gram_piv, gram_rank = _pivoted_cholesky(cols.T @ cols)
+        assert rank == gram_rank
+        assert np.array_equal(piv, gram_piv[:rank])
+
+    @pytest.mark.parametrize("case", ["rank above the limit", "full rank",
+                                      "full rank, few columns"])
+    def test_gives_up_above_the_limit_and_at_full_rank(self, case):
+        assert _low_rank_pivots(self.columns(case)) is None
+
+
 class TestSpanReduction:
     """Newton runs in the numerical rank of the span, and falls back to QR when unsure."""
 
@@ -298,6 +330,16 @@ class TestSpanReduction:
         assert sol.grad_norm <= 1e-12
         assert stationarity_norm(data.features, data.labels, logistic_loss(), 1.0,
                                  sol.weights) <= 1e-12
+
+    @pytest.mark.parametrize("d,n,r", [(5000, 300, 5), (500, 200, 2)])
+    def test_low_rank_span_forms_no_gram_matrix(self, monkeypatch, d, n, r):
+        def no_gram(gram):
+            raise AssertionError("the Gram matrix was factored")
+
+        monkeypatch.setattr(solve, "_pivoted_cholesky", no_gram)
+        data = make_low_rank(d, n, r, "random", seed=7)
+        coords, _ = _span_basis(data.features, 1e-10, 1.0)
+        assert coords.shape == (r, n)
 
     # Full rank but ill-conditioned: the pivoted Cholesky may cut off the
     # small singular values, and the residual check must then restore QR.
