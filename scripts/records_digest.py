@@ -58,6 +58,9 @@ RUNS = {
                                    "--method", "naive", "--identity-sketch"],
     "recover-csv-reference-stall": ["recover", "--data", "csv", "--csv", "stall.csv",
                                     "--sketch-dim", "20", "--loss", "logistic", "--trials", "2"],
+    # column norms past 1e102: the Cholesky basis's gate overflows to inf and refuses it
+    "recover-csv-huge-scale": ["recover", "--data", "csv", "--csv", "huge.csv", "--sketch-dim", "10",
+                               "--loss", "logistic"],
     # low.csv without its header and with every cell of the first row quoted: the same records
     "recover-csv-quoted": ["recover", "--data", "csv", "--csv", "quoted.csv", "--sketch-dim", "25",
                            "--loss", "logistic", "--trials", "2"],
@@ -65,7 +68,7 @@ RUNS = {
                                "--max-iters", "1", "--trials", "2"],
     "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
                                          "--loss", "logistic"],
-    # spans of exact rank 12, above solve.LOW_RANK_PIVOTS: ranked through their Gram matrix
+    # spans of exact rank 12, above solve.LOW_RANK_PIVOTS: Newton runs on the QR of all columns
     "recover-rank-above-pivot-limit": ["recover", "--d", "60", "--n", "20", "--rank", "12",
                                        "--sketch-dim", "40"],
     # run.cfg spells lam as its file key; one flag completes it and one overrides trials
@@ -152,6 +155,9 @@ def main() -> int:
             save_csv(low, "low.csv")
             # the logistic reference of features this large stalls above its tolerance
             save_csv(Dataset(low.features * 1e5, low.labels), "stall.csv")
+            rng = np.random.default_rng(0)
+            save_csv(Dataset(rng.standard_normal((30, 4)) * 1e110, rng.choice([-1.0, 1.0], 4)),
+                     "huge.csv")
             save_csv(make_decaying_spectrum(60, 30, 1.0, seed=5, top_singular_value=5.0),
                      "decaying.csv")
             with open("low.csv", encoding="utf-8") as fh:

@@ -16,15 +16,15 @@ The method is damped Newton on the exact Hessian, formed as one symmetric
 product and solved by LU.  When p exceeds n the iterate lies in the span of
 the feature columns, so Newton runs on coordinates in that span; the
 certificate is evaluated in the full space, from margins recomputed there.
-One pivoted Cholesky of the Gram matrix, ``P' X' X P = L L'`` with greedy
-diagonal pivoting, factors the span.  It runs first on the columns, forming
-only its pivots' Gram columns, so a span of rank at most ``LOW_RANK_PIVOTS``
-forms no Gram matrix.  At full rank, when L's diagonal puts
-the rounding of the CholeskyQR basis ``X P L'^-1`` below the tolerance,
-Newton runs on L' P'; at rank k < n, on an explicit QR of the k pivot
-columns that reproduces the columns to within ``SPAN_RESIDUAL``; otherwise
-on the explicit QR of all the columns.  Failed certificates send Newton on
-with margins computed from the weights.
+A greedy pivoted Cholesky of the Gram matrix, run on the columns and forming
+only its pivots' Gram columns, looks for a rank k of at most
+``LOW_RANK_PIVOTS``; Newton then runs on an explicit QR of the k pivot
+columns if it reproduces the columns to within ``SPAN_RESIDUAL``.  Past that
+limit the Gram matrix is formed and factored, ``X' X = U' U``, and when the
+diagonals put the rounding of the CholeskyQR basis ``X U^-1`` below the
+tolerance, Newton runs on U.  Otherwise it runs on the explicit QR of all
+the columns.  Failed certificates send Newton on with margins computed from
+the weights.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ NOISE_EPS = 8.0 * np.finfo(float).eps
 # A rank-reduced span basis must reproduce the columns to this relative
 # Frobenius residual; exactly low-rank data measures 2-6 eps.
 SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
-# columns of the pivoted Cholesky formed one at a time between trailing updates, and
 # the rows of a triangular solve done per block
 CHOLESKY_PANEL = 64
 # the most pivots taken on a span's own columns; a span of higher rank forms its Gram matrix
@@ -108,67 +107,18 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _rank_floor(diag: np.ndarray) -> float:
-    """The pivoted Cholesky's stopping value: n * eps/2 * max(diag), dpstrf's default."""
-    return len(diag) * 0.5 * np.finfo(float).eps * (diag.max() if len(diag) else 0.0)
-
-
-def _pivoted_cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(L, piv, rank)`` with ``gram[piv][:, piv] = L L'`` for an n x rank lower-trapezoidal L.
-
-    Pivots greedily on the largest remaining diagonal and stops, as LAPACK's
-    dpstrf does by default, once that is at most n * eps/2 * max(diag(gram)).
-    ``piv`` is 0-based; its first ``rank`` entries are the pivots in order.
-    The columns are formed one at a time within a panel of
-    ``CHOLESKY_PANEL``, and the trailing matrix is updated once per panel.
-    """
-    n = len(gram)
-    piv = np.arange(n)
-    rank = 0
-    columns = [np.zeros((0, n))]  # each panel's columns of L, over gram's rows
-    work = np.asarray(gram, dtype=float)  # Schur complement of the pivots so far, over piv[rank:]
-    diag = work.diagonal().copy()
-    stop = _rank_floor(diag)
-    while rank < n:
-        panel = np.empty((min(CHOLESKY_PANEL, n - rank), n - rank))  # row c: column rank + c
-        chosen = []
-        for c, col in enumerate(panel):
-            q = int(diag.argmax())
-            if not diag[q] > stop:  # also stops on NaN
-                break
-            np.dot(panel[:c, q], panel[:c], out=col)
-            np.subtract(work[q], col, out=col)
-            col *= 1.0 / math.sqrt(diag[q])
-            diag -= col * col
-            diag[q] = -np.inf
-            chosen.append(q)
-        width, rest = len(chosen), piv[rank:]
-        columns.append(np.zeros((width, n)))
-        columns[-1][:, rest] = panel[:width]
-        keep = np.ones(n - rank, dtype=bool)
-        keep[chosen] = False
-        piv[rank:] = np.concatenate([rest[chosen], rest[keep]])
-        rank += width
-        if width < len(panel) or rank == n:
-            break
-        below = panel[:, keep]
-        work = work[keep][:, keep] - below.T @ below
-        diag = diag[keep]
-    # tril clears the roundoff a panel leaves in its own pivots' rows above L's diagonal
-    return np.tril(np.concatenate(columns).T[piv]), piv, rank
-
-
 def _low_rank_pivots(cols: np.ndarray) -> tuple[np.ndarray, int] | None:
     """Pivots and rank of the pivoted Cholesky of ``cols' cols``, or None past the limit.
 
-    The same greedy pivoting and stopping value as :func:`_pivoted_cholesky`,
-    but each pivot forms only its own Gram column, from the columns
-    themselves, so a span of low rank never forms the n x n Gram matrix.
-    None when the rank exceeds ``LOW_RANK_PIVOTS`` or is full.
+    Pivots greedily on the largest remaining diagonal and stops, as LAPACK's
+    dpstrf does by default, once that is at most n * eps/2 * max(diag).  Each
+    pivot forms only its own Gram column, from the columns themselves, so no
+    n x n Gram matrix is formed.  None when the rank exceeds
+    ``LOW_RANK_PIVOTS`` or is full.
     """
     n = cols.shape[1]
     diag = np.einsum("ij,ij->j", cols, cols)
-    stop = _rank_floor(diag)
+    stop = n * 0.5 * np.finfo(float).eps * (diag.max() if n else 0.0)
     last = min(LOW_RANK_PIVOTS, n - 1)
     factor = np.empty((LOW_RANK_PIVOTS, n))  # row j: column j of L, over cols' columns
     piv = []
@@ -205,36 +155,31 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
                 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Coordinates ``coords`` (k x n) of ``cols`` in a basis of their span, and ``to_full``.
 
-    ``cols = basis @ coords`` and ``to_full(z) = basis @ z``.  At full rank
-    the basis is CholeskyQR's ``cols P L'^-1``, never formed, if the rounding
-    it leaves in the gradient at weights of norm ``bound`` is within
-    ``tolerance``; at rank k, the QR of the k pivot columns if that passes
-    the residual check; otherwise the QR of all the columns.  Rank and
-    pivots come from the columns themselves when the rank is at most
-    ``LOW_RANK_PIVOTS`` and below n, and then no Gram matrix is formed.
+    ``cols = basis @ coords`` and ``to_full(z) = basis @ z``.  At a rank k of
+    at most ``LOW_RANK_PIVOTS``, found on the columns themselves, the basis is
+    the QR of the k pivot columns if that passes the residual check.  Past
+    that limit it is CholeskyQR's ``cols U^-1``, never formed, for the
+    Cholesky factor U of the Gram matrix, if U exists and the rounding the
+    basis leaves in the gradient at weights of norm ``bound`` is within
+    ``tolerance``.  Failing either, it is the QR of all the columns.
     """
-    n = cols.shape[1]
-    if (low := _low_rank_pivots(cols)) is not None:
-        piv, rank = low
-    else:
-        factor, piv, rank = _pivoted_cholesky(cols.T @ cols)
-        # eps * cond * ||cols||^2, from L's diagonal: CholeskyQR's map back loses about cond digits
-        if (rank == n and np.finfo(float).eps * factor[0, 0] ** 3 / factor[-1, -1] * bound
-                <= tolerance):
-            upper = factor.T
-            coords = np.empty((n, n))
-            coords[:, piv] = upper
-
-            def to_full(z):
-                # cols @ y with y scattered to the columns' order: no permuted copy of cols
-                y = np.empty(n)
-                y[piv] = _solve_upper(upper, z)
-                return cols @ y
-
-            return coords, to_full
-        del factor  # not held through the p x n temporaries below
-    if 0 < rank < n:
-        basis = np.linalg.qr(cols[:, piv[:rank]])[0]
+    if (low := _low_rank_pivots(cols)) is None:
+        gram = cols.T @ cols
+        try:
+            upper = np.linalg.cholesky(gram, upper=True)
+        except np.linalg.LinAlgError:
+            upper = None
+        else:
+            # eps * cond * ||cols||^2 from the diagonals, as max(diag G)^1.5 / min(diag U):
+            # CholeskyQR's map back loses about cond digits; inf or NaN refuses the basis
+            with np.errstate(over="ignore", invalid="ignore"):
+                floor = (np.finfo(float).eps * gram.diagonal().max() ** 1.5
+                         / upper.diagonal().min() * bound)
+            if floor <= tolerance:
+                return upper, lambda z: cols @ _solve_upper(upper, z)
+        del gram, upper  # not held through the p x n temporaries below
+    elif low[1] > 0:
+        basis = np.linalg.qr(cols[:, low[0]])[0]
         coords = basis.T @ cols
         residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||
         residual -= cols

@@ -1,5 +1,7 @@
 """Primal solver certificates, closed forms, conversions, and duality."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,6 @@ from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import (
     LOW_RANK_PIVOTS,
     _low_rank_pivots,
-    _pivoted_cholesky,
     _span_basis,
     ConvergenceError,
     SolverConfig,
@@ -59,6 +60,29 @@ def count_triangular_solves(monkeypatch):
 
     monkeypatch.setattr(solve, "_solve_upper", counting_solve_upper)
     return calls
+
+
+def greedy_pivoted_cholesky(gram):
+    """``(L, piv, rank)`` with ``gram[piv][:, piv] = L L'`` for an n x rank lower-trapezoidal L.
+
+    Unblocked greedy pivoting on the largest remaining diagonal, ties to the
+    lowest index, stopping where LAPACK's dpstrf does by default.
+    """
+    n = len(gram)
+    diag = np.diagonal(gram).astype(float)
+    stop = n * 0.5 * np.finfo(float).eps * (diag.max() if n else 0.0)
+    rows, piv = np.zeros((0, n)), []  # row j: column j of L, over gram's rows
+    for _ in range(n):
+        q = int(diag.argmax())
+        if not diag[q] > stop:
+            break
+        row = (gram[q] - rows[:, q] @ rows) / np.sqrt(diag[q])
+        diag -= row * row
+        diag[q] = -np.inf
+        rows, piv = np.vstack([rows, row]), piv + [q]
+    piv += [j for j in range(n) if j not in piv]
+    # tril clears the roundoff left in the pivots' own rows above L's diagonal
+    return np.tril(rows.T[piv]), np.array(piv), len(rows)
 
 
 def stationarity_norm(features, labels, loss, lam, w):
@@ -256,7 +280,7 @@ def test_blocked_back_substitution(n):
 
 
 class TestPivotedCholesky:
-    """``_pivoted_cholesky`` against LAPACK's dpstrf, through scipy, as the oracle."""
+    """The reference ``greedy_pivoted_cholesky`` against LAPACK's dpstrf, through scipy."""
 
     @staticmethod
     def gram(case):
@@ -274,7 +298,7 @@ class TestPivotedCholesky:
                                       "rank 5", "zero", "tied diagonal"])
     def test_matches_lapack_rank_and_factors(self, case):
         gram = self.gram(case)
-        factor, piv, rank = _pivoted_cholesky(gram)
+        factor, piv, rank = greedy_pivoted_cholesky(gram)
         assert rank == scipy.linalg.lapack.dpstrf(gram, lower=1)[2]
         assert factor.shape == (len(gram), rank)
         assert np.array_equal(factor, np.tril(factor))
@@ -284,7 +308,7 @@ class TestPivotedCholesky:
 
 
 class TestLowRankPivots:
-    """``_low_rank_pivots`` picks ``_pivoted_cholesky``'s pivots without the Gram matrix."""
+    """``_low_rank_pivots`` picks ``greedy_pivoted_cholesky``'s pivots without the Gram matrix."""
 
     @staticmethod
     def columns(case):
@@ -303,7 +327,7 @@ class TestLowRankPivots:
     def test_matches_the_gram_factorisation(self, case):
         cols = self.columns(case)
         piv, rank = _low_rank_pivots(cols)
-        _, gram_piv, gram_rank = _pivoted_cholesky(cols.T @ cols)
+        _, gram_piv, gram_rank = greedy_pivoted_cholesky(cols.T @ cols)
         assert rank == gram_rank
         assert np.array_equal(piv, gram_piv[:rank])
 
@@ -318,31 +342,33 @@ class TestSpanReduction:
 
     @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5)])
     def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
+        # a rank above LOW_RANK_PIVOTS is not sought: Newton runs on the QR of all n columns
+        dim = r if r <= LOW_RANK_PIVOTS else n
         data = make_low_rank(d, n, r, "random", seed=7)
         coords, to_full = _span_basis(data.features, 1e-10, 1.0)
-        assert coords.shape == (r, n)
-        basis = np.column_stack([to_full(e) for e in np.eye(r)])
-        assert basis.shape == (d, r)
-        assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-14
+        assert coords.shape == (dim, n)
+        basis = np.column_stack([to_full(e) for e in np.eye(dim)])
+        assert basis.shape == (d, dim)
+        assert np.max(np.abs(basis.T @ basis - np.eye(dim))) <= 1e-14
         sol = solve_primal(data.features, data.labels, logistic_loss(), 1.0,
                            SolverConfig(tolerance=1e-12))
-        assert sol.newton_dim == r
+        assert sol.newton_dim == dim
         assert sol.grad_norm <= 1e-12
         assert stationarity_norm(data.features, data.labels, logistic_loss(), 1.0,
                                  sol.weights) <= 1e-12
 
     @pytest.mark.parametrize("d,n,r", [(5000, 300, 5), (500, 200, 2)])
     def test_low_rank_span_forms_no_gram_matrix(self, monkeypatch, d, n, r):
-        def no_gram(gram):
+        def no_gram(gram, **kwargs):
             raise AssertionError("the Gram matrix was factored")
 
-        monkeypatch.setattr(solve, "_pivoted_cholesky", no_gram)
+        monkeypatch.setattr(np.linalg, "cholesky", no_gram)
         data = make_low_rank(d, n, r, "random", seed=7)
         coords, _ = _span_basis(data.features, 1e-10, 1.0)
         assert coords.shape == (r, n)
 
-    # Full rank but ill-conditioned: the pivoted Cholesky may cut off the
-    # small singular values, and the residual check must then restore QR.
+    # Full rank but ill-conditioned: the Cholesky factor may not exist or
+    # fail its gate, and the explicit QR must then keep every direction.
     @pytest.mark.parametrize("lam", [1e-3, 1.0])
     @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
     @pytest.mark.parametrize("decay", [2.0, 3.0, 6.0])
@@ -388,12 +414,11 @@ class TestSpanReduction:
         low = make_low_rank(200, 40, 3, "random", seed=14)
         solve_primal(low.features, low.labels, logistic_loss(), 1.0)
         assert qr_calls == [(200, 3)]
-        # a span the pivoted Cholesky truncates to rank 15 fails the residual
-        # check, and the explicit QR of all its columns follows
+        # a steep span has no usable Cholesky factor: one explicit QR of all its columns
         steep = make_decaying_spectrum(600, 120, 6.0, seed=8)
         qr_calls.clear()
         solve_primal(steep.features, steep.labels, logistic_loss(), 1.0)
-        assert qr_calls == [(600, 15), (600, 120)]
+        assert qr_calls == [(600, 120)]
 
     def test_cholesky_basis_is_gated_on_its_rounding_floor(self, monkeypatch):
         # CholeskyQR's map back costs about cond(X) digits.  At top singular
@@ -408,6 +433,21 @@ class TestSpanReduction:
             assert sol.newton_dim == 40 and sol.grad_norm <= 1e-10
             assert stationarity_norm(data.features, data.labels, square_loss(), 0.01,
                                      sol.weights) <= 1e-10
+
+    def test_gate_overflow_refuses_the_cholesky_basis_without_a_warning(self):
+        # past column norms of ~1e102 the gate's max(diag G)^1.5 overflows to inf, which
+        # refuses the basis; the logistic solve then stalls, as it does at smaller scales
+        rng = np.random.default_rng(0)
+        features, labels = random_instance(rng, 30, 4)
+        features *= 1e110
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="stalled"):
+                solve_primal(features, labels, logistic_loss(), 1.0)
+            # margins shifted past the hinge give F(0) = 0, a zero norm bound and a NaN gate
+            sol = solve_primal(features, labels, smoothed_hinge_loss(1.0), 1.0,
+                               margin_shift=np.full(4, 10.0))
+        assert sol.grad_norm == 0.0 and not sol.weights.any()
 
     def test_full_space_margins_refine_a_failed_certificate(self):
         # the reduced solve converges, but its weights miss the tolerance by
