@@ -68,7 +68,8 @@ RUNS = {
                                "--max-iters", "1", "--trials", "2"],
     "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
                                          "--loss", "logistic"],
-    # spans of exact rank 12, above solve.LOW_RANK_PIVOTS: Newton runs on the QR of all columns
+    # spans of exact rank 12, above solve.LOW_RANK_PIVOTS: found once their Gram matrix has no
+    # Cholesky factor, so Newton runs in 12 dimensions
     "recover-rank-above-pivot-limit": ["recover", "--d", "60", "--n", "20", "--rank", "12",
                                        "--sketch-dim", "40"],
     # run.cfg spells lam as its file key; one flag completes it and one overrides trials

@@ -22,9 +22,10 @@ only its pivots' Gram columns, looks for a rank k of at most
 columns if it reproduces the columns to within ``SPAN_RESIDUAL``.  Past that
 limit the Gram matrix is formed and factored, ``X' X = U' U``, and when the
 diagonals put the rounding of the CholeskyQR basis ``X U^-1`` below the
-tolerance, Newton runs on U.  Otherwise it runs on the explicit QR of all
-the columns.  Failed certificates send Newton on with margins computed from
-the weights.
+tolerance, Newton runs on U.  A Gram matrix with no Cholesky factor sends
+the pivoting on, up to rank n - 1, to the same rank-k check.  Otherwise
+Newton runs on the explicit QR of all the columns.  Failed certificates
+send Newton on with margins computed from the weights.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ NOISE_EPS = 8.0 * np.finfo(float).eps
 # Frobenius residual; exactly low-rank data measures 2-6 eps.
 SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
 # the rows of a triangular solve done per block
-CHOLESKY_PANEL = 64
-# the most pivots taken on a span's own columns; a span of higher rank forms its Gram matrix
+SOLVE_BLOCK = 64
+# the most pivots taken on a span's own columns before its Gram matrix is formed
 LOW_RANK_PIVOTS = 8
 
 
@@ -107,20 +108,20 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _low_rank_pivots(cols: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """Pivots and rank of the pivoted Cholesky of ``cols' cols``, or None past the limit.
+def _low_rank_pivots(cols: np.ndarray, limit: int) -> tuple[np.ndarray, int] | None:
+    """Pivots and rank of the pivoted Cholesky of ``cols' cols``, or None past ``limit``.
 
     Pivots greedily on the largest remaining diagonal and stops, as LAPACK's
     dpstrf does by default, once that is at most n * eps/2 * max(diag).  Each
     pivot forms only its own Gram column, from the columns themselves, so no
-    n x n Gram matrix is formed.  None when the rank exceeds
-    ``LOW_RANK_PIVOTS`` or is full.
+    n x n Gram matrix is formed.  None when the rank exceeds ``limit`` or is
+    full.
     """
     n = cols.shape[1]
     diag = np.einsum("ij,ij->j", cols, cols)
     stop = n * 0.5 * np.finfo(float).eps * (diag.max() if n else 0.0)
-    last = min(LOW_RANK_PIVOTS, n - 1)
-    factor = np.empty((LOW_RANK_PIVOTS, n))  # row j: column j of L, over cols' columns
+    last = min(limit, n - 1)
+    factor = np.empty((limit, n))  # row j: column j of L, over cols' columns
     piv = []
     for rank in range(last + 1):
         q = int(diag.argmax())
@@ -144,8 +145,8 @@ def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
     Each diagonal block goes to LU, which swaps no rows of a triangular matrix.
     """
     y = np.array(z, dtype=float)
-    for start in reversed(range(0, len(y), CHOLESKY_PANEL)):
-        block = slice(start, start + CHOLESKY_PANEL)
+    for start in reversed(range(0, len(y), SOLVE_BLOCK)):
+        block = slice(start, start + SOLVE_BLOCK)
         rhs = y[block] - upper[block, block.stop:] @ y[block.stop:]
         y[block] = np.linalg.solve(upper[block, block], rhs)
     return y
@@ -159,16 +160,19 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     at most ``LOW_RANK_PIVOTS``, found on the columns themselves, the basis is
     the QR of the k pivot columns if that passes the residual check.  Past
     that limit it is CholeskyQR's ``cols U^-1``, never formed, for the
-    Cholesky factor U of the Gram matrix, if U exists and the rounding the
-    basis leaves in the gradient at weights of norm ``bound`` is within
-    ``tolerance``.  Failing either, it is the QR of all the columns.
+    Cholesky factor U of the Gram matrix, if the rounding the basis leaves
+    in the gradient at weights of norm ``bound`` is within ``tolerance``.
+    When U does not exist the pivoting goes on up to rank n - 1, and a rank
+    k it finds gets the same QR and check.  Failing these, the basis is the
+    QR of all the columns.
     """
-    if (low := _low_rank_pivots(cols)) is None:
+    if (low := _low_rank_pivots(cols, LOW_RANK_PIVOTS)) is None:
         gram = cols.T @ cols
         try:
-            upper = np.linalg.cholesky(gram, upper=True)
-        except np.linalg.LinAlgError:
-            upper = None
+            upper = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:  # a singular Gram matrix: look for the rank below n
+            del gram
+            low = _low_rank_pivots(cols, cols.shape[1] - 1)
         else:
             # eps * cond * ||cols||^2 from the diagonals, as max(diag G)^1.5 / min(diag U):
             # CholeskyQR's map back loses about cond digits; inf or NaN refuses the basis
@@ -177,8 +181,8 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
                          / upper.diagonal().min() * bound)
             if floor <= tolerance:
                 return upper, lambda z: cols @ _solve_upper(upper, z)
-        del gram, upper  # not held through the p x n temporaries below
-    elif low[1] > 0:
+            del gram, upper  # not held through the p x n temporaries below
+    if low is not None and low[1] > 0:
         basis = np.linalg.qr(cols[:, low[0]])[0]
         coords = basis.T @ cols
         residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||

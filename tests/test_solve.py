@@ -326,7 +326,7 @@ class TestLowRankPivots:
                                       "duplicate columns", "low rank, few columns"])
     def test_matches_the_gram_factorisation(self, case):
         cols = self.columns(case)
-        piv, rank = _low_rank_pivots(cols)
+        piv, rank = _low_rank_pivots(cols, LOW_RANK_PIVOTS)
         _, gram_piv, gram_rank = greedy_pivoted_cholesky(cols.T @ cols)
         assert rank == gram_rank
         assert np.array_equal(piv, gram_piv[:rank])
@@ -334,32 +334,44 @@ class TestLowRankPivots:
     @pytest.mark.parametrize("case", ["rank above the limit", "full rank",
                                       "full rank, few columns"])
     def test_gives_up_above_the_limit_and_at_full_rank(self, case):
-        assert _low_rank_pivots(self.columns(case)) is None
+        assert _low_rank_pivots(self.columns(case), LOW_RANK_PIVOTS) is None
+
+    @pytest.mark.parametrize("case", ["rank above the limit", "duplicate columns"])
+    def test_a_limit_of_n_minus_1_finds_any_rank_below_full(self, case):
+        cols = self.columns(case)
+        piv, rank = _low_rank_pivots(cols, cols.shape[1] - 1)
+        _, gram_piv, gram_rank = greedy_pivoted_cholesky(cols.T @ cols)
+        assert rank == gram_rank
+        assert np.array_equal(piv, gram_piv[:rank])
+
+    @pytest.mark.parametrize("case", ["full rank", "full rank, few columns"])
+    def test_a_limit_of_n_minus_1_gives_up_at_full_rank(self, case):
+        cols = self.columns(case)
+        assert _low_rank_pivots(cols, cols.shape[1] - 1) is None
 
 
 class TestSpanReduction:
     """Newton runs in the numerical rank of the span, and falls back to QR when unsure."""
 
-    @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5)])
+    # ranks above LOW_RANK_PIVOTS are found once the Gram matrix has no Cholesky factor
+    @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5), (600, 120, 100)])
     def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
-        # a rank above LOW_RANK_PIVOTS is not sought: Newton runs on the QR of all n columns
-        dim = r if r <= LOW_RANK_PIVOTS else n
         data = make_low_rank(d, n, r, "random", seed=7)
         coords, to_full = _span_basis(data.features, 1e-10, 1.0)
-        assert coords.shape == (dim, n)
-        basis = np.column_stack([to_full(e) for e in np.eye(dim)])
-        assert basis.shape == (d, dim)
-        assert np.max(np.abs(basis.T @ basis - np.eye(dim))) <= 1e-14
+        assert coords.shape == (r, n)
+        basis = np.column_stack([to_full(e) for e in np.eye(r)])
+        assert basis.shape == (d, r)
+        assert np.max(np.abs(basis.T @ basis - np.eye(r))) <= 1e-14
         sol = solve_primal(data.features, data.labels, logistic_loss(), 1.0,
                            SolverConfig(tolerance=1e-12))
-        assert sol.newton_dim == dim
+        assert sol.newton_dim == r
         assert sol.grad_norm <= 1e-12
         assert stationarity_norm(data.features, data.labels, logistic_loss(), 1.0,
                                  sol.weights) <= 1e-12
 
     @pytest.mark.parametrize("d,n,r", [(5000, 300, 5), (500, 200, 2)])
     def test_low_rank_span_forms_no_gram_matrix(self, monkeypatch, d, n, r):
-        def no_gram(gram, **kwargs):
+        def no_gram(gram):
             raise AssertionError("the Gram matrix was factored")
 
         monkeypatch.setattr(np.linalg, "cholesky", no_gram)
@@ -414,11 +426,12 @@ class TestSpanReduction:
         low = make_low_rank(200, 40, 3, "random", seed=14)
         solve_primal(low.features, low.labels, logistic_loss(), 1.0)
         assert qr_calls == [(200, 3)]
-        # a steep span has no usable Cholesky factor: one explicit QR of all its columns
+        # a steep span's Gram matrix has no Cholesky factor; the pivoting then stops
+        # at rank 15, whose QR fails the residual check, and all the columns get one
         steep = make_decaying_spectrum(600, 120, 6.0, seed=8)
         qr_calls.clear()
         solve_primal(steep.features, steep.labels, logistic_loss(), 1.0)
-        assert qr_calls == [(600, 120)]
+        assert qr_calls == [(600, 15), (600, 120)]
 
     def test_cholesky_basis_is_gated_on_its_rounding_floor(self, monkeypatch):
         # CholeskyQR's map back costs about cond(X) digits.  At top singular
@@ -432,6 +445,23 @@ class TestSpanReduction:
             assert qr_calls == expected
             assert sol.newton_dim == 40 and sol.grad_norm <= 1e-10
             assert stationarity_norm(data.features, data.labels, square_loss(), 0.01,
+                                     sol.weights) <= 1e-10
+
+    @pytest.mark.parametrize("order", ["permuted", "increasing"])
+    def test_cholesky_gate_refuses_with_unsorted_column_scales(self, monkeypatch, order):
+        # column scales over two decades, out of order: the unpivoted diagonal of U overstates
+        # sigma_min more than a pivoted one, yet at top singular value 30 the gate still refuses
+        qr_calls = count_qr_calls(monkeypatch)
+        perm = {"permuted": np.random.default_rng(3).permutation(40),
+                "increasing": np.arange(40)[::-1]}[order]
+        for top, expected in [(1.0, []), (30.0, [(200, 40)])]:
+            data = make_decaying_spectrum(200, 40, 2.0, seed=8, top_singular_value=top)
+            features = (data.features * np.logspace(0, -2, 40))[:, perm]
+            qr_calls.clear()
+            sol = solve_primal(features, data.labels, square_loss(), 0.01)
+            assert qr_calls == expected
+            assert sol.newton_dim == 40 and sol.grad_norm <= 1e-10
+            assert stationarity_norm(features, data.labels, square_loss(), 0.01,
                                      sol.weights) <= 1e-10
 
     def test_gate_overflow_refuses_the_cholesky_basis_without_a_warning(self):
