@@ -72,6 +72,10 @@ RUNS = {
     # Cholesky factor, so Newton runs in 12 dimensions
     "recover-rank-above-pivot-limit": ["recover", "--d", "60", "--n", "20", "--rank", "12",
                                        "--sketch-dim", "40"],
+    # big enough that OpenBLAS splits its products over threads on a multi-core host: its
+    # records then depend on the BLAS thread count unless the run pins one thread
+    "recover-blas-sized": ["recover", "--d", "400", "--n", "100", "--rank", "5", "--sketch-dim",
+                           "60", "--loss", "logistic"],
     # run.cfg spells lam as its file key; one flag completes it and one overrides trials
     "recover-config-file": ["recover", "--config", "run.cfg", "--sketch-dim", "20", "--trials", "2"],
     "iterate": ["iterate", *LOW, "--sketch-dim", "20", "--iters", "4", "--trials", "2"],

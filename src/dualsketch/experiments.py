@@ -10,7 +10,10 @@ sketched solution.
 Trial t derives every random object (generated dataset, projection) from
 ``seed + t``, so runs are reproducible and resumable; a worker pool (size
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
-never the records.  The run's constants (the sketch size m, the full-rank k,
+never the records.  Every run first applies one per-process runtime policy
+(``_process_policy``: pinned malloc thresholds and one BLAS thread), as
+does each pool worker when it starts, and the report's ``runtime`` block
+says what took.  The run's constants (the sketch size m, the full-rank k,
 the bound value and, for ``--csv`` data, the dataset, its reference
 solution and its spectrum) are derived once, before the first trial, so a
 config error never costs a solve.  A pool worker receives them once, when
@@ -26,7 +29,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 # numpy loads these on first use: np.random in every trial, numpy.ma inside np.median.
@@ -49,6 +52,14 @@ REPORT_SCHEMA_VERSION = 1
 
 WORKERS_ENV = "DUALSKETCH_WORKERS"
 
+# glibc's mallopt parameters.  The mmap threshold is pinned at glibc's own
+# 64-bit ceiling for it (DEFAULT_MMAP_THRESHOLD_MAX) and the trim threshold
+# at twice that, which is what glibc's dynamic rule would set there.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+# numpy's bundled OpenBLAS: the numpy 2 wheels' symbol, then the numpy 1 wheels'
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
 
 @dataclass(frozen=True)
 class ReportDocument:
@@ -59,13 +70,15 @@ class ReportDocument:
     records: list
     aggregates: dict
     wall_seconds: float
+    runtime: dict = field(default_factory=dict)  # what _process_policy set; never in records
 
     @property
     def errored_trials(self) -> int:
         return sum(1 for r in self.records if "error" in r)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # records hold built-in values only, so asdict's deep copy would buy nothing
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
     def to_csv(self) -> str:
         """Per-trial table; the header carries the schema version.
@@ -339,6 +352,7 @@ _worker_run: tuple | None = None  # a pool worker's (cfg, plan), installed when 
 
 def _install_run(cfg: ExperimentConfig, plan: _Plan) -> None:
     global _worker_run
+    _process_policy()  # a forked worker inherits it; a spawned one starts without it
     _worker_run = (cfg, plan)
 
 
@@ -416,6 +430,48 @@ def _pool_size(jobs: int) -> int:
     return min(workers, jobs)
 
 
+def _process_policy() -> dict:
+    """Pin glibc's malloc thresholds and numpy's OpenBLAS to one thread; say what took.
+
+    glibc's dynamic rule raises the mmap threshold to the largest block it
+    has unmapped (here a trial's ~800 KB arrays) and the trim threshold to
+    twice that, so each trial's frees hand the top of the heap back to the
+    kernel and the next trial faults the same pages in again.  Pinned, the
+    pages stay with the process.  One BLAS thread keeps the records from
+    depending on the host's core count, and pool workers from competing
+    for cores.  Either half is skipped where its library or symbol is
+    missing (not glibc, or not numpy's bundled OpenBLAS), and the returned
+    block, the report's ``runtime``, says so: ``blas_threads`` is 1 or None
+    (the library's own count) and ``malloc_thresholds`` is "pinned" or
+    "dynamic" (glibc's rule, or another allocator's).  Neither half moves a
+    record computed at one BLAS thread.
+    """
+    import ctypes  # here, so that start-up does not pay for it
+    import glob
+
+    runtime = {"blas_threads": None, "malloc_thresholds": "dynamic"}
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        mallopt = None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        # mallopt returns 1 on success and 0 for a value it refuses
+        if (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+                and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD) == 1):
+            runtime["malloc_thresholds"] = "pinned"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)  # already loaded by numpy, so this returns its handle
+        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            runtime["blas_threads"] = 1
+            break
+    return runtime
+
+
 def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     """Execute the configured experiment and assemble its report.
 
@@ -423,6 +479,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     only when a trial's solver fails to converge or a linear solve fails.
     """
     start = time.perf_counter()
+    runtime = _process_policy()  # before _plan, which solves a CSV reference
     echo = asdict(cfg)
     plan = _plan(cfg)
     if cfg.experiment == "bounds":
@@ -448,4 +505,5 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
         records=records,
         aggregates=aggregates,
         wall_seconds=wall,
+        runtime=runtime,
     )

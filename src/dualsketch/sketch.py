@@ -61,7 +61,8 @@ def project(data: Dataset, r_matrix: np.ndarray, m: int, seed: int | None = None
         raise ValueError(
             f"projection matrix must be {data.d} x {m}, got {r_matrix.shape}"
         )
-    sketched = (r_matrix.T @ data.features) / np.sqrt(m)
+    sketched = r_matrix.T @ data.features
+    sketched /= np.sqrt(m)  # in place: no second m x n array
     return ProjectionSketch(matrix_r=r_matrix, m=m, seed=seed, sketched_features=sketched)
 
 

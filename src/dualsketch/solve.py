@@ -294,6 +294,11 @@ def solve_primal(
             f_new, margins_new = evaluate(z_new)
             if f_new <= f + ARMIJO_C * step * slope and f - f_new > noise:
                 break
+            if step == 1.0 and abs(f - f_new) <= noise:
+                # The full step is already at the float floor, and on the quadratic model
+                # every shorter one changes f by less still: go to the endgame with it.
+                step = 0.0
+                break
             step *= 0.5
         else:
             # Objective differences are below float resolution; take the full

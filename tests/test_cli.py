@@ -1,15 +1,21 @@
 """Config validation, experiment reports, and the command-line surface."""
 
 import argparse
+import ctypes
+import glob
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields, replace
+from multiprocessing import get_context
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,6 +455,18 @@ class TestRunExperiment:
         report = experiments.ReportDocument(1, {}, records, {}, 0.0)
         assert report.to_csv() == text
 
+    def test_json_report_text_matches_asdict(self):
+        records = [
+            {"trial": 0, "seed": 3, "error": "pass 1: no convergence"},
+            {"trial": 1, "seed": 4, "m": 6, "rel_error": 0.25,
+             "bound": {"epsilon": 0.5, "value": 1.0}, "within_bound": True,
+             "trace": [1.0, 0.5, 1e-17]},
+        ]
+        report = experiments.ReportDocument(
+            1, {"experiment": "iterate", "loss": "square"}, records,
+            {"trials": 2, "errored_trials": 1}, 0.5, {"blas_threads": 1, "malloc_thresholds": "pinned"})
+        assert report.to_json() == json.dumps(asdict(report), indent=2)
+
     def test_csv_dataset_experiment(self, tmp_path):
         data = make_low_rank(20, 10, 2, "random", seed=3)
         path = tmp_path / "train.csv"
@@ -844,6 +862,130 @@ class TestRunExperiment:
             leakage = np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star)
             expected = {"rel_error": drp, "subspace_leakage": leakage}
         assert {key: record[key] for key in expected} == expected
+
+
+def numpy_openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None where it has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@pytest.fixture
+def blas():
+    """(get, set) of numpy's OpenBLAS thread count, set to 2 now and restored afterwards.
+
+    Two threads rather than whatever an earlier test or the environment left,
+    so that a policy which does not run is seen.
+    """
+    lib = numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, set_ = lib
+    before = get()
+    set_(2)
+    yield lib
+    set_(before)
+
+
+def _two_blas_threads_then_install(cfg, plan):
+    """A spawned worker's initializer: start at two BLAS threads, then install as the pool does."""
+    numpy_openblas()[1](2)
+    experiments._install_run(cfg, plan)
+
+
+def _worker_blas_threads(_):
+    return numpy_openblas()[0]()
+
+
+POLICY_CONFIG = {"experiment": "iterate", "d": 30, "n": 12, "rank": 2, "sketch_dim": 8,
+                 "iters": 2, "trials": 2, "seed": 1}
+
+
+def fake_libraries(monkeypatch, libc, openblas=None):
+    """Make ``ctypes.CDLL`` return ``libc`` for libc.so.6 (raise it if an exception) and
+    ``openblas``, when given, for numpy's OpenBLAS."""
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name == "libc.so.6":
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+        if openblas is not None and "openblas" in os.path.basename(name):
+            return openblas
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+
+class TestProcessPolicy:
+    """One runtime policy per process: pinned malloc thresholds and one BLAS thread."""
+
+    def test_applied_before_the_first_trial(self, monkeypatch, blas):
+        events = []
+
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return 1
+
+        fake_libraries(monkeypatch, SimpleNamespace(mallopt=mallopt))
+        run_one = experiments._run_one
+
+        def recording_run_one(cfg, plan, t):
+            events.append(("trial", t, blas[0]()))
+            return run_one(cfg, plan, t)
+
+        monkeypatch.setattr(experiments, "_run_one", recording_run_one)
+        report = run_experiment(config_from_mapping(POLICY_CONFIG))
+        # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at twice that
+        assert events == [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20),
+                          ("trial", 0, 1), ("trial", 1, 1)]
+        assert report.runtime == {"blas_threads": 1, "malloc_thresholds": "pinned"}
+
+    def test_spawned_pool_workers_apply_it(self, blas):
+        cfg = config_from_mapping(POLICY_CONFIG)
+        with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
+                                 initializer=_two_blas_threads_then_install,
+                                 initargs=(cfg, experiments._plan(cfg))) as pool:
+            assert pool.submit(_worker_blas_threads, 0).result(timeout=120) == 1
+
+    def test_runtime_block_is_in_json_reports_only(self):
+        report = run_experiment(config_from_mapping(POLICY_CONFIG))
+        assert report.runtime["blas_threads"] == (None if numpy_openblas() is None else 1)
+        if platform.libc_ver()[0] == "glibc":
+            assert report.runtime["malloc_thresholds"] == "pinned"
+        assert json.loads(report.to_json())["runtime"] == report.runtime
+        assert report.to_csv() == replace(report, runtime={}).to_csv()
+
+    @pytest.mark.parametrize("libc, openblas, expected", [
+        (OSError("libc.so.6: cannot open shared object file"), None,
+         {"blas_threads": 1, "malloc_thresholds": "dynamic"}),
+        (SimpleNamespace(), None, {"blas_threads": 1, "malloc_thresholds": "dynamic"}),
+        (SimpleNamespace(mallopt=lambda param, value: 0), None,
+         {"blas_threads": 1, "malloc_thresholds": "dynamic"}),
+        (SimpleNamespace(mallopt=lambda param, value: 1), SimpleNamespace(),
+         {"blas_threads": None, "malloc_thresholds": "pinned"}),
+    ], ids=["no-libc", "no-mallopt", "mallopt-refuses", "no-openblas-setter"])
+    def test_a_missing_half_is_reported_not_raised(self, monkeypatch, blas, libc, openblas,
+                                                   expected):
+        get, set_ = blas
+        cfg = config_from_mapping(POLICY_CONFIG)
+        records = run_experiment(cfg).records
+        set_(2)
+        fake_libraries(monkeypatch, libc, openblas)
+        report = run_experiment(cfg)
+        assert report.runtime == expected
+        assert report.records == records
+        # a missing setter leaves the library's own count
+        assert get() == (2 if expected["blas_threads"] is None else 1)
 
 
 class TestCliProcess:

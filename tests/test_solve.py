@@ -9,7 +9,7 @@ import scipy.optimize
 
 from dualsketch import solve
 from dualsketch.data import make_decaying_spectrum, make_low_rank
-from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
+from dualsketch.losses import LossSpec, logistic_loss, smoothed_hinge_loss, square_loss
 from dualsketch.recover import recover_iterative
 from dualsketch.sketch import gaussian_sketch
 from dualsketch.solve import (
@@ -158,6 +158,24 @@ class TestSolvePrimal:
         diffs = np.diff(trace)
         floor = 1e-12 * (1.0 + np.abs(trace[:-1]))
         assert np.all(diffs <= floor)
+
+    def test_line_search_stops_at_the_float_floor(self, monkeypatch):
+        # The last Newton steps change f by less than its float noise.  Each then
+        # evaluates f once, at the full step, instead of at every halving down to
+        # MIN_STEP: one evaluation at w = 0 and one per iteration.
+        evaluations = [0]
+        value = LossSpec.value
+
+        def counting_value(self, z):
+            evaluations[0] += 1
+            return value(self, z)
+
+        monkeypatch.setattr(LossSpec, "value", counting_value)
+        rng = np.random.default_rng(0)
+        features, labels = random_instance(rng, 30, 60)
+        sol = solve_primal(features, labels, logistic_loss(), 0.1, SolverConfig(tolerance=1e-12))
+        assert sol.grad_norm <= 1e-12
+        assert evaluations[0] == sol.iterations + 1
 
     def test_nonconvergence_carries_best_iterate(self):
         rng = np.random.default_rng(5)
