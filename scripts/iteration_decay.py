@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Show the geometric error decay of iterative dual recovery on one instance.
 
-One sketch is drawn and reused across all passes; each row reports the
-relative error after a pass and the ratio to the previous pass, next to
-the per-instance contraction cap eps/(1-eps) from the projected Gaussian's
-spectral deviation.
+The pass errors are the ``trace`` of one ``iterate`` trial, the record that
+``dualsketch iterate --trials 1`` prints for the same arguments.  Next to
+them goes the per-instance contraction cap eps/(1-eps), for eps the
+spectral deviation of U'RR'U/m from I; the script rebuilds the data's U and
+the sketch R from the record's seed, as the trial draws them.
 """
 
 import argparse
 
 import numpy as np
 
-import dualsketch as ds
-from dualsketch.experiments import solve_reference
+from dualsketch import gaussian_matrix, make_low_rank, spectrum
+from dualsketch.config import config_from_mapping
+from dualsketch.experiments import run_experiment
 
 
 def main() -> None:
@@ -27,19 +29,18 @@ def main() -> None:
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
 
-    loss = ds.parse_loss(args.loss)
-    data = ds.make_low_rank(args.d, args.n, args.rank, "random", seed=args.seed)
-    sk = ds.gaussian_sketch(data, args.sketch_dim, args.seed + 1)
-    ref = solve_reference(data.features, data.labels, loss, args.lam)
-    _, trace = ds.recover_iterative(data, loss, args.lam, sk, args.iters,
-                                    reference=ref.weights)
-
-    basis = ds.spectrum(data).top_left_basis()
-    a = basis.T @ sk.matrix_r
-    eps = float(np.max(np.abs(np.linalg.eigvalsh(a @ a.T / sk.m - np.eye(args.rank)))))
-    errors = trace.per_iteration_errors
+    rec = run_experiment(config_from_mapping({
+        "experiment": "iterate", "d": args.d, "n": args.n, "rank": args.rank, "lam": args.lam,
+        "sketch_dim": args.sketch_dim, "iters": args.iters, "loss": args.loss, "seed": args.seed,
+    })).records[0]  # one trial, seeded seed + 0
+    if "error" in rec:
+        raise SystemExit(f"the trial failed: {rec['error']}")
+    basis = spectrum(make_low_rank(args.d, args.n, args.rank, seed=rec["seed"])).top_left_basis()
+    a = basis.T @ gaussian_matrix(args.d, args.sketch_dim, rec["seed"])
+    eps = float(np.max(np.abs(np.linalg.eigvalsh(a @ a.T / args.sketch_dim - np.eye(len(a))))))
+    errors = rec["trace"]
     print(f"# d={args.d} n={args.n} rank={args.rank} m={args.sketch_dim} "
-          f"loss={args.loss} lambda={args.lam} seed={args.seed}")
+          f"loss={args.loss} lambda={args.lam} seed={rec['seed']}")
     print(f"# contraction cap eps/(1-eps) = {eps / (1 - eps):.4f}")
     print(f"{'pass':>4} {'rel_error':>12} {'ratio':>8}")
     for t, err in enumerate(errors):

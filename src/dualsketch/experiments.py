@@ -32,9 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-# numpy loads these on first use: np.random in every trial, numpy.ma inside np.median.
-# Importing them here puts that one-time cost in start-up, not in the first trial.
-import numpy.ma  # noqa: F401
+# numpy loads np.random on first use, in every trial; importing it here puts that
+# one-time cost in start-up, not in the first trial.
 import numpy.random  # noqa: F401
 
 from . import concentration as conc
@@ -366,6 +365,14 @@ def _clean(records, key):
     return [r[key] for r in records if "error" not in r and key in r]
 
 
+def _median(values: list) -> float:
+    """``np.median(values)`` bit for bit, without the numpy.ma import it makes for its NaN check."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
     agg: dict = {"trials": len(records), "errored_trials": sum(1 for r in records if "error" in r)}
     if cfg.experiment == "naive_vs_drp":
@@ -399,7 +406,7 @@ def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
     values = _clean(records, metric)
     if values:
         agg["mean_" + metric] = float(np.mean(values))
-        agg["median_" + metric] = float(np.median(values))
+        agg["median_" + metric] = _median(values)
         agg["max_" + metric] = float(np.max(values))
         within = _clean(records, "within_bound")
         agg["success_fraction"] = float(np.mean(within))

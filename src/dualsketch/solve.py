@@ -23,9 +23,10 @@ columns if it reproduces the columns to within ``SPAN_RESIDUAL``.  Past that
 limit the Gram matrix is formed and factored, ``X' X = U' U``, and when the
 diagonals put the rounding of the CholeskyQR basis ``X U^-1`` below the
 tolerance, Newton runs on U.  A Gram matrix with no Cholesky factor sends
-the pivoting on, up to rank n - 1, to the same rank-k check.  Otherwise
-Newton runs on the explicit QR of all the columns.  Failed certificates
-send Newton on with margins computed from the weights.
+the pivoting on, up to rank n - 1 and reading that matrix's columns, to the
+same rank-k check.  Otherwise Newton runs on the explicit QR of all the
+columns.  Failed certificates send Newton on with margins computed from the
+weights.
 """
 
 from __future__ import annotations
@@ -108,14 +109,15 @@ def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> f
     return float(0.5 * lam * np.dot(weights, weights) + np.sum(loss.value(margins)))
 
 
-def _low_rank_pivots(cols: np.ndarray, limit: int) -> tuple[np.ndarray, int] | None:
+def _low_rank_pivots(cols: np.ndarray, limit: int, gram: np.ndarray | None = None,
+                     ) -> tuple[np.ndarray, int] | None:
     """Pivots and rank of the pivoted Cholesky of ``cols' cols``, or None past ``limit``.
 
     Pivots greedily on the largest remaining diagonal and stops, as LAPACK's
     dpstrf does by default, once that is at most n * eps/2 * max(diag).  Each
-    pivot forms only its own Gram column, from the columns themselves, so no
-    n x n Gram matrix is formed.  None when the rank exceeds ``limit`` or is
-    full.
+    pivot reads its own Gram column from ``gram`` when the caller has formed
+    it, and otherwise forms only that column, from the columns themselves.
+    None when the rank exceeds ``limit`` or is full.
     """
     n = cols.shape[1]
     diag = np.einsum("ij,ij->j", cols, cols)
@@ -131,7 +133,7 @@ def _low_rank_pivots(cols: np.ndarray, limit: int) -> tuple[np.ndarray, int] | N
             break
         col = factor[rank]
         np.dot(factor[:rank, q], factor[:rank], out=col)
-        np.subtract(cols.T @ cols[:, q], col, out=col)
+        np.subtract(cols.T @ cols[:, q] if gram is None else gram[:, q], col, out=col)
         col *= 1.0 / math.sqrt(diag[q])
         diag -= col * col
         diag[q] = -np.inf
@@ -162,17 +164,17 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     that limit it is CholeskyQR's ``cols U^-1``, never formed, for the
     Cholesky factor U of the Gram matrix, if the rounding the basis leaves
     in the gradient at weights of norm ``bound`` is within ``tolerance``.
-    When U does not exist the pivoting goes on up to rank n - 1, and a rank
-    k it finds gets the same QR and check.  Failing these, the basis is the
-    QR of all the columns.
+    When U does not exist the pivoting goes on up to rank n - 1, on the
+    formed Gram matrix's columns, and a rank k it finds gets the same QR and
+    check.  Failing these, the basis is the QR of all the columns.
     """
     if (low := _low_rank_pivots(cols, LOW_RANK_PIVOTS)) is None:
         gram = cols.T @ cols
         try:
             upper = np.linalg.cholesky(gram).T
         except np.linalg.LinAlgError:  # a singular Gram matrix: look for the rank below n
+            low = _low_rank_pivots(cols, cols.shape[1] - 1, gram)
             del gram
-            low = _low_rank_pivots(cols, cols.shape[1] - 1)
         else:
             # eps * cond * ||cols||^2 from the diagonals, as max(diag G)^1.5 / min(diag U):
             # CholeskyQR's map back loses about cond digits; inf or NaN refuses the basis

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualsketch import experiments, recover
@@ -412,6 +412,17 @@ class TestRunExperiment:
         errors = [r["rel_error"] for r in report.records]
         assert report.aggregates["mean_rel_error"] == float(np.mean(errors))
         assert report.aggregates["max_rel_error"] == float(np.max(errors))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300) | st.just(math.nan), min_size=1, max_size=12))
+    @example([0.3, 0.1, 0.2]).via("odd length")
+    @example([0.4, 0.1, 0.3, 0.2]).via("even length")
+    @example([0.1, math.nan, 0.2]).via("odd length with a NaN")
+    @example([0.3, 0.2, 0.1, math.nan]).via("even length with a NaN")
+    def test_median_equals_numpys(self, values):
+        median, expected = experiments._median(values), float(np.median(values))
+        assert type(median) is float
+        assert median == expected or math.isnan(median) and math.isnan(expected)
 
     def test_report_round_trips_json(self):
         cfg = config_from_mapping({
@@ -1317,6 +1328,17 @@ def test_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_run_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma for its NaN check; the aggregates' median does not
+    code = ("import os, sys; from dualsketch.cli import main; "
+            "code = main(['recover', *sys.argv[1:], '--output', os.devnull]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *SMALL, "--trials", "3"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_closed_stdout_is_an_output_error():

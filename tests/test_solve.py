@@ -367,6 +367,27 @@ class TestLowRankPivots:
         cols = self.columns(case)
         assert _low_rank_pivots(cols, cols.shape[1] - 1) is None
 
+    # the digest's recover-rank-above-pivot-limit span (rank 12) and a rank-20 span
+    @pytest.mark.parametrize("d,n,r", [(60, 20, 12), (1200, 300, 20)])
+    def test_reading_the_gram_matrix_finds_the_same_pivots(self, d, n, r):
+        cols = make_low_rank(d, n, r, "random", seed=0).features
+        piv, rank = _low_rank_pivots(cols, n - 1)
+        gram_piv, gram_rank = _low_rank_pivots(cols, n - 1, cols.T @ cols)
+        assert rank == gram_rank == r
+        assert np.array_equal(piv, gram_piv)
+
+    def test_the_span_basis_retry_reads_the_gram_matrix_it_formed(self, monkeypatch):
+        grams = []
+
+        def spy(cols, limit, gram=None):
+            grams.append(gram)
+            return _low_rank_pivots(cols, limit, gram)
+
+        monkeypatch.setattr(solve, "_low_rank_pivots", spy)
+        coords, _ = _span_basis(make_low_rank(60, 20, 12, "random", seed=0).features, 1e-10, 1.0)
+        assert coords.shape == (12, 20)
+        assert grams[0] is None and grams[1].shape == (20, 20)
+
 
 class TestSpanReduction:
     """Newton runs in the numerical rank of the span, and falls back to QR when unsure."""
