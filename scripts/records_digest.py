@@ -46,8 +46,6 @@ DECAYING = ["--data", "decaying", "--d", "60", "--n", "20", "--top-singular", "4
 RUNS = {
     "recover-drp": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic", "--trials", "3"],
     "recover-naive": ["recover", *LOW, "--sketch-dim", "20", "--method", "naive", "--trials", "2"],
-    "recover-ridge-closed": ["recover", *LOW, "--sketch-dim", "20", "--method", "ridge-closed",
-                             "--trials", "2"],
     "recover-identity": ["recover", *LOW, "--identity-sketch", "--loss", "logistic"],
     # without sketch_dim, m comes from the low-rank or the planted effective-rank bound
     "recover-bound-m": ["recover", *LOW, "--trials", "2"],
@@ -66,6 +64,8 @@ RUNS = {
                            "--loss", "logistic", "--trials", "2"],
     "recover-no-convergence": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic",
                                "--max-iters", "1", "--trials", "2"],
+    # the square-loss DRP weights overflow: rel_error reads inf, with no warning
+    "recover-tiny-lambda": ["recover", *LOW, "--lambda", "1e-300", "--sketch-dim", "20"],
     "recover-decaying-ill-conditioned": ["recover", *DECAYING, "--decay", "6", "--sketch-dim", "40",
                                          "--loss", "logistic"],
     # spans of exact rank 12, above solve.LOW_RANK_PIVOTS: found once their Gram matrix has no
@@ -107,12 +107,16 @@ RUNS = {
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
     "bounds-full-rank": ["bounds", "--spectrum", "sv.txt", "--d", "100", "--loss", "logistic"],
+    # epsilon**2 underflows to 0, so the bound overflows: a config error
+    "bounds-eps-underflow": ["bounds", "--rank", "5", "--eps", "1e-300"],
     "bounds-spectrum-empty": ["bounds", "--spectrum", "empty.txt", "--d", "10"],
     "full-rank-decaying": ["full-rank", *DECAYING, "--label-rule", "sign_of_plant",
                            "--loss", "logistic", "--trials", "2"],
     "full-rank-identity": ["full-rank", *DECAYING, "--identity-sketch"],
     "full-rank-csv": ["full-rank", "--data", "csv", "--csv", "decaying.csv", "--loss", "logistic"],
     "full-rank-k-zero": ["full-rank", *DECAYING, "--top-singular", "1", "--lambda", "4"],
+    # the map-back's division by lambda overflows as well as the error's norm
+    "full-rank-tiny-lambda": ["full-rank", *DECAYING, "--lambda", "1e-320", "--sketch-dim", "10"],
     "full-rank-overflowing-data": ["full-rank", *DECAYING, "--top-singular", "1e300",
                                    "--sketch-dim", "6"],
 }

@@ -7,13 +7,13 @@ file, which may be partial, and both are coerced and validated as one.
 Reports go to ``--output`` or stdout as JSON or CSV.
 
 Exit status: 0 when every trial ran (bound violations are data, not
-errors), 1 when some trials failed (no convergence or a singular linear
-system), 2 for an invalid config (including an unreadable or non-UTF-8
-config file, one naming another experiment, a key that only another
-subcommand or data source reads, a bad DUALSKETCH_WORKERS value, an unwritable
-``--output`` or a closed stdout, an iterate or sketch-size bound that
-overflows, a sketch too large for numpy to shape, and ``--csv`` without
-``--data csv``), 3 for a dataset/spectrum I/O failure (including
+errors), 1 when some trials did not converge, 2 for an invalid config
+(including an unreadable or non-UTF-8 config file, one naming another
+experiment, a key that only another subcommand or data source reads, a
+bad DUALSKETCH_WORKERS value, an unwritable ``--output`` or a closed
+stdout, an iterate or sketch-size bound that overflows (as a tiny
+``--eps`` makes it), a sketch too large for numpy to shape, and
+``--csv`` without ``--data csv``), 3 for a dataset/spectrum I/O failure (including
 non-finite values, generated features whose squares overflow and an
 exactly zero reference solution), 4 when every trial failed.
 """

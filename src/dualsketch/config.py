@@ -107,8 +107,8 @@ class ExperimentConfig:
     identity_sketch: bool = _field(False, "inject R = sqrt(m) I (exact sketch smoke test)",
                                    commands=SKETCHED)
     # recovery
-    method: str = _field("drp", "recovery route", choices=("naive", "drp", "ridge_closed"),
-                         commands=("recover",))
+    method: str = _field("drp", "recovery route: naive back-projection or dual recovery",
+                         choices=("naive", "drp"), commands=("recover",))
     iters: int = _field(8, "number of recovery passes", rule="be at least 1", commands=("iterate",))
     early_stop: bool = _field(False, "stop once the sketched increment is negligible",
                               commands=("iterate",))
@@ -190,8 +190,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                           "dimension m; give one")
     if cfg.experiment == "full_rank" and cfg.data == "low_rank":
         raise ConfigError("key 'data': full_rank needs full-rank data (decaying or csv)")
-    if cfg.experiment == "recover" and cfg.method == "ridge_closed" and cfg.loss != "square":
-        raise ConfigError("key 'method': ridge_closed requires the square loss")
     if (cfg.data == "csv") != bool(cfg.csv):
         raise ConfigError("keys 'data' and 'csv': data = csv needs a csv path, "
                           "and a csv path needs data = csv")
@@ -220,8 +218,6 @@ def config_from_mapping(entries: dict) -> ExperimentConfig:
         f = _field_of(key)
         if f.name in resolved:
             raise ConfigError(f"duplicate key '{key}'")
-        if f.name == "method" and isinstance(value, str):
-            value = value.replace("-", "_")
         if isinstance(value, str):
             value = _coerce(key, value, f.type)
         elif f.type is float and isinstance(value, int) and not isinstance(value, bool):

@@ -43,7 +43,7 @@ from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import gaussian_sketch, identity_sketch
-from .solve import ConvergenceError, LinearSolveError, PrimalSolution, SolverConfig, solve_primal
+from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
 
@@ -210,7 +210,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
                                                 cfg.c or conc.FULL_RANK_C)
         except ValueError as exc:  # epsilon above 1/2 for the low-rank bound
             raise ConfigError(str(exc)) from None
-        except OverflowError:  # squares of sv, or the bound itself, overflow a float
+        # squares of sv, or the bound itself, overflow a float; or epsilon**2 underflows to 0
+        except (OverflowError, ZeroDivisionError):
             raise ConfigError("the analytic sketch-size bound overflows a float") from None
         if sketched and m < 1:
             raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
@@ -260,15 +261,14 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
 
     The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
     recovered weights, and naive recovery and the measurement ratio read
-    its sketched solution z*.  ``recover --method ridge_closed`` solves no
-    sketched problem.  Only naive recovery and the measurement ratio read
-    the d x m projection R; on every other route R is freed right after
-    projection, so it is held through neither the reference solve (a
-    generated dataset's reference is solved before the sketch is drawn)
-    nor the sketched one.  Each draw seeds its own generator, so the order
-    moves no number.  The draws are not independent, though: both seed
-    ``default_rng(seed)``, so the sketch's first entries are the dataset's
-    draws (ROADMAP item 3 gives the sketch a stream of its own).
+    its sketched solution z*.  Only these two read the d x m projection R;
+    on every other route R is freed right after projection, so it is held
+    through neither the reference solve (a generated dataset's reference
+    is solved before the sketch is drawn) nor the sketched one.  Each draw
+    seeds its own generator, so the order moves no number.  The draws are
+    not independent, though: both seed ``default_rng(seed)``, so the
+    sketch's first entries are the dataset's draws (ROADMAP item 3 gives
+    the sketch a stream of its own).
     """
     seed, exp = cfg.seed + t, cfg.experiment
     data, w_star = plan.data, plan.w_star
@@ -290,14 +290,11 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
 
     head = {"trial": t, "seed": seed, "m": sk.m}
     bound = {"epsilon": cfg.epsilon, "value": plan.bound}
-    if cfg.method == "ridge_closed":  # only recover reads method; this route solves nothing
-        rel = rec.relative_error(rec.ridge_drp_closed_form(data, cfg.lam, sk), w_star)
-    else:
-        result, trace = rec.recover_iterative(
-            data, plan.loss, cfg.lam, sk, cfg.iters if exp == "iterate" else 1, plan.solver,
-            reference=w_star, early_stop=cfg.early_stop,
-        )
-        rel, z = result.rel_error, trace.sketched_weights
+    result, trace = rec.recover_iterative(
+        data, plan.loss, cfg.lam, sk, cfg.iters if exp == "iterate" else 1, plan.solver,
+        reference=w_star, early_stop=cfg.early_stop,
+    )
+    rel, z = result.rel_error, trace.sketched_weights
     if naive_read:
         naive = rec.recover_naive(r_matrix, z, sk.m)
         naive_rel = rec.relative_error(naive, w_star)
@@ -341,7 +338,7 @@ def _run_one(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
         try:
             trial = _trial_concentration if cfg.experiment == "concentration" else _trial_sketched
             return trial(cfg, plan, t)
-        except (ConvergenceError, LinearSolveError) as exc:
+        except ConvergenceError as exc:
             error = str(exc)
     return {"trial": t, "seed": cfg.seed + t, "error": error}
 
@@ -483,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     """Execute the configured experiment and assemble its report.
 
     Bound violations are data, not errors; a record gains an ``error`` key
-    only when a trial's solver fails to converge or a linear solve fails.
+    only when a trial's solver fails to converge.
     """
     start = time.perf_counter()
     runtime = _process_policy()  # before _plan, which solves a CSV reference

@@ -362,7 +362,8 @@ def primal_from_dual(features, labels, lam: float, alphas) -> np.ndarray:
         raise ValueError("regularization weight must be positive")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    return -(x @ (y * np.asarray(alphas, dtype=float))) / lam
+    with np.errstate(over="ignore"):  # a tiny lambda overflows w to inf, which callers report
+        return -(x @ (y * np.asarray(alphas, dtype=float))) / lam
 
 
 def dual_objective(gram_matrix, loss: LossSpec, lam: float, alphas) -> float:

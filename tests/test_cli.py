@@ -50,7 +50,6 @@ from dualsketch.recover import (
     recover_iterative,
     recover_naive,
     relative_error,
-    ridge_drp_closed_form,
     span_restricted_error,
 )
 from dualsketch.sketch import gaussian_sketch, identity_sketch
@@ -89,7 +88,7 @@ FUZZ_FLAGS = {
     "--seed": ["0", "7", "-5"],
 }
 FUZZ_SUBCOMMAND_FLAGS = {
-    "recover": {"--method": ["naive", "drp", "ridge-closed"]},
+    "recover": {"--method": ["naive", "drp"]},
     "iterate": {"--iters": ["1", "3", "200", "0"], "--early-stop": None, "--no-early-stop": None},
     "naive-vs-drp": {},
     "measurement": {},
@@ -125,7 +124,7 @@ FIELD_TEXT = {
     "data": "decaying", "d": "12", "n": "9", "rank": "3", "label_rule": "sign_of_plant",
     "decay": "0.5", "top_singular": "4", "csv": "x.csv", "loss": "logistic", "lam": "2.5",
     "tol": "1e-8", "max_iters": "50", "reference_tol": "1e-11", "sketch_dim": "7",
-    "identity_sketch": "true", "method": "ridge_closed", "iters": "3", "early_stop": "true",
+    "identity_sketch": "true", "method": "naive", "iters": "3", "early_stop": "true",
     "epsilon": "0.25", "delta": "0.2", "c": "2", "spectrum": "sv.txt", "find_min_m": "true",
     "trials": "4", "seed": "0x10", "output": "report.json", "format": "csv",
 }
@@ -266,13 +265,6 @@ class TestValidateConfig:
         assert main(["bounds", "--config", str(tmp_path / "run.cfg")]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
-    def test_ridge_closed_requires_square(self):
-        with pytest.raises(ConfigError, match="method"):
-            config_from_mapping(
-                {"experiment": "recover", "method": "ridge-closed",
-                 "loss": "logistic", "sketch_dim": 5}
-            )
-
     def test_missing_csv_file_is_io_error(self):
         with pytest.raises(DatasetIOError):
             config_from_mapping(
@@ -311,7 +303,6 @@ def in_process_pool(sizes, jobs):
 TRIAL_ROUTES = [
     ("recover", {"method": "drp", "loss": "logistic"}),
     ("recover", {"method": "naive"}),
-    ("recover", {"method": "ridge_closed"}),
     ("iterate", {"iters": 3, "loss": "logistic"}),
     ("naive_vs_drp", {}),
     ("measurement", {}),
@@ -522,12 +513,8 @@ class TestRunExperiment:
         base = {"experiment": "recover", "d": 80, "n": 30, "rank": 3,
                 "sketch_dim": 25, "trials": 2, "seed": 5}
         naive = run_experiment(config_from_mapping({**base, "method": "naive"}))
-        closed = run_experiment(config_from_mapping({**base, "method": "ridge_closed"}))
         drp = run_experiment(config_from_mapping(dict(base)))
         assert naive.aggregates["mean_rel_error"] > drp.aggregates["mean_rel_error"]
-        assert closed.aggregates["mean_rel_error"] == pytest.approx(
-            drp.aggregates["mean_rel_error"], rel=1e-6
-        )
 
     def test_measurement_and_span_experiments(self):
         base = {"d": 200, "n": 50, "rank": 3, "sketch_dim": 80, "trials": 2, "seed": 1}
@@ -615,13 +602,12 @@ class TestRunExperiment:
         assert jobs == [0, 1, 2] and all(type(job) is int for job in jobs)
 
     @pytest.mark.parametrize("experiment, method, sketched_solves", [
-        ("recover", "drp", 1), ("recover", "naive", 1), ("recover", "ridge_closed", 0),
-        ("iterate", "drp", 3), ("naive_vs_drp", "drp", 1), ("measurement", "drp", 1),
+        ("recover", "drp", 1), ("recover", "naive", 1), ("iterate", "drp", 3), ("naive_vs_drp", "drp", 1), ("measurement", "drp", 1),
         ("span_error", "drp", 1), ("full_rank", "drp", 1),
     ])
     def test_naive_vs_drp_solves_once_per_problem(self, monkeypatch, experiment, method,
                                                   sketched_solves):
-        # every route shares one sketched solve per pass; ridge_closed solves an n x n system
+        # every route shares one sketched solve per pass
         shapes = []
 
         def counting_solve(features, *args, **kwargs):
@@ -679,8 +665,7 @@ class TestRunExperiment:
         ("iterate", "drp", {"rank": 3, "sketch_dim": 20, "iters": 3}),
         ("iterate", "drp", {"rank": 3, "identity_sketch": True, "iters": 3}),
         ("recover", "drp", {"rank": 3, "sketch_dim": 20}),
-        ("recover", "ridge_closed", {"rank": 3, "sketch_dim": 20}),
-    ], ids=["full_rank", "iterate", "iterate-identity", "recover-drp", "recover-ridge_closed"])
+    ], ids=["full_rank", "iterate", "iterate-identity", "recover-drp"])
     def test_projection_freed_before_the_sketched_solve(self, monkeypatch, experiment, method,
                                                         entries):
         # no readout of these routes reads R, so it is gone before the solve starts
@@ -694,7 +679,6 @@ class TestRunExperiment:
             return wrapped
 
         monkeypatch.setattr(recover, "recover_iterative", checking(recover_iterative))
-        monkeypatch.setattr(recover, "ridge_drp_closed_form", checking(ridge_drp_closed_form))
         cfg = config_from_mapping({"experiment": experiment, "method": method, "d": 80, "n": 30,
                                    **entries, "trials": 2, "seed": 3})
         assert run_experiment(cfg).errored_trials == 0
@@ -826,13 +810,11 @@ class TestRunExperiment:
         assert solves == [] and pools == []
 
     @pytest.mark.parametrize("experiment, method", [
-        ("recover", "drp"), ("recover", "naive"), ("recover", "ridge_closed"), ("iterate", "drp"),
-        ("naive_vs_drp", "drp"), ("measurement", "drp"), ("span_error", "drp"),
+        ("recover", "drp"), ("recover", "naive"), ("iterate", "drp"), ("naive_vs_drp", "drp"), ("measurement", "drp"), ("span_error", "drp"),
         ("full_rank", "drp"),
     ])
     def test_naive_vs_drp_matches_recovery_routes(self, experiment, method):
         # each record holds the public route functions' values, bit for bit
-        loss_name = "square" if method == "ridge_closed" else "logistic"
         if experiment == "full_rank":
             entries = {"data": "decaying", "top_singular": 4.0}
             data = make_decaying_spectrum(120, 40, 1.0, seed=9, top_singular_value=4.0)
@@ -841,10 +823,10 @@ class TestRunExperiment:
             data = make_low_rank(120, 40, 3, "random", seed=9)
         cfg = config_from_mapping({
             "experiment": experiment, "d": 120, "n": 40, **entries, "method": method,
-            "sketch_dim": 30, "trials": 1, "seed": 9, "loss": loss_name,
+            "sketch_dim": 30, "trials": 1, "seed": 9, "loss": "logistic",
         })
         record = run_experiment(cfg).records[0]
-        loss = parse_loss(loss_name)
+        loss = parse_loss("logistic")
         sk = gaussian_sketch(data, 30, seed=9)
         w_star = solve_reference(data.features, data.labels, loss, cfg.lam,
                                  cfg.reference_tol).weights
@@ -853,8 +835,7 @@ class TestRunExperiment:
         naive = recover_naive(sk.matrix_r, z, sk.m)
         drp = recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star).rel_error
         if experiment == "recover":
-            closed = relative_error(ridge_drp_closed_form(data, cfg.lam, sk), w_star)
-            rel = {"drp": drp, "naive": relative_error(naive, w_star), "ridge_closed": closed}
+            rel = {"drp": drp, "naive": relative_error(naive, w_star)}
             expected = {"rel_error": rel[method]}
         elif experiment == "iterate":
             result, trace = recover_iterative(data, loss, cfg.lam, sk, cfg.iters, solver,
@@ -1103,13 +1084,26 @@ class TestCliProcess:
                      "--no-early-stop"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["early_stop"] is False
 
-    def test_ridge_closed_flag_takes_either_spelling(self, capsys):
-        reports = []
-        for method in ("ridge_closed", "ridge-closed"):
-            assert main([*SMALL_RECOVER, "--method", method]) == 0
-            reports.append(json.loads(capsys.readouterr().out))
-        assert reports[0]["config"]["method"] == "ridge_closed"
-        assert reports[0]["records"] == reports[1]["records"]
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_ridge_closed_is_no_method(self, tmp_path, capsys, source):
+        # the square-loss closed form is a reference for tests, not a route of the CLI
+        (tmp_path / "run.cfg").write_text("method = ridge_closed\n")
+        extra = {"flag": ["--method", "ridge-closed"], "file": ["--config", str(tmp_path / "run.cfg")]}
+        assert main([*SMALL_RECOVER, *extra[source]]) == 2
+        assert "is not one of naive, drp" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--d", "60", "--n", "20", "--rank", "3", "--lambda", "1e-300"],
+        ["full-rank", "--data", "decaying", "--d", "60", "--n", "20", "--top-singular", "4",
+         "--lambda", "1e-320"],
+    ], ids=["norm-overflows", "map-back-overflows"])
+    def test_overflowing_drp_weights_read_inf(self, capsys, argv):
+        # a tiny lambda overflows the square-loss DRP weights: the record says inf, and no
+        # RuntimeWarning escapes to become a traceback under -W error
+        assert main([*argv, "--sketch-dim", "20"]) == 0
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert record["rel_error"] == math.inf and record["within_bound"] is False
 
     def test_invalid_config_exits_two(self, capsys):
         code = main(["recover", "--trials", "0"])
@@ -1150,6 +1144,10 @@ class TestCliProcess:
         pytest.param(["recover", "--d", "20", "--n", "10", "--rank", "2", "--eps", "0.75"], {}, 2,
                      id="bound-m-eps-0.75"),
         pytest.param(["bounds", "--eps", "0.75"], {}, 2, id="bounds-eps-0.75"),
+        # epsilon**2 underflows to 0, so the bound overflows
+        *[pytest.param([sub, "--rank", rank, "--eps", "1e-300"], {}, 2, id=f"{sub}-eps-underflow",
+                       marks=pytest.mark.filterwarnings("error"))
+          for sub, rank in (("bounds", "5"), ("recover", "1"))],
         pytest.param(["concentration", "--rank", "2", "--eps", "0.75"], {}, 2,
                      id="concentration-eps-0.75"),
         *[pytest.param([sub, *ZERO_CSV], {}, 3, id=f"{sub}-zero-reference")
@@ -1237,12 +1235,6 @@ class TestCliProcess:
                      "--sketch-dim", "4"])
         assert code == 3
 
-    def test_linear_solve_failure_is_a_trial_error(self, capsys):
-        code = main(["recover", "--method", "ridge-closed", "--data", "decaying", "--decay", "0.5",
-                     "--lambda", "1e-30", "--d", "40", "--n", "40", "--sketch-dim", "10"])
-        assert code == 4
-        assert "could not be solved" in json.loads(capsys.readouterr().out)["records"][0]["error"]
-
     def test_csv_reference_stall_is_a_trial_error(self, tmp_path, monkeypatch, capsys):
         # features scaled by 1e5 leave the logistic reference stalled above its 1e-12 tolerance
         data = make_low_rank(60, 30, 4, "random", 11)
@@ -1305,7 +1297,7 @@ decaying = ["--data", "decaying", "--d", "40", "--n", "15", "--top-singular", "4
             "--trials", "2", "--output", os.devnull]
 runs = [
     ["recover", *low, "--sketch-dim", "30", "--loss", "logistic"],
-    ["recover", *low, "--sketch-dim", "10", "--method", "ridge-closed"],
+    ["recover", *low, "--sketch-dim", "10", "--method", "naive"],
     ["iterate", *low, "--sketch-dim", "30", "--iters", "3", "--loss", "logistic"],
     ["naive-vs-drp", *low, "--sketch-dim", "30", "--loss", "smoothed_hinge:0.5"],
     ["full-rank", *decaying, "--loss", "logistic"],

@@ -9,6 +9,7 @@ import pytest
 from dualsketch import concentration
 from dualsketch.concentration import (
     FULL_RANK_C,
+    PASS_RATE,
     full_rank_sample_bound,
     sample_size_bound,
     smallest_passing_m,
@@ -151,6 +152,19 @@ class TestTrialRunner:
         doc = _concentration(rank=2, sketch_dim=m_star, epsilon=0.5, trials=20, seed=10)
         assert doc.aggregates["success_fraction"] >= 0.95
         assert m_star < sample_size_bound(2, 0.5, 0.1)
+
+    def test_smallest_passing_m_doubles_up_from_a_failing_hint(self, monkeypatch):
+        probes = []
+        deviation = concentration.spectral_deviation
+        monkeypatch.setattr(concentration, "spectral_deviation",
+                            lambda *args: probes.append(args[1]) or deviation(*args))
+        m_star = smallest_passing_m(2, 0.5, trials=20, base_seed=10, m_hint=2)
+        assert probes[:20] == [2] * 20 and probes[20:40] == [4] * 20  # m = 2 fails, so it doubles
+
+        def rate(m):
+            return sum(deviation(2, m, 10 + t) <= 0.5 for t in range(20)) / 20
+
+        assert rate(m_star) >= PASS_RATE > rate(m_star - 1)
 
     def test_find_min_m_reads_its_first_probe_off_the_records(self, monkeypatch):
         calls = []

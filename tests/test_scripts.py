@@ -31,7 +31,6 @@ def run_script(script, args):
 
 
 @pytest.mark.parametrize("script, args", [
-    ("concentration_margin.py", ["--rank", "2", "--trials", "5"]),
     ("iteration_decay.py", ["--d", "40", "--n", "20", "--rank", "3", "--sketch-dim", "15",
                             "--iters", "3"]),
     ("records_digest.py", []),
