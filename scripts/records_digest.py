@@ -92,7 +92,16 @@ RUNS = {
                                  "--loss", "logistic"],
     "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
                                "--iters", "200"],
+    # pass 1's weights overflow, so no second pass starts: rel_error reads inf, at once
+    "iterate-tiny-lambda": ["iterate", *LOW, "--lambda", "1e-300", "--sketch-dim", "20"],
+    "iterate-tiny-lambda-early-stop": ["iterate", *LOW, "--lambda", "1e-300", "--sketch-dim", "20",
+                                       "--early-stop"],
+    "iterate-decaying-tiny-lambda": ["iterate", *DECAYING, "--lambda", "1e-320", "--sketch-dim",
+                                     "20"],
     "naive-vs-drp": ["naive-vs-drp", *LOW, "--loss", "logistic", "--trials", "2"],
+    # d above sketch.SKETCH_BLOCK: the sketched features sum three row blocks of R
+    "naive-vs-drp-three-blocks": ["naive-vs-drp", "--d", "2500", "--n", "60", "--rank", "3",
+                                  "--sketch-dim", "40", "--trials", "2"],
     "naive-vs-drp-no-convergence": ["naive-vs-drp", *LOW, "--loss", "logistic", "--max-iters", "1",
                                     "--trials", "2"],
     "measurement": ["measurement", *LOW, "--sketch-dim", "30", "--trials", "2"],

@@ -13,7 +13,10 @@ from the DUALSKETCH_WORKERS environment variable) only changes wall time,
 never the records.  Every run first applies one per-process runtime policy
 (``_process_policy``: pinned malloc thresholds and one BLAS thread), as
 does each pool worker when it starts, and the report's ``runtime`` block
-says what took.  The run's constants (the sketch size m, the full-rank k,
+says what took.  Where each process has a core to spare and R has more
+than one row block, a trial's R is drawn on a helper thread while the
+trial builds its problem (``_sketch_helper``); records are the same
+either way.  The run's constants (the sketch size m, the full-rank k,
 the bound value and, for ``--csv`` data, the dataset, its reference
 solution and its spectrum) are derived once, before the first trial, so a
 config error never costs a solve.  A pool worker receives them once, when
@@ -22,13 +25,14 @@ it starts; each job then carries only its trial index.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -42,7 +46,7 @@ from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
-from .sketch import gaussian_sketch, identity_sketch
+from .sketch import draw_blocks, gaussian_matrix, identity_sketch, project, row_blocks
 from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
@@ -143,6 +147,9 @@ class _Plan:
     w_star: np.ndarray | None  # the --csv reference solution; None for generated data
     spec: SpectrumInfo | None  # the --csv spectrum for span_error and full_rank; else None
     reference_error: str  # why the --csv reference solve failed; every trial reports it
+    # the one-thread pool that fills each trial's R on a spare core (_sketch_helper); set per
+    # process by run_experiment or a pool worker's _install_run, never pickled to a worker
+    helper: ThreadPoolExecutor | None = None
 
 
 def _read(loader, path: str, what: str):
@@ -256,21 +263,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 
 # --- per-trial workers -------------------------------------------------
 
-def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
-    """Trial t of a sketched experiment: one ``recover_iterative`` run and its readouts.
-
-    The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
-    recovered weights, and naive recovery and the measurement ratio read
-    its sketched solution z*.  Only these two read the d x m projection R;
-    on every other route R is freed right after projection, so it is held
-    through neither the reference solve (a generated dataset's reference
-    is solved before the sketch is drawn) nor the sketched one.  Each draw
-    seeds its own generator, so the order moves no number.  The draws are
-    not independent, though: both seed ``default_rng(seed)``, so the
-    sketch's first entries are the dataset's draws (ROADMAP item 3 gives
-    the sketch a stream of its own).
-    """
-    seed, exp = cfg.seed + t, cfg.experiment
+def _problem(cfg: ExperimentConfig, plan: _Plan, seed: int) -> tuple[Dataset, np.ndarray]:
+    """The trial's dataset and reference solution: the run's own for --csv data, else drawn and solved."""
     data, w_star = plan.data, plan.w_star
     if data is None:
         try:
@@ -283,7 +277,45 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
             raise DatasetIOError(f"generated dataset is unusable: {exc}") from None
     if w_star is None:
         w_star = _reference(cfg, data, plan.loss)
-    sk = identity_sketch(data) if cfg.identity_sketch else gaussian_sketch(data, plan.m, seed)
+    return data, w_star
+
+
+def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    """Trial t of a sketched experiment: one ``recover_iterative`` run and its readouts.
+
+    The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
+    recovered weights, and naive recovery and the measurement ratio read
+    its sketched solution z*.  With the plan's helper thread, R exists
+    before the reference is solved: this thread allocates it first, the
+    helper fills its row blocks in order while this thread generates the
+    dataset and solves the reference, and this thread then projects each
+    block once it has landed.  R is then held through the reference solve,
+    whose span check keeps no d x n temporary.  Without a helper, R is
+    drawn in one call after the reference solve.  Either way R is the same
+    matrix and the features the same block sum.  Only naive recovery and
+    the measurement ratio read R; on every other route it is freed right
+    after projection, before the sketched solve.  The draws are not
+    independent: dataset and sketch both seed ``default_rng(seed)``, so the
+    sketch's first entries are the dataset's draws (ROADMAP item 3 gives
+    the sketch a stream of its own).
+    """
+    seed, exp = cfg.seed + t, cfg.experiment
+    r_matrix, landed = None, []
+    if plan.helper is not None:
+        d = cfg.d if plan.data is None else plan.data.d
+        r_matrix, landed = draw_blocks(d, plan.m, seed, plan.helper)
+    try:
+        data, w_star = _problem(cfg, plan, seed)
+        if cfg.identity_sketch:
+            sk = identity_sketch(data)
+        else:
+            if r_matrix is None:
+                r_matrix = gaussian_matrix(data.d, plan.m, seed)
+            sk = project(data, r_matrix, plan.m, seed, landed)
+    finally:
+        for fill in landed:  # a trial that fails before projecting leaves no fill writing to R
+            fill.cancel()
+        wait(landed)
     naive_read = cfg.method == "naive" or exp in ("naive_vs_drp", "span_error")
     r_matrix = sk.matrix_r if naive_read or exp == "measurement" else None
     sk = replace(sk, matrix_r=None)  # the solve reads only the sketched features
@@ -349,6 +381,8 @@ _worker_run: tuple | None = None  # a pool worker's (cfg, plan), installed when 
 def _install_run(cfg: ExperimentConfig, plan: _Plan) -> None:
     global _worker_run
     _process_policy()  # a forked worker inherits it; a spawned one starts without it
+    if _sketch_helper(cfg, plan, _pool_size(cfg.trials)):  # the parent's rule, read again here
+        plan = replace(plan, helper=ThreadPoolExecutor(max_workers=1))
     _worker_run = (cfg, plan)
 
 
@@ -434,6 +468,17 @@ def _pool_size(jobs: int) -> int:
     return min(workers, jobs)
 
 
+def _sketch_helper(cfg: ExperimentConfig, plan: _Plan, workers: int) -> bool:
+    """Whether each trial fills its R on a helper thread.
+
+    Only a Gaussian R of two or more row blocks gains from it, and only when
+    each of the run's ``workers`` processes has a core to spare for it.
+    """
+    d = cfg.d if plan.data is None else plan.data.d
+    return (cfg.experiment in SKETCHED and not cfg.identity_sketch and len(row_blocks(d)) > 1
+            and len(os.sched_getaffinity(0)) // workers >= 2)
+
+
 def _process_policy() -> dict:
     """Pin glibc's malloc thresholds and numpy's OpenBLAS to one thread; say what took.
 
@@ -486,16 +531,20 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     runtime = _process_policy()  # before _plan, which solves a CSV reference
     echo = asdict(cfg)
     plan = _plan(cfg)
+    runtime["sketch_helper"] = False
     if cfg.experiment == "bounds":
         records = _run_bounds(cfg, plan)
     else:
         workers = _pool_size(cfg.trials)
-        if workers > 1:
+        runtime["sketch_helper"] = helped = _sketch_helper(cfg, plan, workers)
+        if workers > 1:  # each worker starts its own helper
             with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
                                      initargs=(cfg, plan)) as pool:
                 records = list(pool.map(_run_installed, range(cfg.trials)))
         else:
-            records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
+            with ThreadPoolExecutor(max_workers=1) if helped else contextlib.nullcontext() as helper:
+                plan = replace(plan, helper=helper)
+                records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
     aggregates = _aggregate(cfg, records)
     if cfg.experiment == "concentration" and cfg.find_min_m:
         aggregates["smallest_passing_m"] = conc.smallest_passing_m(

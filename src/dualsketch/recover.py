@@ -144,7 +144,10 @@ def recover_iterative(
 
     Solver failure at any pass raises ``ConvergenceError`` with the pass
     index in the message.  ``early_stop`` ends the loop once the sketched
-    increment z = v - o is negligible next to the current iterate.
+    increment z = v - o is negligible next to the current iterate.  The
+    loop also ends at weights whose norm is not finite (a tiny ``lam``
+    overflows them), since no pass can start from them; the last error
+    then reads inf.
     """
     if t_iters < 1:
         raise ValueError("t_iters must be at least 1")
@@ -167,7 +170,11 @@ def recover_iterative(
         alphas = np.asarray(loss.grad(data.labels * (xs.T @ v) + shift), dtype=float)
         w = primal_from_dual(data.features, data.labels, lam, alphas)
         errors.append(relative_error(w, ref) if ref is not None else np.nan)
-        if early_stop and np.linalg.norm(v - offset) <= 1e-12 * np.linalg.norm(w):
+        with np.errstate(over="ignore"):
+            w_norm = np.linalg.norm(w)
+        if not np.isfinite(w_norm):  # overflowed at a tiny lambda: no pass can start from w
+            break
+        if early_stop and np.linalg.norm(v - offset) <= 1e-12 * w_norm:
             break
     trace = IterationTrace(per_iteration_errors=np.array(errors), duals=alphas,
                            sketched_weights=v)

@@ -64,6 +64,8 @@ NOISE_EPS = 8.0 * np.finfo(float).eps
 SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
 # the rows of a triangular solve done per block
 SOLVE_BLOCK = 64
+# the rows of the span residual formed per block
+RESIDUAL_ROWS = 512
 # the most pivots taken on a span's own columns before its Gram matrix is formed
 LOW_RANK_PIVOTS = 8
 
@@ -166,7 +168,9 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     in the gradient at weights of norm ``bound`` is within ``tolerance``.
     When U does not exist the pivoting goes on up to rank n - 1, on the
     formed Gram matrix's columns, and a rank k it finds gets the same QR and
-    check.  Failing these, the basis is the QR of all the columns.
+    check.  Failing these, the basis is the QR of all the columns.  The
+    residual check forms ``cols - basis @ coords`` ``RESIDUAL_ROWS`` rows
+    at a time, so no p x n temporary is held beside the columns.
     """
     if (low := _low_rank_pivots(cols, LOW_RANK_PIVOTS)) is None:
         gram = cols.T @ cols
@@ -187,9 +191,14 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     if low is not None and low[1] > 0:
         basis = np.linalg.qr(cols[:, low[0]])[0]
         coords = basis.T @ cols
-        residual = basis @ coords  # one p x n temporary; its norm is ||cols - basis @ coords||
-        residual -= cols
-        if np.linalg.norm(residual) <= SPAN_RESIDUAL * np.linalg.norm(cols):
+        squares = 0.0  # ||cols - basis @ coords||^2, summed over row blocks: no p x n temporary
+        for start in range(0, len(cols), RESIDUAL_ROWS):
+            rows = slice(start, start + RESIDUAL_ROWS)
+            residual = basis[rows] @ coords
+            residual -= cols[rows]
+            squares += float(np.vdot(residual, residual))
+            del residual  # freed before the next block's is formed
+        if math.sqrt(squares) <= SPAN_RESIDUAL * np.linalg.norm(cols):
             return coords, lambda z: basis @ z
     basis, coords = np.linalg.qr(cols)
     return coords, lambda z: basis @ z
@@ -216,7 +225,9 @@ def solve_primal(
     every pass that way.
 
     Raises ``ConvergenceError`` carrying the best iterate when the
-    certificate cannot be met within ``config.max_iterations``.
+    certificate cannot be met within ``config.max_iterations``, and at once
+    when the objective or gradient is not finite at the start or at an
+    accepted step (a trial point the line search rejects does not count).
     """
     x_full = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -259,8 +270,16 @@ def solve_primal(
                               iterations=iters, newton_dim=k)
 
     while True:
+        grad_norm = float(np.linalg.norm(g))
+        if not (math.isfinite(f) and math.isfinite(grad_norm)):  # at the start or an accepted step
+            raise ConvergenceError(
+                f"non-finite objective or gradient after {iters} iterations "
+                f"(objective {f:.3e}, grad norm {grad_norm:.3e})",
+                PrimalSolution(weights=to_full(z), objective=f, grad_norm=grad_norm,
+                               iterations=iters, newton_dim=k),
+            )
         # ||g|| <= ||g_full|| for an orthonormal basis: the cheap gate, the certificate decides
-        if np.linalg.norm(g) <= config.tolerance:
+        if grad_norm <= config.tolerance:
             if (best := certified()).grad_norm <= config.tolerance:
                 return best
             if not refine and x is not x_full:

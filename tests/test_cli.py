@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -52,8 +52,8 @@ from dualsketch.recover import (
     relative_error,
     span_restricted_error,
 )
-from dualsketch.sketch import gaussian_sketch, identity_sketch
-from dualsketch.solve import SolverConfig, solve_primal
+from dualsketch.sketch import draw_blocks, gaussian_sketch, identity_sketch, project
+from dualsketch.solve import ConvergenceError, SolverConfig, solve_primal
 
 SMALL = ["--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6"]
 SMALL_RECOVER = ["recover", *SMALL, "--trials", "2"]
@@ -627,22 +627,101 @@ class TestRunExperiment:
         assert shapes == [(80, 30)] + [(20, 30)] * sketched_solves  # the reference, then the sketch
 
     def test_trial_peak_memory(self):
-        # the reference solve ends before the sketch is drawn, and its span
-        # check holds one d x n temporary: the peak stays below X + R + X/2
+        # R fills on the helper thread from the top of the trial, so it is held through the
+        # reference solve; that solve's span check forms its residual a block of rows at a
+        # time, never d x n at once: the peak stays below X + R + X/2
         cfg = config_from_mapping({
             "experiment": "naive_vs_drp", "d": 4000, "n": 200, "rank": 3,
             "sketch_dim": 300, "loss": "logistic", "trials": 1, "seed": 0,
         })
-        plan = experiments._plan(cfg)
-        tracemalloc.start()
-        try:
-            record = experiments._run_one(cfg, plan, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            plan = replace(experiments._plan(cfg), helper=helper)
+            tracemalloc.start()
+            try:
+                record = experiments._run_one(cfg, plan, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert "error" not in record
         x_bytes, r_bytes = 4000 * 200 * 8, 4000 * 300 * 8
         assert peak <= x_bytes + r_bytes + x_bytes / 2
+
+    @pytest.mark.parametrize("experiment, entries", [
+        ("naive_vs_drp", {"loss": "logistic"}),
+        ("measurement", {}),
+        ("span_error", {}),
+        ("recover", {"method": "naive"}),
+        ("recover", {"method": "drp", "loss": "logistic"}),
+        ("iterate", {"iters": 3}),
+        ("full_rank", {"data": "decaying", "top_singular": 4.0}),
+    ], ids=["naive_vs_drp", "measurement", "span_error", "recover-naive", "recover-drp", "iterate",
+            "full_rank"])
+    def test_helper_moves_no_record(self, monkeypatch, experiment, entries):
+        # R has two row blocks at d = 1100; a helper thread needs a core to spare
+        draws = []
+
+        def counting(*args):
+            draws.append(args[:3])
+            return draw_blocks(*args)
+
+        monkeypatch.setattr(experiments, "draw_blocks", counting)
+        cfg = config_from_mapping({"experiment": experiment, "d": 1100, "n": 20,
+                                   **({} if "data" in entries else {"rank": 3}), **entries,
+                                   "sketch_dim": 20, "trials": 2, "seed": 3})
+        reports = {}
+        for cores in (1, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
+            reports[cores] = run_experiment(cfg)
+        assert [reports[c].runtime["sketch_helper"] for c in (1, 8)] == [False, True]
+        assert draws == [(1100, 20, 3), (1100, 20, 4)]  # only with a spare core, once a trial
+        assert reports[1].errored_trials == 0
+        assert reports[8].records == reports[1].records
+
+    def test_pool_workers_start_their_own_helpers(self, monkeypatch):
+        cfg = config_from_mapping({"experiment": "naive_vs_drp", "d": 1100, "n": 20, "rank": 3,
+                                   "sketch_dim": 20, "trials": 2, "seed": 3})
+        serial = run_experiment(cfg)
+        monkeypatch.setenv("DUALSKETCH_WORKERS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        pooled = run_experiment(cfg)
+        assert pooled.runtime["sketch_helper"] is True
+        assert pooled.records == serial.records
+
+    @pytest.mark.parametrize("entries, cores, workers, helped", [
+        ({"d": 1025}, 2, 1, True),
+        ({"d": 1024}, 2, 1, False),  # one block: nothing to draw while projecting
+        ({"d": 1025}, 1, 1, False),
+        ({"d": 1025}, 3, 2, False),  # no core to spare per worker
+        ({"d": 1025}, 4, 2, True),
+        ({"d": 1025, "identity_sketch": True}, 2, 1, False),  # no Gaussian R
+    ], ids=["spare-core", "one-block", "one-core", "pool-no-spare", "pool-spare", "identity"])
+    def test_helper_rule(self, monkeypatch, entries, cores, workers, helped):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        cfg = config_from_mapping({"experiment": "recover", "n": 10, "rank": 3, "trials": 1,
+                                   **({} if "identity_sketch" in entries else {"sketch_dim": 20}),
+                                   **entries})
+        assert experiments._sketch_helper(cfg, experiments._plan(cfg), workers) is helped
+
+    def test_failed_reference_leaves_no_fill_running(self, monkeypatch):
+        fills = []
+
+        def recording(*args):
+            r_matrix, landed = draw_blocks(*args)
+            fills.extend(landed)
+            return r_matrix, landed
+
+        def failing(cfg, data, loss):
+            raise ConvergenceError("reference failed", None)
+
+        monkeypatch.setattr(experiments, "draw_blocks", recording)
+        monkeypatch.setattr(experiments, "_reference", failing)
+        # three blocks of 1024 x 2000 normals: the reference fails long before they are drawn
+        cfg = config_from_mapping({"experiment": "naive_vs_drp", "d": 3000, "n": 20, "rank": 3,
+                                   "sketch_dim": 2000, "trials": 1})
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            plan = replace(experiments._plan(cfg), helper=helper)
+            assert experiments._run_one(cfg, plan, 0)["error"] == "reference failed"
+            assert len(fills) == 3 and all(fill.done() for fill in fills)
 
     @staticmethod
     def _watch_projections(monkeypatch) -> list:
@@ -656,7 +735,8 @@ class TestRunExperiment:
                 return sk
             return wrapped
 
-        monkeypatch.setattr(experiments, "gaussian_sketch", watching(gaussian_sketch))
+        # a Gaussian R, drawn in one call or on the helper thread, reaches the trial through project
+        monkeypatch.setattr(experiments, "project", watching(project))
         monkeypatch.setattr(experiments, "identity_sketch", watching(identity_sketch))
         return refs
 
@@ -940,7 +1020,8 @@ class TestProcessPolicy:
         # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at twice that
         assert events == [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20),
                           ("trial", 0, 1), ("trial", 1, 1)]
-        assert report.runtime == {"blas_threads": 1, "malloc_thresholds": "pinned"}
+        assert report.runtime == {"blas_threads": 1, "malloc_thresholds": "pinned",
+                                  "sketch_helper": False}
 
     def test_spawned_pool_workers_apply_it(self, blas):
         cfg = config_from_mapping(POLICY_CONFIG)
@@ -974,7 +1055,7 @@ class TestProcessPolicy:
         set_(2)
         fake_libraries(monkeypatch, libc, openblas)
         report = run_experiment(cfg)
-        assert report.runtime == expected
+        assert report.runtime == {**expected, "sketch_helper": False}  # R has one block at d = 30
         assert report.records == records
         # a missing setter leaves the library's own count
         assert get() == (2 if expected["blas_threads"] is None else 1)
@@ -1104,6 +1185,19 @@ class TestCliProcess:
         assert main([*argv, "--sketch-dim", "20"]) == 0
         record = json.loads(capsys.readouterr().out)["records"][0]
         assert record["rel_error"] == math.inf and record["within_bound"] is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--d", "60", "--n", "20", "--rank", "3", "--lambda", "1e-300"],
+        ["iterate", "--d", "60", "--n", "20", "--rank", "3", "--lambda", "1e-300", "--early-stop"],
+        ["iterate", "--data", "decaying", "--d", "60", "--n", "20", "--top-singular", "4",
+         "--lambda", "1e-320"],
+    ], ids=["low-rank", "early-stop", "decaying"])
+    def test_iterate_stops_at_overflowed_weights(self, capsys, argv):
+        # pass 1's weights overflow at a tiny lambda; no second pass starts from them
+        assert main([*argv, "--sketch-dim", "20"]) == 0
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert record["trace"] == [1.0, math.inf] and record["rel_error"] == math.inf
 
     def test_invalid_config_exits_two(self, capsys):
         code = main(["recover", "--trials", "0"])

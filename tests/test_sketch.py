@@ -1,14 +1,20 @@
 """Gaussian projection determinism and statistics."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dualsketch.data import Dataset, make_low_rank
 from dualsketch.sketch import (
+    SKETCH_BLOCK,
+    draw_blocks,
     gaussian_matrix,
     gaussian_sketch,
     identity_sketch,
     project,
+    row_blocks,
 )
 
 
@@ -96,6 +102,55 @@ class TestProject:
         col_norms = np.linalg.norm(data.features, axis=0)
         scale = np.outer(col_norms, col_norms)
         assert np.all(np.abs(acc - target) <= 5.0 / np.sqrt(n_seeds) * scale)
+
+
+class TestRowBlocks:
+    """R drawn and applied in fixed blocks of ``SKETCH_BLOCK`` rows, from its one stream."""
+
+    @pytest.mark.parametrize("d", [1023, 1024, 1025, 3000])
+    def test_blocks_filled_on_a_helper_are_the_one_call_draw(self, d):
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            r_matrix, landed = draw_blocks(d, 7, 11, helper)
+            assert [fill.result(timeout=60) for fill in landed] == [None] * len(row_blocks(d))
+        assert len(landed) == -(-d // SKETCH_BLOCK)
+        assert np.array_equal(r_matrix, gaussian_matrix(d, 7, 11))
+
+    @pytest.mark.parametrize("d", [1, 500, SKETCH_BLOCK])
+    def test_one_block_is_the_single_product(self, d):
+        data = make_low_rank(d, 30, 1, "random", seed=d)
+        r = gaussian_matrix(d, 12, 5)
+        assert np.array_equal(project(data, r, 12).sketched_features,
+                              r.T @ data.features / np.sqrt(12))
+
+    @pytest.mark.parametrize("d", [SKETCH_BLOCK + 1, 3000])
+    def test_blocks_summed_in_order(self, d):
+        data = make_low_rank(d, 30, 3, "random", seed=d)
+        r = gaussian_matrix(d, 12, 5)
+        expected = r[:SKETCH_BLOCK].T @ data.features[:SKETCH_BLOCK]
+        for start in range(SKETCH_BLOCK, d, SKETCH_BLOCK):
+            rows = slice(start, start + SKETCH_BLOCK)
+            expected += r[rows].T @ data.features[rows]
+        expected /= np.sqrt(12)
+        sketched = project(data, r, 12).sketched_features
+        assert np.array_equal(sketched, expected)
+        # the block order moves the single product's result by roundoff only
+        direct = r.T @ data.features / np.sqrt(12)
+        assert np.linalg.norm(sketched - direct) <= d * np.finfo(float).eps * np.linalg.norm(direct)
+
+    def test_projecting_blocks_as_they_land_gives_the_same_sketch(self):
+        # thread switches every microsecond: a block read before it landed would show
+        data = make_low_rank(9000, 20, 2, "random", seed=1)
+        expected = gaussian_sketch(data, 9, 4).sketched_features
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                for _ in range(5):
+                    r_matrix, landed = draw_blocks(9000, 9, 4, helper)
+                    sk = project(data, r_matrix, 9, 4, landed)
+                    assert np.array_equal(sk.sketched_features, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestIdentityInjection:

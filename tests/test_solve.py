@@ -1,5 +1,6 @@
 """Primal solver certificates, closed forms, conversions, and duality."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,15 @@ class TestShiftedSolver:
         grad = lam * (z + u) + features @ (labels * loss.grad(margins))
         assert np.linalg.norm(grad) <= 1e-10
 
+    @pytest.mark.parametrize("shift", [np.inf, np.nan])
+    @pytest.mark.parametrize("d, n", [(12, 18), (30, 10)], ids=["full", "reduced"])
+    def test_non_finite_start_fails_at_once(self, shift, d, n):
+        # no Newton step can start from an infinite or NaN objective: no spinning to max_iters
+        features, labels = random_instance(np.random.default_rng(8), d, n)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite") as info:
+            solve_primal(features, labels, square_loss(), 0.7, margin_shift=np.full(n, shift))
+        assert info.value.best.iterations == 0
+
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 def test_blocked_back_substitution(n):
@@ -407,6 +417,19 @@ class TestSpanReduction:
         assert sol.grad_norm <= 1e-12
         assert stationarity_norm(data.features, data.labels, logistic_loss(), 1.0,
                                  sol.weights) <= 1e-12
+
+    def test_low_rank_residual_check_forms_no_full_temporary(self):
+        # the check sums the residual over row blocks, so the reduction holds far less than
+        # one more copy of the columns
+        data = make_low_rank(5000, 300, 5, "random", seed=7)
+        tracemalloc.start()
+        try:
+            coords, _ = _span_basis(data.features, 1e-10, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coords.shape == (5, 300)
+        assert peak <= data.features.nbytes / 4
 
     @pytest.mark.parametrize("d,n,r", [(5000, 300, 5), (500, 200, 2)])
     def test_low_rank_span_forms_no_gram_matrix(self, monkeypatch, d, n, r):
