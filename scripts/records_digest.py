@@ -114,6 +114,11 @@ RUNS = {
                             "--trials", "2"],
     "concentration": ["concentration", "--rank", "3", "--sketch-dim", "60", "--trials", "4"],
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
+    # the pass rate is not monotone in m here, so a search bracketed from the run's m = 2 would
+    # answer 66; the search always starts at its own analytic m and answers 54
+    "concentration-find-min-m-sketch-dim": ["concentration", "--rank", "2", "--eps", "0.5",
+                                            "--trials", "20", "--seed", "10", "--sketch-dim", "2",
+                                            "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
     "bounds-full-rank": ["bounds", "--spectrum", "sv.txt", "--d", "100", "--loss", "logistic"],
     # epsilon**2 underflows to 0, so the bound overflows: a config error

@@ -34,7 +34,6 @@ from .recover import (
     recover_iterative,
     recover_naive,
     relative_error,
-    ridge_drp_closed_form,
     span_restricted_error,
 )
 from .sketch import (
@@ -46,14 +45,12 @@ from .sketch import (
 )
 from .solve import (
     ConvergenceError,
-    LinearSolveError,
     PrimalSolution,
     SolverConfig,
     dual_from_primal,
     dual_objective,
     primal_from_dual,
     primal_objective,
-    ridge_closed_form,
     solve_primal,
 )
 

@@ -3,16 +3,17 @@
 The recovery guarantees all reduce to how tightly A A'/m concentrates
 around the identity for a Gaussian matrix A.  This module exposes the two
 analytic sketch-size formulas (low-rank and effective-rank flavors), the
-measured spectral deviation they control, and a search for the smallest
-sketch size that empirically suffices.  The analytic constants are
-conservative defaults; the search exposes the gap between them and what
-actually suffices.  The seeded trial set itself is the ``concentration``
+measured spectral deviation they control, and a bisection for a sketch
+size that empirically suffices.  The analytic constants are conservative
+defaults; the search exposes the gap between them and what actually
+suffices.  The seeded trial set itself is the ``concentration``
 experiment in ``experiments``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -91,29 +92,32 @@ def spectral_deviation(r: int, m: int, seed: int) -> float:
 
 
 def smallest_passing_m(r: int, epsilon: float, trials: int, base_seed: int,
-                       m_hint: int | None = None, hint_rate: float | None = None) -> int:
-    """Smallest sketch size whose epsilon-deviation event holds in PASS_RATE of trials.
+                       measured: Mapping[int, float] | None = None) -> int:
+    """A sketch size at which the epsilon-deviation event holds in PASS_RATE of trials.
 
-    Trial t of a probe is ``spectral_deviation(r, m, base_seed + t)``.
-    Geometric bracketing followed by bisection; each probe reruns the full
-    trial set, so this is a measurement tool, not a fast path.  The analytic
-    bound is a safe starting hint and typically far above the answer.
-    ``hint_rate``, when given, is the pass rate already measured at
-    ``m_hint`` on this trial set, and stands in for the first probe.
+    Trial t of a probe is ``spectral_deviation(r, m, base_seed + t)``.  The
+    bracket starts at the analytic bound ``sample_size_bound(r, min(epsilon,
+    0.5), 0.1)``, doubled while it fails; bisection on [1, bound] then
+    returns the passing end of the boundary it closes in on.  The pass rate
+    is not monotone in m, so that boundary need not be the smallest passing
+    m.  Each probe reruns the full trial set, so this is a measurement tool,
+    not a fast path.  ``measured`` maps sketch sizes to pass rates already
+    measured on this trial set; a probe at such an m reads its rate instead
+    of rerunning the trials, so the answer is the same with or without it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if hint_rate is not None and m_hint is None:
-        raise ValueError("hint_rate needs the m_hint it was measured at")
+    rates = dict(measured or {})
 
     def rate(m):
-        return sum(spectral_deviation(r, m, base_seed + t) <= epsilon for t in range(trials)) / trials
+        if m not in rates:
+            rates[m] = sum(spectral_deviation(r, m, base_seed + t) <= epsilon
+                           for t in range(trials)) / trials
+        return rates[m]
 
-    hi = m_hint if m_hint is not None else sample_size_bound(r, min(epsilon, 0.5), 0.1)
-    hi_rate = hint_rate if hint_rate is not None else rate(hi)
-    while hi_rate < PASS_RATE:
+    hi = sample_size_bound(r, min(epsilon, 0.5), 0.1)
+    while rate(hi) < PASS_RATE:
         hi *= 2
-        hi_rate = rate(hi)
     lo = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2

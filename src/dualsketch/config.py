@@ -117,7 +117,7 @@ class ExperimentConfig:
     delta: float = _field(0.1, "failure probability delta", rule="lie in (0, 1)")
     c: float = _field(0.0, "bound constant (0 means the per-experiment default)", rule="be nonnegative")
     spectrum: str = _field("", "singular values for the effective-rank bound", commands=("bounds",))
-    find_min_m: bool = _field(False, "also search for the smallest empirically sufficient m",
+    find_min_m: bool = _field(False, "also bisect for an m at which 95% of trials pass",
                               commands=("concentration",))
     # harness
     trials: int = _field(1, "number of trials", rule="be at least 1",

@@ -13,19 +13,17 @@ from the DUALSKETCH_WORKERS environment variable) only changes wall time,
 never the records.  Every run first applies one per-process runtime policy
 (``_process_policy``: pinned malloc thresholds and one BLAS thread), as
 does each pool worker when it starts, and the report's ``runtime`` block
-says what took.  Where each process has a core to spare and R has more
-than one row block, a trial's R is drawn on a helper thread while the
-trial builds its problem (``_sketch_helper``); records are the same
-either way.  The run's constants (the sketch size m, the full-rank k,
-the bound value and, for ``--csv`` data, the dataset, its reference
-solution and its spectrum) are derived once, before the first trial, so a
-config error never costs a solve.  A pool worker receives them once, when
-it starts; each job then carries only its trial index.
+says what took.  Each process has one helper thread, which fills every
+trial's Gaussian R while the trial builds its problem.  The run's
+constants (the sketch size m, the full-rank k, the bound value and, for
+``--csv`` data, the dataset, its reference solution and its spectrum) are
+derived once, before the first trial, so a config error never costs a
+solve.  A pool worker receives them once, when it starts; each job then
+carries only its trial index.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
@@ -46,7 +44,7 @@ from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
-from .sketch import draw_blocks, gaussian_matrix, identity_sketch, project, row_blocks
+from .sketch import draw_blocks, identity_sketch, project
 from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
@@ -147,8 +145,8 @@ class _Plan:
     w_star: np.ndarray | None  # the --csv reference solution; None for generated data
     spec: SpectrumInfo | None  # the --csv spectrum for span_error and full_rank; else None
     reference_error: str  # why the --csv reference solve failed; every trial reports it
-    # the one-thread pool that fills each trial's R on a spare core (_sketch_helper); set per
-    # process by run_experiment or a pool worker's _install_run, never pickled to a worker
+    # the one-thread pool that fills each trial's Gaussian R; set per process by run_experiment
+    # or a pool worker's _install_run, never pickled to a worker
     helper: ThreadPoolExecutor | None = None
 
 
@@ -285,23 +283,21 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
 
     The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
     recovered weights, and naive recovery and the measurement ratio read
-    its sketched solution z*.  With the plan's helper thread, R exists
-    before the reference is solved: this thread allocates it first, the
-    helper fills its row blocks in order while this thread generates the
-    dataset and solves the reference, and this thread then projects each
-    block once it has landed.  R is then held through the reference solve,
-    whose span check keeps no d x n temporary.  Without a helper, R is
-    drawn in one call after the reference solve.  Either way R is the same
-    matrix and the features the same block sum.  Only naive recovery and
-    the measurement ratio read R; on every other route it is freed right
-    after projection, before the sketched solve.  The draws are not
-    independent: dataset and sketch both seed ``default_rng(seed)``, so the
-    sketch's first entries are the dataset's draws (ROADMAP item 3 gives
-    the sketch a stream of its own).
+    its sketched solution z*.  A Gaussian R exists before the reference is
+    solved: this thread allocates it first, the plan's helper thread fills
+    its row blocks in order while this thread generates the dataset and
+    solves the reference, and this thread then projects each block once it
+    has landed.  R is then held through the reference solve, whose span
+    check keeps no d x n temporary.  Only naive recovery and the
+    measurement ratio read R; on every other route it is freed right after
+    projection, before the sketched solve.  The draws are not independent:
+    dataset and sketch both seed ``default_rng(seed)``, so the sketch's
+    first entries are the dataset's draws (ROADMAP item 3 gives the sketch
+    a stream of its own).
     """
     seed, exp = cfg.seed + t, cfg.experiment
-    r_matrix, landed = None, []
-    if plan.helper is not None:
+    landed = []
+    if not cfg.identity_sketch:
         d = cfg.d if plan.data is None else plan.data.d
         r_matrix, landed = draw_blocks(d, plan.m, seed, plan.helper)
     try:
@@ -309,8 +305,6 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
         if cfg.identity_sketch:
             sk = identity_sketch(data)
         else:
-            if r_matrix is None:
-                r_matrix = gaussian_matrix(data.d, plan.m, seed)
             sk = project(data, r_matrix, plan.m, seed, landed)
     finally:
         for fill in landed:  # a trial that fails before projecting leaves no fill writing to R
@@ -381,9 +375,7 @@ _worker_run: tuple | None = None  # a pool worker's (cfg, plan), installed when 
 def _install_run(cfg: ExperimentConfig, plan: _Plan) -> None:
     global _worker_run
     _process_policy()  # a forked worker inherits it; a spawned one starts without it
-    if _sketch_helper(cfg, plan, _pool_size(cfg.trials)):  # the parent's rule, read again here
-        plan = replace(plan, helper=ThreadPoolExecutor(max_workers=1))
-    _worker_run = (cfg, plan)
+    _worker_run = (cfg, replace(plan, helper=ThreadPoolExecutor(max_workers=1)))
 
 
 def _run_installed(t: int) -> dict:
@@ -468,17 +460,6 @@ def _pool_size(jobs: int) -> int:
     return min(workers, jobs)
 
 
-def _sketch_helper(cfg: ExperimentConfig, plan: _Plan, workers: int) -> bool:
-    """Whether each trial fills its R on a helper thread.
-
-    Only a Gaussian R of two or more row blocks gains from it, and only when
-    each of the run's ``workers`` processes has a core to spare for it.
-    """
-    d = cfg.d if plan.data is None else plan.data.d
-    return (cfg.experiment in SKETCHED and not cfg.identity_sketch and len(row_blocks(d)) > 1
-            and len(os.sched_getaffinity(0)) // workers >= 2)
-
-
 def _process_policy() -> dict:
     """Pin glibc's malloc thresholds and numpy's OpenBLAS to one thread; say what took.
 
@@ -531,25 +512,23 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     runtime = _process_policy()  # before _plan, which solves a CSV reference
     echo = asdict(cfg)
     plan = _plan(cfg)
-    runtime["sketch_helper"] = False
     if cfg.experiment == "bounds":
         records = _run_bounds(cfg, plan)
     else:
         workers = _pool_size(cfg.trials)
-        runtime["sketch_helper"] = helped = _sketch_helper(cfg, plan, workers)
         if workers > 1:  # each worker starts its own helper
             with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
                                      initargs=(cfg, plan)) as pool:
                 records = list(pool.map(_run_installed, range(cfg.trials)))
-        else:
-            with ThreadPoolExecutor(max_workers=1) if helped else contextlib.nullcontext() as helper:
+        else:  # the helper's thread starts at the first draw, so a run that draws none starts none
+            with ThreadPoolExecutor(max_workers=1) as helper:
                 plan = replace(plan, helper=helper)
                 records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
     aggregates = _aggregate(cfg, records)
     if cfg.experiment == "concentration" and cfg.find_min_m:
         aggregates["smallest_passing_m"] = conc.smallest_passing_m(
-            cfg.rank, cfg.epsilon, cfg.trials, cfg.seed, m_hint=plan.m,
-            hint_rate=sum(r["pass"] for r in records) / cfg.trials,
+            cfg.rank, cfg.epsilon, cfg.trials, cfg.seed,
+            measured={plan.m: sum(r["pass"] for r in records) / cfg.trials},
         )
     wall = time.perf_counter() - start
     return ReportDocument(

@@ -13,8 +13,7 @@ Three routes are implemented:
   shifted losses, reusing the single sketch; the error contracts
   geometrically per pass.
 
-Plus the square-loss closed form of DRP, the reference it is checked
-against, and the error functionals used to check the recovery guarantees.
+Plus the error functionals used to check the recovery guarantees.
 """
 
 from __future__ import annotations
@@ -26,14 +25,13 @@ import numpy as np
 from .data import Dataset, SpectrumInfo
 from .losses import LossSpec
 from .sketch import ProjectionSketch
-from .solve import ConvergenceError, SolverConfig, _solve_positive, primal_from_dual, solve_primal
+from .solve import ConvergenceError, SolverConfig, primal_from_dual, solve_primal
 
 __all__ = [
     "RecoveryResult",
     "IterationTrace",
     "recover_naive",
     "recover_drp",
-    "ridge_drp_closed_form",
     "recover_iterative",
     "span_restricted_error",
     "measurement_error",
@@ -97,22 +95,6 @@ def recover_drp(
     features.  No d-dimensional optimization problem is ever solved.
     """
     return recover_iterative(data, loss, lam, sketch, 1, config, reference)[0]
-
-
-def ridge_drp_closed_form(data: Dataset, lam: float, sketch: ProjectionSketch) -> np.ndarray:
-    """Square-loss dual recovery in closed form through an n x n system.
-
-    Evaluates X (lam I + X' (R R'/m) X)^{-1} y; the middle matrix is just
-    the Gram of the sketched features, so no d x d system appears.
-    """
-    if lam <= 0:
-        raise ValueError("regularization weight must be positive")
-    xs = sketch.sketched_features
-    if xs.shape != (sketch.m, data.n):
-        raise ValueError("sketch does not match the dataset")
-    a = xs.T @ xs
-    a.flat[::data.n + 1] += lam
-    return data.features @ _solve_positive(a, data.labels, "sketched ridge system")
 
 
 def recover_iterative(

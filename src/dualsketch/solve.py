@@ -44,9 +44,7 @@ __all__ = [
     "SolverConfig",
     "PrimalSolution",
     "ConvergenceError",
-    "LinearSolveError",
     "solve_primal",
-    "ridge_closed_form",
     "dual_from_primal",
     "primal_from_dual",
     "dual_objective",
@@ -99,10 +97,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best: PrimalSolution):
         super().__init__(message)
         self.best = best
-
-
-class LinearSolveError(RuntimeError):
-    """A direct linear solve failed (singular or numerically unusable system)."""
 
 
 def primal_objective(features, labels, loss: LossSpec, lam: float, weights) -> float:
@@ -338,35 +332,6 @@ def solve_primal(
             )
         z, f, margins, coef, g = z_new, f_new, margins_new, coef_new, g_new
         iters += 1
-
-
-def ridge_closed_form(features, labels, lam: float) -> np.ndarray:
-    """Exact ridge solution via whichever of the two normal systems is smaller.
-
-    Solves (lam I + X X') w = X y when d <= n and uses the equivalent
-    w = X (lam I + X' X)^{-1} y otherwise; the two agree up to roundoff.
-    """
-    if lam <= 0:
-        raise ValueError("regularization weight must be positive")
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    d, n = x.shape
-    if d <= n:
-        a = x @ x.T
-        a.flat[::d + 1] += lam
-        return _solve_positive(a, x @ y, "ridge system")
-    a = x.T @ x
-    a.flat[::n + 1] += lam
-    return x @ _solve_positive(a, y, "ridge system")
-
-
-def _solve_positive(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """``a^-1 b`` for a symmetric ``a`` that must be numerically positive definite."""
-    try:
-        np.linalg.cholesky(a)  # LU alone would solve an indefinite system without a word
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"{what} could not be solved: {exc}") from exc
 
 
 def dual_from_primal(features, labels, loss: LossSpec, weights) -> np.ndarray:

@@ -14,6 +14,8 @@ import dualsketch as ds
 from dualsketch.config import config_from_mapping
 from dualsketch.experiments import run_experiment, solve_reference
 
+from closed_forms import ridge_drp_closed_form
+
 REFERENCE_TOL = 1e-12
 SOLVER = ds.SolverConfig(tolerance=1e-10)
 
@@ -103,7 +105,7 @@ def test_criterion_1_ridge_path_equivalence():
         sk = ds.gaussian_sketch(data, 60, 70000 + i)
         lam = lams[i % 3]
         drp = ds.recover_drp(data, ds.square_loss(), lam, sk, SOLVER)
-        closed = ds.ridge_drp_closed_form(data, lam, sk)
+        closed = ridge_drp_closed_form(data, lam, sk)
         worst = max(worst, float(np.linalg.norm(drp.recovered - closed)
                                  / np.linalg.norm(closed)))
     seconds = elapsed()

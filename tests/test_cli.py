@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -52,7 +53,7 @@ from dualsketch.recover import (
     relative_error,
     span_restricted_error,
 )
-from dualsketch.sketch import draw_blocks, gaussian_sketch, identity_sketch, project
+from dualsketch.sketch import draw_blocks, gaussian_matrix, gaussian_sketch, identity_sketch, project
 from dualsketch.solve import ConvergenceError, SolverConfig, solve_primal
 
 SMALL = ["--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6"]
@@ -654,53 +655,64 @@ class TestRunExperiment:
         ("recover", {"method": "drp", "loss": "logistic"}),
         ("iterate", {"iters": 3}),
         ("full_rank", {"data": "decaying", "top_singular": 4.0}),
+        ("recover", {"identity_sketch": True}),
     ], ids=["naive_vs_drp", "measurement", "span_error", "recover-naive", "recover-drp", "iterate",
-            "full_rank"])
+            "full_rank", "identity"])
     def test_helper_moves_no_record(self, monkeypatch, experiment, entries):
-        # R has two row blocks at d = 1100; a helper thread needs a core to spare
-        draws = []
+        # every Gaussian R fills on the helper, one block at d = 60 and two at d = 1100, whatever
+        # the core count; the records are those of R drawn in one call on the trial's thread
+        identity = entries.get("identity_sketch", False)
+        for d in (60, 1100):
+            cfg = config_from_mapping({"experiment": experiment, "d": d, "n": 20,
+                                       **({} if "data" in entries else {"rank": 3}), **entries,
+                                       **({} if identity else {"sketch_dim": 20}),
+                                       "trials": 2, "seed": 3})
+            draws, reports = [], []
 
-        def counting(*args):
-            draws.append(args[:3])
-            return draw_blocks(*args)
+            def counting(*args):
+                draws.append(args[:3])
+                return draw_blocks(*args)
 
-        monkeypatch.setattr(experiments, "draw_blocks", counting)
-        cfg = config_from_mapping({"experiment": experiment, "d": 1100, "n": 20,
-                                   **({} if "data" in entries else {"rank": 3}), **entries,
-                                   "sketch_dim": 20, "trials": 2, "seed": 3})
-        reports = {}
-        for cores in (1, 8):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
-            reports[cores] = run_experiment(cfg)
-        assert [reports[c].runtime["sketch_helper"] for c in (1, 8)] == [False, True]
-        assert draws == [(1100, 20, 3), (1100, 20, 4)]  # only with a spare core, once a trial
-        assert reports[1].errored_trials == 0
-        assert reports[8].records == reports[1].records
+            monkeypatch.setattr(experiments, "draw_blocks", counting)
+            for cores in (1, 8):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cores=cores: set(range(cores)))
+                reports.append(run_experiment(cfg))
+            assert draws == ([] if identity else [(d, 20, 3), (d, 20, 4)] * 2)  # once a trial
+            monkeypatch.setattr(experiments, "draw_blocks",
+                                lambda d, m, seed, helper: (gaussian_matrix(d, m, seed), []))
+            one_call = run_experiment(cfg)
+            assert one_call.errored_trials == 0
+            assert reports[0].records == reports[1].records == one_call.records
 
     def test_pool_workers_start_their_own_helpers(self, monkeypatch):
         cfg = config_from_mapping({"experiment": "naive_vs_drp", "d": 1100, "n": 20, "rank": 3,
                                    "sketch_dim": 20, "trials": 2, "seed": 3})
         serial = run_experiment(cfg)
         monkeypatch.setenv("DUALSKETCH_WORKERS", "2")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         pooled = run_experiment(cfg)
-        assert pooled.runtime["sketch_helper"] is True
         assert pooled.records == serial.records
 
-    @pytest.mark.parametrize("entries, cores, workers, helped", [
-        ({"d": 1025}, 2, 1, True),
-        ({"d": 1024}, 2, 1, False),  # one block: nothing to draw while projecting
-        ({"d": 1025}, 1, 1, False),
-        ({"d": 1025}, 3, 2, False),  # no core to spare per worker
-        ({"d": 1025}, 4, 2, True),
-        ({"d": 1025, "identity_sketch": True}, 2, 1, False),  # no Gaussian R
-    ], ids=["spare-core", "one-block", "one-core", "pool-no-spare", "pool-spare", "identity"])
-    def test_helper_rule(self, monkeypatch, entries, cores, workers, helped):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        cfg = config_from_mapping({"experiment": "recover", "n": 10, "rank": 3, "trials": 1,
-                                   **({} if "identity_sketch" in entries else {"sketch_dim": 20}),
-                                   **entries})
-        assert experiments._sketch_helper(cfg, experiments._plan(cfg), workers) is helped
+    def test_no_helper_thread_outlives_a_serial_run(self, monkeypatch):
+        cfg = config_from_mapping({"experiment": "naive_vs_drp", "d": 100, "n": 20, "rank": 3,
+                                   "sketch_dim": 20, "trials": 2, "seed": 3})
+        before, during = threading.active_count(), []
+
+        def counting(*args):
+            r_matrix, landed = draw_blocks(*args)
+            during.append(threading.active_count())
+            return r_matrix, landed
+
+        def failing(cfg, data, loss):
+            raise ConvergenceError("reference failed", None)
+
+        monkeypatch.setattr(experiments, "draw_blocks", counting)
+        assert run_experiment(cfg).errored_trials == 0
+        assert threading.active_count() == before
+        monkeypatch.setattr(experiments, "_reference", failing)
+        assert run_experiment(cfg).errored_trials == 2
+        assert threading.active_count() == before
+        assert during == [before + 1] * 4  # the helper ran in every trial of both runs
 
     def test_failed_reference_leaves_no_fill_running(self, monkeypatch):
         fills = []
@@ -735,7 +747,7 @@ class TestRunExperiment:
                 return sk
             return wrapped
 
-        # a Gaussian R, drawn in one call or on the helper thread, reaches the trial through project
+        # a Gaussian R, filled on the helper thread, reaches the trial through project
         monkeypatch.setattr(experiments, "project", watching(project))
         monkeypatch.setattr(experiments, "identity_sketch", watching(identity_sketch))
         return refs
@@ -1020,8 +1032,7 @@ class TestProcessPolicy:
         # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at twice that
         assert events == [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20),
                           ("trial", 0, 1), ("trial", 1, 1)]
-        assert report.runtime == {"blas_threads": 1, "malloc_thresholds": "pinned",
-                                  "sketch_helper": False}
+        assert report.runtime == {"blas_threads": 1, "malloc_thresholds": "pinned"}
 
     def test_spawned_pool_workers_apply_it(self, blas):
         cfg = config_from_mapping(POLICY_CONFIG)
@@ -1055,7 +1066,7 @@ class TestProcessPolicy:
         set_(2)
         fake_libraries(monkeypatch, libc, openblas)
         report = run_experiment(cfg)
-        assert report.runtime == {**expected, "sketch_helper": False}  # R has one block at d = 30
+        assert report.runtime == expected
         assert report.records == records
         # a missing setter leaves the library's own count
         assert get() == (2 if expected["blas_threads"] is None else 1)

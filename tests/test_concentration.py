@@ -158,7 +158,8 @@ class TestTrialRunner:
         deviation = concentration.spectral_deviation
         monkeypatch.setattr(concentration, "spectral_deviation",
                             lambda *args: probes.append(args[1]) or deviation(*args))
-        m_star = smallest_passing_m(2, 0.5, trials=20, base_seed=10, m_hint=2)
+        monkeypatch.setattr(concentration, "sample_size_bound", lambda *args: 2)  # the start
+        m_star = smallest_passing_m(2, 0.5, trials=20, base_seed=10)
         assert probes[:20] == [2] * 20 and probes[20:40] == [4] * 20  # m = 2 fails, so it doubles
 
         def rate(m):
@@ -177,11 +178,16 @@ class TestTrialRunner:
         assert len(calls) == 100 + 1000
         assert sum(m == doc.records[0]["m"] for _, m, _ in calls) == 100
         assert doc.aggregates["smallest_passing_m"] == smallest_passing_m(
-            10, 0.5, trials=100, base_seed=0, m_hint=doc.records[0]["m"])
+            10, 0.5, trials=100, base_seed=0)
 
-    def test_hint_rate_needs_its_m(self):
-        with pytest.raises(ValueError, match="m_hint"):
-            smallest_passing_m(2, 0.5, trials=5, base_seed=0, hint_rate=1.0)
+    def test_find_min_m_does_not_depend_on_the_sketch_dim(self):
+        # the pass rate is not monotone in m here: a search that started from the run's m
+        # answered 54 at sketch_dim 0 and 30 but 66 at 2 and 100
+        answers = {dim: _concentration(rank=2, epsilon=0.5, trials=20, seed=10, sketch_dim=dim,
+                                       find_min_m=True).aggregates["smallest_passing_m"]
+                   for dim in (0, 2, 30, 100)}
+        assert answers == dict.fromkeys((0, 2, 30, 100), 54)
+        assert answers[0] == smallest_passing_m(2, 0.5, trials=20, base_seed=10)
 
     def test_smallest_passing_m_needs_a_trial(self):
         with pytest.raises(ValueError, match="trials"):

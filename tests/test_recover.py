@@ -13,11 +13,12 @@ from dualsketch.recover import (
     recover_iterative,
     recover_naive,
     relative_error,
-    ridge_drp_closed_form,
     span_restricted_error,
 )
 from dualsketch.sketch import gaussian_sketch, identity_sketch, project
 from dualsketch.solve import SolverConfig, solve_primal
+
+from closed_forms import ridge_closed_form, ridge_drp_closed_form
 
 TOL = 1e-10
 CFG = SolverConfig(tolerance=TOL)
@@ -101,8 +102,6 @@ class TestDrp:
 
 class TestRidgeClosedFormRecovery:
     def test_identity_injection_reduces_to_plain_ridge(self):
-        from dualsketch.solve import ridge_closed_form
-
         data = make_low_rank(12, 8, 3, "random", seed=12)
         sk = identity_sketch(data)
         w_sketch = ridge_drp_closed_form(data, 0.7, sk)

@@ -23,9 +23,10 @@ from dualsketch.solve import (
     dual_objective,
     primal_from_dual,
     primal_objective,
-    ridge_closed_form,
     solve_primal,
 )
+
+from closed_forms import ridge_closed_form
 
 THREE_LOSSES = [square_loss(), logistic_loss(), smoothed_hinge_loss(1.0)]
 LOSS_IDS = [spec.label() for spec in THREE_LOSSES]
