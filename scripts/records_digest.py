@@ -119,6 +119,12 @@ RUNS = {
     "concentration-find-min-m-sketch-dim": ["concentration", "--rank", "2", "--eps", "0.5",
                                             "--trials", "20", "--seed", "10", "--sketch-dim", "2",
                                             "--find-min-m"],
+    # the search starts at the analytic m of min(eps, 1/2), whatever --sketch-dim says: too large
+    # for numpy to draw at eps 1e-9, and an overflowing bound once epsilon**2 underflows to 0
+    "concentration-search-too-large": ["concentration", "--rank", "2", "--eps", "1e-9",
+                                       "--sketch-dim", "5", "--trials", "1", "--find-min-m"],
+    "concentration-search-overflows": ["concentration", "--rank", "2", "--eps", "1e-300",
+                                       "--sketch-dim", "5", "--trials", "1", "--find-min-m"],
     "bounds": ["bounds", "--rank", "5", "--eps", "0.3"],
     "bounds-full-rank": ["bounds", "--spectrum", "sv.txt", "--d", "100", "--loss", "logistic"],
     # epsilon**2 underflows to 0, so the bound overflows: a config error

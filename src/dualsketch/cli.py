@@ -12,8 +12,9 @@ errors), 1 when some trials did not converge, 2 for an invalid config
 experiment, a key that only another subcommand or data source reads, a
 bad DUALSKETCH_WORKERS value, an unwritable ``--output`` or a closed
 stdout, an iterate or sketch-size bound that overflows (as a tiny
-``--eps`` makes it), a sketch too large for numpy to shape, and
-``--csv`` without ``--data csv``), 3 for a dataset/spectrum I/O failure (including
+``--eps`` makes it), a sketch, or a ``--find-min-m`` search's first, too
+large for numpy to shape, a run too large for memory, and ``--csv``
+without ``--data csv``), 3 for a dataset/spectrum I/O failure (including
 non-finite values, generated features whose squares overflow and an
 exactly zero reference solution), 4 when every trial failed.
 """
@@ -87,6 +88,9 @@ def main(argv=None) -> int:
         return EXIT_DATASET_IO
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except MemoryError as exc:  # numpy's names the array; a pool worker's is re-raised here
+        print(f"memory error: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     text = report.to_csv() if cfg.format == "csv" else report.to_json()

@@ -13,11 +13,12 @@ experiment in ``experiments``.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from functools import cache
 
 import numpy as np
 
 from .data import effective_rank
+from .sketch import gaussian_matrix
 
 __all__ = [
     "sample_size_bound",
@@ -83,16 +84,18 @@ def full_rank_sample_bound(
 
 
 def spectral_deviation(r: int, m: int, seed: int) -> float:
-    """Spectral norm of A A'/m - I for a seeded r x m standard Gaussian A."""
-    if r < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
-    a = np.random.default_rng(seed).standard_normal((r, m))
+    """Spectral norm of A A'/m - I for A = ``gaussian_matrix(r, m, seed)``."""
+    a = gaussian_matrix(r, m, seed)
     dev = (a @ a.T) / m - np.eye(r)
     return float(np.max(np.abs(np.linalg.eigvalsh(dev))))
 
 
-def smallest_passing_m(r: int, epsilon: float, trials: int, base_seed: int,
-                       measured: Mapping[int, float] | None = None) -> int:
+def _search_start(r: int, epsilon: float) -> int:
+    """The sketch size ``smallest_passing_m`` probes first: the analytic bound at delta 0.1."""
+    return sample_size_bound(r, min(epsilon, 0.5), 0.1)
+
+
+def smallest_passing_m(r: int, epsilon: float, trials: int, base_seed: int) -> int:
     """A sketch size at which the epsilon-deviation event holds in PASS_RATE of trials.
 
     Trial t of a probe is ``spectral_deviation(r, m, base_seed + t)``.  The
@@ -101,21 +104,16 @@ def smallest_passing_m(r: int, epsilon: float, trials: int, base_seed: int,
     returns the passing end of the boundary it closes in on.  The pass rate
     is not monotone in m, so that boundary need not be the smallest passing
     m.  Each probe reruns the full trial set, so this is a measurement tool,
-    not a fast path.  ``measured`` maps sketch sizes to pass rates already
-    measured on this trial set; a probe at such an m reads its rate instead
-    of rerunning the trials, so the answer is the same with or without it.
+    not a fast path; every rate it reads is one of its own probes.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rates = dict(measured or {})
 
+    @cache
     def rate(m):
-        if m not in rates:
-            rates[m] = sum(spectral_deviation(r, m, base_seed + t) <= epsilon
-                           for t in range(trials)) / trials
-        return rates[m]
+        return sum(spectral_deviation(r, m, base_seed + t) <= epsilon for t in range(trials)) / trials
 
-    hi = sample_size_bound(r, min(epsilon, 0.5), 0.1)
+    hi = _search_start(r, epsilon)
     while rate(hi) < PASS_RATE:
         hi *= 2
     lo = 1

@@ -38,7 +38,7 @@ class Dataset:
     """Feature matrix (d x n, one example per column) and labels in {-1, +1}.
 
     The features, and the sum of their squares, must be finite.  ``planted``
-    is the SVD the features were built from, when a generator knows it.
+    is the features' SVD: planted by a generator, or measured once for a CSV run.
     """
 
     features: np.ndarray

@@ -41,7 +41,7 @@ import numpy.random  # noqa: F401
 from . import concentration as conc
 from . import recover as rec
 from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
-from .data import Dataset, SpectrumInfo, load_csv, make_decaying_spectrum, make_low_rank
+from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import draw_blocks, identity_sketch, project
@@ -136,14 +136,13 @@ def solve_reference(features, labels, loss: LossSpec, lam: float, tol: float = 1
 class _Plan:
     """A run's constants, derived from the config and any --csv data before the first trial."""
 
-    data: Dataset | None  # the --csv dataset; None for generated data
+    data: Dataset | None  # the --csv dataset, with its SVD planted for span_error and full_rank
     loss: LossSpec
     solver: SolverConfig
     m: int  # sketch size; the bound's m for bounds and concentration
     k: int  # numerical rank behind the full-rank bound; 0 elsewhere
     bound: float  # the experiment's bound value; 0.0 where it has none
     w_star: np.ndarray | None  # the --csv reference solution; None for generated data
-    spec: SpectrumInfo | None  # the --csv spectrum for span_error and full_rank; else None
     reference_error: str  # why the --csv reference solve failed; every trial reports it
     # the one-thread pool that fills each trial's Gaussian R; set per process by run_experiment
     # or a pool worker's _install_run, never pickled to a worker
@@ -183,46 +182,46 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     the analytic bound: the effective-rank one given a spectrum (measured
     for ``full_rank`` on CSV data, planted for decaying data, read from
     ``spectrum`` for ``bounds``), else the low-rank one.  Every config error
-    is raised here, before the CSV reference solve; generated data is
-    solved per trial instead.  Generated decaying data carries its planted
-    SVD, which ``spectrum`` returns; ``span_error`` decomposes generated
-    low-rank data per trial.
+    (the ``find_min_m`` search's first m included) is raised here, before
+    the CSV reference solve.  ``spectrum`` returns a planted SVD: generated
+    decaying data's, or the one planted here on CSV data for ``span_error``
+    and ``full_rank``; generated low-rank data is decomposed per trial.
     """
     exp, eps = cfg.experiment, cfg.epsilon
     sketched = exp in SKETCHED
     loss = parse_loss(cfg.loss)
     data = _read(load_csv, cfg.csv, "dataset") if sketched and cfg.data == "csv" else None
     d = cfg.d if data is None else data.d
-    spec = spectrum(data) if data is not None and exp in ("span_error", "full_rank") else None
-    sv = None
+    if data is not None and exp in ("span_error", "full_rank"):
+        data = replace(data, planted=spectrum(data))
+    sv = data.planted.singular_values if exp == "full_rank" and data is not None else None
     if exp == "bounds" and cfg.spectrum:
         sv = _read(_load_spectrum, cfg.spectrum, "spectrum")
-    elif exp == "full_rank" and spec is not None:
-        sv = spec.singular_values
-    elif exp == "full_rank" or (sketched and cfg.data == "decaying"):
+    elif sketched and cfg.data == "decaying":
         sv = planted_spectrum(cfg.d, cfg.n, cfg.decay, cfg.top_singular)
 
-    if sketched and cfg.identity_sketch:
-        m = d
-    elif exp != "bounds" and cfg.sketch_dim > 0:  # bounds always reports the analytic m
-        m = cfg.sketch_dim
-    else:
-        try:
-            if sv is None:
-                m = conc.sample_size_bound(cfg.rank, eps, cfg.delta, cfg.c or conc.LOW_RANK_C)
-            else:
-                m = conc.full_rank_sample_bound(sv, cfg.lam, loss.gamma, eps, cfg.delta, d,
-                                                cfg.c or conc.FULL_RANK_C)
-        except ValueError as exc:  # epsilon above 1/2 for the low-rank bound
-            raise ConfigError(str(exc)) from None
-        # squares of sv, or the bound itself, overflow a float; or epsilon**2 underflows to 0
-        except (OverflowError, ZeroDivisionError):
-            raise ConfigError("the analytic sketch-size bound overflows a float") from None
-        if sketched and m < 1:
-            raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
+    try:
+        if sketched and cfg.identity_sketch:
+            m = d
+        elif exp != "bounds" and cfg.sketch_dim > 0:  # bounds always reports the analytic m
+            m = cfg.sketch_dim
+        elif sv is None:
+            m = conc.sample_size_bound(cfg.rank, eps, cfg.delta, cfg.c or conc.LOW_RANK_C)
+        else:
+            m = conc.full_rank_sample_bound(sv, cfg.lam, loss.gamma, eps, cfg.delta, d,
+                                            cfg.c or conc.FULL_RANK_C)
+        start = conc._search_start(cfg.rank, eps) if cfg.find_min_m else 0  # the search's first m
+    except ValueError as exc:  # epsilon above 1/2 for the low-rank bound
+        raise ConfigError(str(exc)) from None
+    # squares of sv, or the bound itself, overflow a float; or epsilon**2 underflows to 0
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError("the analytic sketch-size bound overflows a float") from None
+    if sketched and m < 1:
+        raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
     # the Gaussian draw is d x m, or rank x m for concentration; bounds only reports m
-    if exp != "bounds" and (d if sketched else cfg.rank) * m * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(f"sketch dimension m = {m} is too large for numpy to draw the sketch")
+    for what, size in (("sketch dimension m", m), ("the --find-min-m search's first m", start)):
+        if exp != "bounds" and (d if sketched else cfg.rank) * size * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{what} = {size} is too large for numpy to draw the sketch")
 
     k, bound = 0, 0.0
     if exp == "full_rank":
@@ -256,7 +255,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         except ConvergenceError as exc:
             reference_error = str(exc)
     solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
-    return _Plan(data, loss, solver, m, k, bound, w_star, spec, reference_error)
+    return _Plan(data, loss, solver, m, k, bound, w_star, reference_error)
 
 
 # --- per-trial workers -------------------------------------------------
@@ -342,11 +341,11 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
         return {**head, "measurement_error": ratio, "bound": bound,
                 "within_bound": ratio <= plan.bound}
     if exp == "span_error":
-        spec = plan.spec or spectrum(data)
-        span_rel = rec.span_restricted_error(spec, naive, w_star) / float(np.linalg.norm(w_star))
+        span_rel = (rec.span_restricted_error(spectrum(data), naive, w_star)
+                    / float(np.linalg.norm(w_star)))
         return {**head, "span_rel_error": span_rel, "full_rel_error": naive_rel, "bound": bound,
                 "within_bound": span_rel <= plan.bound}
-    top_k = (plan.spec or spectrum(data)).left_vectors[:, :plan.k]  # full_rank
+    top_k = spectrum(data).left_vectors[:, :plan.k]  # full_rank
     leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star))
     return {**head, "k": plan.k, "rel_error": rel, "subspace_leakage": leakage, "bound": bound,
             "within_bound": rel <= plan.bound}
@@ -525,11 +524,9 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
                 plan = replace(plan, helper=helper)
                 records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
     aggregates = _aggregate(cfg, records)
-    if cfg.experiment == "concentration" and cfg.find_min_m:
-        aggregates["smallest_passing_m"] = conc.smallest_passing_m(
-            cfg.rank, cfg.epsilon, cfg.trials, cfg.seed,
-            measured={plan.m: sum(r["pass"] for r in records) / cfg.trials},
-        )
+    if cfg.find_min_m:  # a concentration key
+        aggregates["smallest_passing_m"] = conc.smallest_passing_m(cfg.rank, cfg.epsilon,
+                                                                   cfg.trials, cfg.seed)
     wall = time.perf_counter() - start
     return ReportDocument(
         schema_version=REPORT_SCHEMA_VERSION,

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy._core._exceptions import _ArrayMemoryError
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,7 +95,8 @@ FUZZ_SUBCOMMAND_FLAGS = {
     "naive-vs-drp": {},
     "measurement": {},
     "span-error": {},
-    "concentration": {"--find-min-m": None},
+    # epsilons whose --find-min-m search starts too large to draw, or at an overflowing bound
+    "concentration": {"--find-min-m": None, "--eps": [*FUZZ_FLAGS["--eps"], "1e-9", "1e-300"]},
     "bounds": {"--spectrum": ["no-such-spectrum.txt"]},
     "full-rank": {},
 }
@@ -510,7 +512,7 @@ class TestRunExperiment:
                                    "d": 3, "n": 10, "sketch_dim": 4})
         assert run_experiment(cfg).records[0]["bound"]["value"] == 0.0
 
-    def test_naive_and_ridge_closed_methods(self):
+    def test_naive_recovery_is_worse_than_drp(self):
         base = {"experiment": "recover", "d": 80, "n": 30, "rank": 3,
                 "sketch_dim": 25, "trials": 2, "seed": 5}
         naive = run_experiment(config_from_mapping({**base, "method": "naive"}))
@@ -659,31 +661,28 @@ class TestRunExperiment:
     ], ids=["naive_vs_drp", "measurement", "span_error", "recover-naive", "recover-drp", "iterate",
             "full_rank", "identity"])
     def test_helper_moves_no_record(self, monkeypatch, experiment, entries):
-        # every Gaussian R fills on the helper, one block at d = 60 and two at d = 1100, whatever
-        # the core count; the records are those of R drawn in one call on the trial's thread
+        # every Gaussian R fills on the helper, one block at d = 60 and two at d = 1100; the
+        # records are those of R drawn in one call on the trial's thread
         identity = entries.get("identity_sketch", False)
         for d in (60, 1100):
             cfg = config_from_mapping({"experiment": experiment, "d": d, "n": 20,
                                        **({} if "data" in entries else {"rank": 3}), **entries,
                                        **({} if identity else {"sketch_dim": 20}),
                                        "trials": 2, "seed": 3})
-            draws, reports = [], []
+            draws = []
 
             def counting(*args):
                 draws.append(args[:3])
                 return draw_blocks(*args)
 
             monkeypatch.setattr(experiments, "draw_blocks", counting)
-            for cores in (1, 8):
-                monkeypatch.setattr(os, "sched_getaffinity",
-                                    lambda pid, cores=cores: set(range(cores)))
-                reports.append(run_experiment(cfg))
-            assert draws == ([] if identity else [(d, 20, 3), (d, 20, 4)] * 2)  # once a trial
+            filled = run_experiment(cfg)
+            assert draws == ([] if identity else [(d, 20, 3), (d, 20, 4)])  # once a trial
             monkeypatch.setattr(experiments, "draw_blocks",
                                 lambda d, m, seed, helper: (gaussian_matrix(d, m, seed), []))
             one_call = run_experiment(cfg)
             assert one_call.errored_trials == 0
-            assert reports[0].records == reports[1].records == one_call.records
+            assert filled.records == one_call.records
 
     def test_pool_workers_start_their_own_helpers(self, monkeypatch):
         cfg = config_from_mapping({"experiment": "naive_vs_drp", "d": 1100, "n": 20, "rank": 3,
@@ -820,16 +819,13 @@ class TestRunExperiment:
         path = tmp_path / "decaying.csv"
         save_csv(make_decaying_spectrum(40, 20, 1.0, seed=5, top_singular_value=5.0), path)
         calls = []
-
-        def counting_spectrum(data, *args):
-            calls.append(data.d)
-            return spectrum(data, *args)
-
-        monkeypatch.setattr(experiments, "spectrum", counting_spectrum)
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a.shape)
+                            or svd(a, *args, **kwargs))
         cfg = config_from_mapping({"experiment": "full_rank", "data": "csv", "csv": str(path),
                                    "loss": "logistic", "trials": 2})  # m from the bound
         assert run_experiment(cfg).errored_trials == 0
-        assert len(calls) == 1
+        assert calls == [(40, 20)]
 
     @pytest.mark.parametrize("source, svds", [("decaying", 0), ("csv", 1)])
     def test_full_rank_svds_per_run(self, tmp_path, monkeypatch, source, svds):
@@ -863,25 +859,23 @@ class TestRunExperiment:
     def test_csv_reference_and_spectrum_once_per_run(self, tmp_path, monkeypatch, experiment):
         path = tmp_path / "train.csv"
         save_csv(make_low_rank(40, 20, 3, "random", seed=3), path)
-        shapes, spectra = [], []
+        shapes, svds = [], []
+        svd = np.linalg.svd
 
         def counting_solve(features, *args, **kwargs):
             shapes.append(np.shape(features))
             return solve_primal(features, *args, **kwargs)
 
-        def counting_spectrum(data, *args):
-            spectra.append(data.d)
-            return spectrum(data, *args)
-
         monkeypatch.setattr(experiments, "solve_primal", counting_solve)
         monkeypatch.setattr(recover, "solve_primal", counting_solve)
-        monkeypatch.setattr(experiments, "spectrum", counting_spectrum)
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svds.append(a.shape)
+                            or svd(a, *args, **kwargs))
         cfg = config_from_mapping({"experiment": experiment, "data": "csv", "csv": str(path),
                                    "sketch_dim": 10, "trials": 3,
                                    **({"iters": 2} if experiment == "iterate" else {})})
         assert run_experiment(cfg).errored_trials == 0
         assert shapes.count((40, 20)) == 1
-        assert len(spectra) <= 1
+        assert svds == ([(40, 20)] if experiment == "span_error" else [])  # iterate reads none
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_full_rank_k_zero_fails_before_any_solve(self, monkeypatch, workers):
@@ -1214,6 +1208,20 @@ class TestCliProcess:
         code = main(["recover", "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_allocation_exits_two(self, monkeypatch, capsys, workers):
+        # the generator raises numpy's MemoryError for a 728 TiB array without allocating it; a
+        # pool worker's pickles back to the parent
+        def too_large(*args):
+            raise _ArrayMemoryError((10**7, 10**7), np.dtype(float))
+
+        monkeypatch.setattr(experiments, "make_low_rank", too_large)
+        monkeypatch.setenv("DUALSKETCH_WORKERS", workers)
+        assert main(SMALL_RECOVER) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("memory error: Unable to allocate ") and err.count("\n") == 1
+        assert "(10000000, 10000000)" in err
+
     @pytest.mark.parametrize("argv, env, code", [
         pytest.param(SMALL_RECOVER + ["--seed", "-5"], {}, 2, id="negative-seed"),
         pytest.param(["recover", "--d", "abc"], {}, 2, id="d-not-integer"),
@@ -1255,6 +1263,11 @@ class TestCliProcess:
           for sub, rank in (("bounds", "5"), ("recover", "1"))],
         pytest.param(["concentration", "--rank", "2", "--eps", "0.75"], {}, 2,
                      id="concentration-eps-0.75"),
+        # the search starts at the analytic m of min(eps, 1/2), whatever --sketch-dim says: too
+        # large for numpy to draw, or (epsilon**2 underflowing to 0) a bound that overflows
+        *[pytest.param(["concentration", "--rank", "2", "--eps", eps, "--sketch-dim", "5",
+                        "--trials", "1", "--find-min-m"], {}, 2, id=f"find-min-m-eps-{eps}")
+          for eps in ("1e-9", "1e-300")],
         *[pytest.param([sub, *ZERO_CSV], {}, 3, id=f"{sub}-zero-reference")
           for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),

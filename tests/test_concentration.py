@@ -167,19 +167,6 @@ class TestTrialRunner:
 
         assert rate(m_star) >= PASS_RATE > rate(m_star - 1)
 
-    def test_find_min_m_reads_its_first_probe_off_the_records(self, monkeypatch):
-        calls = []
-        deviation = concentration.spectral_deviation
-        monkeypatch.setattr(concentration, "spectral_deviation",
-                            lambda *args: calls.append(args) or deviation(*args))
-        doc = _concentration(rank=10, trials=100, find_min_m=True)
-        # the records take 100 calls and the search 10 probes of 100; its first probe, at the
-        # records' m, reads their pass rate instead of redrawing them
-        assert len(calls) == 100 + 1000
-        assert sum(m == doc.records[0]["m"] for _, m, _ in calls) == 100
-        assert doc.aggregates["smallest_passing_m"] == smallest_passing_m(
-            10, 0.5, trials=100, base_seed=0)
-
     def test_find_min_m_does_not_depend_on_the_sketch_dim(self):
         # the pass rate is not monotone in m here: a search that started from the run's m
         # answered 54 at sketch_dim 0 and 30 but 66 at 2 and 100
