@@ -42,6 +42,8 @@ from dualsketch.cli import main as cli_main
 
 LOW = ["--d", "60", "--n", "20", "--rank", "3"]
 DECAYING = ["--data", "decaying", "--d", "60", "--n", "20", "--top-singular", "4"]
+HELPER = ["--data", "decaying", "--d", "30", "--n", "20", "--top-singular", "4", "--loss",
+          "logistic", "--sketch-dim", "10"]
 
 RUNS = {
     "recover-drp": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic", "--trials", "3"],
@@ -139,6 +141,11 @@ RUNS = {
     "full-rank-tiny-lambda": ["full-rank", *DECAYING, "--lambda", "1e-320", "--sketch-dim", "10"],
     "full-rank-overflowing-data": ["full-rank", *DECAYING, "--top-singular", "1e300",
                                    "--sketch-dim", "6"],
+    # R (30 x 10) lands before the data is ready, so the helper thread solves the reference
+    # while the trial solves its sketch
+    "full-rank-helper": ["full-rank", *HELPER, "--trials", "2"],
+    # the sketch fails and the reference does not: each record carries pass 1's error
+    "full-rank-helper-no-convergence": ["full-rank", *HELPER, "--max-iters", "1", "--trials", "2"],
 }
 # CSV twins: bools, the flattened bound, empty trace lists and quoted error texts
 for _name in ("full-rank-decaying", "recover-naive", "recover-csv-reference-stall"):

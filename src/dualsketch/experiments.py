@@ -11,10 +11,12 @@ Trial t derives every random object (generated dataset, projection) from
 ``seed + t``, so runs are reproducible and resumable; a worker pool (size
 from the DUALSKETCH_WORKERS environment variable) only changes wall time,
 never the records.  Every run first applies one per-process runtime policy
-(``_process_policy``: pinned malloc thresholds and one BLAS thread), as
-does each pool worker when it starts, and the report's ``runtime`` block
-says what took.  Each process has one helper thread, which fills every
-trial's Gaussian R while the trial builds its problem.  The run's
+(``_process_policy``: pinned malloc thresholds, one malloc arena and one
+BLAS thread), as does each pool worker when it starts, and the report's
+``runtime`` block says what took.  Each process has one helper thread,
+which fills every trial's Gaussian R while the trial generates its
+dataset; when R has landed by then, the helper also solves the trial's
+reference while the trial solves its sketch.  The run's
 constants (the sketch size m, the full-rank k, the bound value and, for
 ``--csv`` data, the dataset, its reference solution and its spectrum) are
 derived once, before the first trial, so a config error never costs a
@@ -55,8 +57,9 @@ WORKERS_ENV = "DUALSKETCH_WORKERS"
 
 # glibc's mallopt parameters.  The mmap threshold is pinned at glibc's own
 # 64-bit ceiling for it (DEFAULT_MMAP_THRESHOLD_MAX) and the trim threshold
-# at twice that, which is what glibc's dynamic rule would set there.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# at twice that, which is what glibc's dynamic rule would set there; the
+# process keeps one malloc arena.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD = 32 << 20
 # numpy's bundled OpenBLAS: the numpy 2 wheels' symbol, then the numpy 1 wheels'
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
@@ -260,21 +263,22 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 
 # --- per-trial workers -------------------------------------------------
 
-def _problem(cfg: ExperimentConfig, plan: _Plan, seed: int) -> tuple[Dataset, np.ndarray]:
-    """The trial's dataset and reference solution: the run's own for --csv data, else drawn and solved."""
-    data, w_star = plan.data, plan.w_star
-    if data is None:
-        try:
-            if cfg.data == "low_rank":
-                data = make_low_rank(cfg.d, cfg.n, cfg.rank, cfg.label_rule, seed)
-            else:
-                data = make_decaying_spectrum(cfg.d, cfg.n, cfg.decay, seed, cfg.top_singular,
-                                              cfg.label_rule)
-        except ValueError as exc:  # the config is valid, so the features overflowed
-            raise DatasetIOError(f"generated dataset is unusable: {exc}") from None
-    if w_star is None:
-        w_star = _reference(cfg, data, plan.loss)
-    return data, w_star
+def _dataset(cfg: ExperimentConfig, plan: _Plan, seed: int) -> Dataset:
+    """The trial's dataset: the run's own for --csv data, else drawn from ``seed``."""
+    if plan.data is not None:
+        return plan.data
+    try:
+        if cfg.data == "low_rank":
+            return make_low_rank(cfg.d, cfg.n, cfg.rank, cfg.label_rule, seed)
+        return make_decaying_spectrum(cfg.d, cfg.n, cfg.decay, seed, cfg.top_singular,
+                                      cfg.label_rule)
+    except ValueError as exc:  # the config is valid, so the features overflowed
+        raise DatasetIOError(f"generated dataset is unusable: {exc}") from None
+
+
+def _landed(fills) -> bool:
+    """Whether every block of the trial's R has been drawn; true when it draws none."""
+    return all(fill.done() for fill in fills)
 
 
 def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
@@ -282,17 +286,29 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
 
     The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
     recovered weights, and naive recovery and the measurement ratio read
-    its sketched solution z*.  A Gaussian R exists before the reference is
-    solved: this thread allocates it first, the plan's helper thread fills
-    its row blocks in order while this thread generates the dataset and
-    solves the reference, and this thread then projects each block once it
-    has landed.  R is then held through the reference solve, whose span
-    check keeps no d x n temporary.  Only naive recovery and the
-    measurement ratio read R; on every other route it is freed right after
-    projection, before the sketched solve.  The draws are not independent:
-    dataset and sketch both seed ``default_rng(seed)``, so the sketch's
-    first entries are the dataset's draws (ROADMAP item 3 gives the sketch
-    a stream of its own).
+    its sketched solution z*.  A Gaussian R exists before the dataset does:
+    this thread allocates it first, and the plan's helper thread fills its
+    row blocks in order while this thread generates the dataset.  Who then
+    solves the reference w* (generated data only; a --csv run has solved
+    it once) depends on one runtime fact, whether R has landed:
+
+    - every block has landed (always so under the identity sketch): this
+      thread projects, lets R go, and hands the reference to the helper,
+      which solves it while this thread runs ``recover_iterative``; pass 1
+      joins it when its error is due.
+    - R is still filling: this thread solves the reference meanwhile, then
+      projects each block once it has landed.  R is then held through the
+      reference solve, whose span check keeps no d x n temporary.
+
+    Either way the records are the same: both solves read only the
+    dataset, and every error is the same ``relative_error`` call.  A
+    failed reference outranks a failed sketched solve, as when the two ran
+    one after the other.  Only naive recovery and the measurement ratio
+    read R; on every other route it is freed right after projection,
+    before the sketched solve.  The draws are not independent: dataset
+    and sketch both seed ``default_rng(seed)``, so the sketch's first
+    entries are the dataset's draws (ROADMAP item 3 gives the sketch a
+    stream of its own).
     """
     seed, exp = cfg.seed + t, cfg.experiment
     landed = []
@@ -300,7 +316,9 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
         d = cfg.d if plan.data is None else plan.data.d
         r_matrix, landed = draw_blocks(d, plan.m, seed, plan.helper)
     try:
-        data, w_star = _problem(cfg, plan, seed)
+        data, w_star = _dataset(cfg, plan, seed), plan.w_star
+        if w_star is None and not _landed(landed):  # solved here while R lands
+            w_star = _reference(cfg, data, plan.loss)
         if cfg.identity_sketch:
             sk = identity_sketch(data)
         else:
@@ -313,12 +331,21 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     r_matrix = sk.matrix_r if naive_read or exp == "measurement" else None
     sk = replace(sk, matrix_r=None)  # the solve reads only the sketched features
 
+    # R has landed and gone where no readout reads it: the helper solves the reference
+    job = None if w_star is not None else plan.helper.submit(_reference, cfg, data, plan.loss)
     head = {"trial": t, "seed": seed, "m": sk.m}
     bound = {"epsilon": cfg.epsilon, "value": plan.bound}
-    result, trace = rec.recover_iterative(
-        data, plan.loss, cfg.lam, sk, cfg.iters if exp == "iterate" else 1, plan.solver,
-        reference=w_star, early_stop=cfg.early_stop,
-    )
+    try:
+        result, trace = rec.recover_iterative(
+            data, plan.loss, cfg.lam, sk, cfg.iters if exp == "iterate" else 1, plan.solver,
+            reference=w_star if job is None else job.result, early_stop=cfg.early_stop,
+        )
+    except Exception:
+        if job is not None:  # waits, so no reference runs on into the next trial
+            job.result()  # a failed reference outranks the sketch's failure
+        raise
+    if job is not None:
+        w_star = job.result()  # pass 1 has joined it
     rel, z = result.rel_error, trace.sketched_weights
     if naive_read:
         naive = rec.recover_naive(r_matrix, z, sk.m)
@@ -460,20 +487,23 @@ def _pool_size(jobs: int) -> int:
 
 
 def _process_policy() -> dict:
-    """Pin glibc's malloc thresholds and numpy's OpenBLAS to one thread; say what took.
+    """Pin glibc's malloc to fixed thresholds and one arena, and numpy's OpenBLAS to one thread.
 
     glibc's dynamic rule raises the mmap threshold to the largest block it
     has unmapped (here a trial's ~800 KB arrays) and the trim threshold to
     twice that, so each trial's frees hand the top of the heap back to the
     kernel and the next trial faults the same pages in again.  Pinned, the
-    pages stay with the process.  One BLAS thread keeps the records from
-    depending on the host's core count, and pool workers from competing
-    for cores.  Either half is skipped where its library or symbol is
-    missing (not glibc, or not numpy's bundled OpenBLAS), and the returned
-    block, the report's ``runtime``, says so: ``blas_threads`` is 1 or None
-    (the library's own count) and ``malloc_thresholds`` is "pinned" or
-    "dynamic" (glibc's rule, or another allocator's).  Neither half moves a
-    record computed at one BLAS thread.
+    pages stay with the process.  One arena keeps the helper thread's
+    temporaries (the reference solve it may run) in the heap the trial
+    thread reuses, not in a second heap that holds its own pages.  One
+    BLAS thread keeps the records from depending on the host's core
+    count, and pool workers from competing for cores.  Either half is
+    skipped where its library or symbol is missing (not glibc, or not
+    numpy's bundled OpenBLAS), and the returned block, the report's
+    ``runtime``, says so: ``blas_threads`` is 1 or None (the library's own
+    count) and ``malloc_thresholds`` is "pinned" (both thresholds and the
+    one arena took) or "dynamic" (glibc's rule, or another allocator's).
+    Neither half moves a record computed at one BLAS thread.
     """
     import ctypes  # here, so that start-up does not pay for it
     import glob
@@ -487,7 +517,8 @@ def _process_policy() -> dict:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
         # mallopt returns 1 on success and 0 for a value it refuses
         if (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-                and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD) == 1):
+                and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD) == 1
+                and mallopt(_M_ARENA_MAX, 1) == 1):
             runtime["malloc_thresholds"] = "pinned"
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):

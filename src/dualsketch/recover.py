@@ -124,6 +124,10 @@ def recover_iterative(
     ``recover_naive`` and ``measurement_error`` do.  At w_0 = 0 the offset
     and the shift are zero, so pass 1 reads only the sketched features.
 
+    ``reference`` is w* as an array, or a zero-argument callable that
+    returns it; a callable is called once, when pass 1's error is due, so
+    the caller can still be solving w* while pass 1's sketched solve runs.
+
     Solver failure at any pass raises ``ConvergenceError`` with the pass
     index in the message.  ``early_stop`` ends the loop once the sketched
     increment z = v - o is negligible next to the current iterate.  The
@@ -136,7 +140,7 @@ def recover_iterative(
     xs = sketch.sketched_features
     if xs.shape != (sketch.m, data.n):
         raise ValueError("sketch does not match the dataset")
-    ref = None if reference is None else np.asarray(reference, dtype=float)
+    ref = reference  # a callable is replaced by what it returns when pass 1's error is due
 
     w = np.zeros(data.d)
     offset, shift = np.zeros(sketch.m), np.zeros(data.n)  # their values at w_0 = 0
@@ -151,6 +155,8 @@ def recover_iterative(
             raise ConvergenceError(f"pass {t}: {exc}", exc.best) from exc
         alphas = np.asarray(loss.grad(data.labels * (xs.T @ v) + shift), dtype=float)
         w = primal_from_dual(data.features, data.labels, lam, alphas)
+        if callable(ref):
+            ref = ref()
         errors.append(relative_error(w, ref) if ref is not None else np.nan)
         with np.errstate(over="ignore"):
             w_norm = np.linalg.norm(w)

@@ -290,11 +290,13 @@ def solve_primal(
             )
         root = x * np.sqrt(loss.curvature(margins))
         hess = root @ root.T  # one symmetric product: BLAS syrk
+        del root  # freed before the LU solve copies hess
         hess.flat[::k + 1] += lam
         try:
             direction = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
             raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
+        del hess  # freed before the line search's temporaries
         slope = float(g @ direction)
         if slope >= 0.0:
             direction, slope = -g, -float(g @ g)

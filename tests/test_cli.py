@@ -10,8 +10,10 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from multiprocessing import get_context
@@ -44,7 +46,7 @@ from dualsketch.data import (
     save_csv,
     spectrum,
 )
-from dualsketch.experiments import run_experiment, solve_reference
+from dualsketch.experiments import _reference, run_experiment, solve_reference
 from dualsketch.losses import parse_loss
 from dualsketch.recover import (
     measurement_error,
@@ -300,6 +302,29 @@ def in_process_pool(sizes, jobs):
             return map(fn, items)
 
     return InProcessPool
+
+
+# The routes a trial's helper thread serves: (experiment, its own config fields).
+HELPER_ROUTES = [
+    ("naive_vs_drp", {"loss": "logistic"}),
+    ("measurement", {}),
+    ("span_error", {}),
+    ("recover", {"method": "naive"}),
+    ("recover", {"method": "drp", "loss": "logistic"}),
+    ("iterate", {"iters": 3}),
+    ("full_rank", {"data": "decaying", "top_singular": 4.0}),
+    ("recover", {"identity_sketch": True}),
+]
+HELPER_ROUTE_IDS = ["naive_vs_drp", "measurement", "span_error", "recover-naive", "recover-drp",
+                    "iterate", "full_rank", "identity"]
+
+
+def helper_route_config(experiment: str, entries: dict, d: int):
+    """A two-trial run of one helper route at dimension ``d``, m = 20 unless the sketch is exact."""
+    return config_from_mapping({"experiment": experiment, "d": d, "n": 20,
+                                **({} if "data" in entries else {"rank": 3}), **entries,
+                                **({} if entries.get("identity_sketch") else {"sketch_dim": 20}),
+                                "trials": 2, "seed": 3})
 
 
 # Every trial route: (experiment, its own config fields).
@@ -627,12 +652,15 @@ class TestRunExperiment:
             "sketch_dim": 20, "trials": 1, "seed": 3,
         })
         assert run_experiment(cfg).errored_trials == 0
-        assert shapes == [(80, 30)] + [(20, 30)] * sketched_solves  # the reference, then the sketch
+        # one reference and the sketched passes, in an order that depends on the schedule: the
+        # helper may solve the reference while this thread solves the sketch
+        assert Counter(shapes) == Counter({(80, 30): 1, (20, 30): sketched_solves})
 
     def test_trial_peak_memory(self):
-        # R fills on the helper thread from the top of the trial, so it is held through the
-        # reference solve; that solve's span check forms its residual a block of rows at a
-        # time, never d x n at once: the peak stays below X + R + X/2
+        # R fills on the helper thread from the top of the trial; while it is still filling the
+        # trial solves its reference, so R is held through that solve, whose span check forms
+        # its residual a block of rows at a time, never d x n at once: the peak stays below
+        # X + R + X/2
         cfg = config_from_mapping({
             "experiment": "naive_vs_drp", "d": 4000, "n": 200, "rank": 3,
             "sketch_dim": 300, "loss": "logistic", "trials": 1, "seed": 0,
@@ -649,26 +677,13 @@ class TestRunExperiment:
         x_bytes, r_bytes = 4000 * 200 * 8, 4000 * 300 * 8
         assert peak <= x_bytes + r_bytes + x_bytes / 2
 
-    @pytest.mark.parametrize("experiment, entries", [
-        ("naive_vs_drp", {"loss": "logistic"}),
-        ("measurement", {}),
-        ("span_error", {}),
-        ("recover", {"method": "naive"}),
-        ("recover", {"method": "drp", "loss": "logistic"}),
-        ("iterate", {"iters": 3}),
-        ("full_rank", {"data": "decaying", "top_singular": 4.0}),
-        ("recover", {"identity_sketch": True}),
-    ], ids=["naive_vs_drp", "measurement", "span_error", "recover-naive", "recover-drp", "iterate",
-            "full_rank", "identity"])
+    @pytest.mark.parametrize("experiment, entries", HELPER_ROUTES, ids=HELPER_ROUTE_IDS)
     def test_helper_moves_no_record(self, monkeypatch, experiment, entries):
         # every Gaussian R fills on the helper, one block at d = 60 and two at d = 1100; the
         # records are those of R drawn in one call on the trial's thread
         identity = entries.get("identity_sketch", False)
         for d in (60, 1100):
-            cfg = config_from_mapping({"experiment": experiment, "d": d, "n": 20,
-                                       **({} if "data" in entries else {"rank": 3}), **entries,
-                                       **({} if identity else {"sketch_dim": 20}),
-                                       "trials": 2, "seed": 3})
+            cfg = helper_route_config(experiment, entries, d)
             draws = []
 
             def counting(*args):
@@ -733,6 +748,126 @@ class TestRunExperiment:
             plan = replace(experiments._plan(cfg), helper=helper)
             assert experiments._run_one(cfg, plan, 0)["error"] == "reference failed"
             assert len(fills) == 3 and all(fill.done() for fill in fills)
+
+    @pytest.mark.parametrize("experiment, entries", HELPER_ROUTES, ids=HELPER_ROUTE_IDS)
+    def test_reference_schedule_moves_no_record(self, monkeypatch, experiment, entries):
+        # the trial hands its reference to the helper once R has landed, and solves it itself
+        # while R is still filling; forced each way, serially and in the pool, the records
+        # are the same
+        reference, threads = experiments._reference, []
+
+        def recording(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return reference(*args)
+
+        monkeypatch.setattr(experiments, "_reference", recording)
+        records = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DUALSKETCH_WORKERS", workers)
+            for landed in (False, True):
+                monkeypatch.setattr(experiments, "_landed", lambda fills, landed=landed: landed)
+                report = run_experiment(helper_route_config(experiment, entries, 60))
+                assert report.errored_trials == 0
+                records.append(report.records)
+        assert all(run == records[0] for run in records[1:])
+        # the serial runs: the trial's own thread solved the first two, the helper the others
+        assert threads == [True, True, False, False]
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["trial-thread", "helper"])
+    def test_failed_reference_outranks_a_failed_sketch(self, monkeypatch, landed):
+        # both solves fail; the record carries the reference's error, as when the reference
+        # ran first, even though here the sketch fails before the helper's reference does
+        sketch_failed = threading.Event()
+
+        def failing(cfg, data, loss):
+            if landed:  # on the helper: fail only once the sketch has
+                sketch_failed.wait(timeout=30)
+            raise ConvergenceError("reference failed", None)
+
+        def flagging(*args, **kwargs):
+            try:
+                return recover_iterative(*args, **kwargs)
+            except ConvergenceError:
+                sketch_failed.set()
+                raise
+
+        monkeypatch.setattr(experiments, "_reference", failing)
+        monkeypatch.setattr(recover, "recover_iterative", flagging)
+        monkeypatch.setattr(experiments, "_landed", lambda fills: landed)
+        cfg = config_from_mapping({"experiment": "full_rank", "data": "decaying", "d": 30,
+                                   "n": 20, "top_singular": 4.0, "loss": "logistic",
+                                   "sketch_dim": 10, "max_iters": 1, "trials": 2})
+        report = run_experiment(cfg)
+        assert [r["error"] for r in report.records] == ["reference failed"] * 2
+        assert sketch_failed.is_set() == landed  # on the trial's thread, the sketch never ran
+        monkeypatch.setattr(experiments, "_reference", _reference)  # the sketch's error alone
+        assert all(r["error"].startswith("pass 1: no convergence")
+                   for r in run_experiment(cfg).records)
+
+    @pytest.mark.parametrize("identity", [False, True], ids=["gaussian", "identity"])
+    def test_failed_sketch_leaves_no_reference_running(self, monkeypatch, identity):
+        # the sketch fails at once; the trial still waits for the helper's reference, so none
+        # runs on into the next trial, and no helper thread outlives the run
+        finished = []
+
+        def slow(cfg, data, loss):
+            time.sleep(0.05)
+            w_star = _reference(cfg, data, loss)
+            finished.append(threading.current_thread() is not threading.main_thread())
+            return w_star
+
+        monkeypatch.setattr(experiments, "_reference", slow)
+        monkeypatch.setattr(experiments, "_landed", lambda fills: True)
+        entries = {"identity_sketch": True} if identity else {"sketch_dim": 20}
+        cfg = config_from_mapping({"experiment": "recover", "d": 60, "n": 20, "rank": 3,
+                                   "loss": "logistic", "max_iters": 1, **entries, "trials": 2})
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            plan = replace(experiments._plan(cfg), helper=helper)
+            record = experiments._run_one(cfg, plan, 0)
+            assert record["error"].startswith("pass 1: no convergence")
+            assert finished == [True]
+        before = threading.active_count()
+        assert run_experiment(cfg).errored_trials == 2
+        assert threading.active_count() == before
+        assert finished == [True] * 3
+
+    def test_zero_norm_reference_on_the_helper_keeps_its_exit(self, monkeypatch, capsys):
+        # lambda 1e300 underflows w* to zero; raised on the helper, the error reaches the CLI
+        # as the same dataset error, exit 3
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return _reference(*args)
+
+        monkeypatch.setattr(experiments, "_reference", recording)
+        monkeypatch.setattr(experiments, "_landed", lambda fills: True)
+        assert main(["recover", *SMALL, "--lambda", "1e300"]) == 3
+        assert threads == [False]
+        assert capsys.readouterr().err == (
+            "dataset error: the reference solution has zero norm (X y = 0, or lambda so large "
+            "that it underflows); relative errors are undefined\n")
+
+    def test_full_rank_trial_peak_memory_with_the_reference_on_the_helper(self, monkeypatch):
+        # full_rank_decaying's trial, d = n = 500 and m = 2484 from the bound.  The trial
+        # projects and lets R go before the helper's reference solve starts; run one after the
+        # other, the two solves peak at projection, 22.8 MiB.  Overlapped they read 22.9 MiB,
+        # and 26.9 MiB if each Newton step held its Hessian's square-root factor and Hessian
+        # through the LU solve and the line search
+        monkeypatch.setattr(experiments, "_landed", lambda fills: True)
+        cfg = config_from_mapping({"experiment": "full_rank", "data": "decaying", "d": 500,
+                                   "n": 500, "top_singular": 4.0, "label_rule": "sign_of_plant",
+                                   "loss": "logistic", "trials": 1})
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            plan = replace(experiments._plan(cfg), helper=helper)
+            tracemalloc.start()
+            try:
+                record = experiments._run_one(cfg, plan, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert record["m"] == 2484 and "error" not in record
+        assert peak <= 24 << 20
 
     @staticmethod
     def _watch_projections(monkeypatch) -> list:
@@ -814,18 +949,6 @@ class TestRunExperiment:
                                    "sketch_dim": 8, "trials": 3})
         assert len(run_experiment(cfg).records) == 3
         assert calls == [str(path)]
-
-    def test_full_rank_csv_spectrum_once_per_run(self, tmp_path, monkeypatch):
-        path = tmp_path / "decaying.csv"
-        save_csv(make_decaying_spectrum(40, 20, 1.0, seed=5, top_singular_value=5.0), path)
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(a.shape)
-                            or svd(a, *args, **kwargs))
-        cfg = config_from_mapping({"experiment": "full_rank", "data": "csv", "csv": str(path),
-                                   "loss": "logistic", "trials": 2})  # m from the bound
-        assert run_experiment(cfg).errored_trials == 0
-        assert calls == [(40, 20)]
 
     @pytest.mark.parametrize("source, svds", [("decaying", 0), ("csv", 1)])
     def test_full_rank_svds_per_run(self, tmp_path, monkeypatch, source, svds):
@@ -1023,9 +1146,9 @@ class TestProcessPolicy:
 
         monkeypatch.setattr(experiments, "_run_one", recording_run_one)
         report = run_experiment(config_from_mapping(POLICY_CONFIG))
-        # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at twice that
+        # M_MMAP_THRESHOLD at 32 MiB, M_TRIM_THRESHOLD at twice that, then one arena (M_ARENA_MAX)
         assert events == [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20),
-                          ("trial", 0, 1), ("trial", 1, 1)]
+                          ("mallopt", -8, 1), ("trial", 0, 1), ("trial", 1, 1)]
         assert report.runtime == {"blas_threads": 1, "malloc_thresholds": "pinned"}
 
     def test_spawned_pool_workers_apply_it(self, blas):

@@ -163,6 +163,25 @@ class TestIterative:
         assert errors[1] < 0.8
         assert errors[4] < errors[1] ** 3  # near-geometric decay
 
+    def test_reference_resolved_once_when_pass_one_is_scored(self):
+        # a callable reference is called once, after pass 1's sketched solve; the errors are
+        # those of the array, bit for bit
+        data = make_low_rank(100, 40, 5, "random", seed=16)
+        sk = gaussian_sketch(data, 60, seed=17)
+        ref = reference(data, logistic_loss(), 1.0).weights
+        calls = []
+
+        def solved_elsewhere():
+            calls.append(1)
+            return ref
+
+        _, eager = recover_iterative(data, logistic_loss(), 1.0, sk, 4, CFG, reference=ref)
+        res, lazy = recover_iterative(data, logistic_loss(), 1.0, sk, 4, CFG,
+                                      reference=solved_elsewhere)
+        assert calls == [1]
+        np.testing.assert_array_equal(lazy.per_iteration_errors, eager.per_iteration_errors)
+        assert res.rel_error == eager.per_iteration_errors[-1]
+
     def test_cumulative_duals_telescope(self):
         # the pass-t duals must equal grad l at the combined margins, and the
         # pass-(t+1) solve of the shifted problem reproduces them

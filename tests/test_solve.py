@@ -137,6 +137,20 @@ class TestSolvePrimal:
         )
         assert abs(sol.objective - oracle.fun) <= 1e-8
 
+    def test_newton_step_holds_two_hessian_sized_temporaries(self):
+        # an unreduced 300 x 300 logistic solve: each step drops the Hessian's square-root
+        # factor once the Hessian is formed, and the Hessian once LU has solved it, so beside
+        # the input the solve holds the Hessian and LU's copy of it (three without the drops)
+        data = make_decaying_spectrum(300, 300, 1.0, 0, 4.0, "sign_of_plant")
+        tracemalloc.start()
+        try:
+            sol = solve_primal(data.features, data.labels, logistic_loss(), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.newton_dim == 300 and sol.iterations > 1
+        assert peak <= 2 * 300 * 300 * 8 + 32 * 300 * 8  # and a few dozen n-vectors
+
     def test_reduction_path_tall_problem(self):
         # d well above n exercises the span-reduction branch
         rng = np.random.default_rng(3)
