@@ -101,12 +101,20 @@ RUNS = {
     "iterate-decaying-tiny-lambda": ["iterate", *DECAYING, "--lambda", "1e-320", "--sketch-dim",
                                      "20"],
     "naive-vs-drp": ["naive-vs-drp", *LOW, "--loss", "logistic", "--trials", "2"],
-    # d above sketch.SKETCH_BLOCK: the sketched features sum three row blocks of R
+    # d above sketch.SKETCH_BLOCK: the sketched features sum three row blocks of R, the last
+    # one projected on the helper thread
     "naive-vs-drp-three-blocks": ["naive-vs-drp", "--d", "2500", "--n", "60", "--rank", "3",
                                   "--sketch-dim", "40", "--trials", "2"],
+    # d one row past a block: the helper's product is the last block's single row
+    "naive-vs-drp-one-row-tail": ["naive-vs-drp", "--d", "1025", "--n", "30", "--rank", "3",
+                                  "--sketch-dim", "20", "--trials", "2"],
     "naive-vs-drp-no-convergence": ["naive-vs-drp", *LOW, "--loss", "logistic", "--max-iters", "1",
                                     "--trials", "2"],
     "measurement": ["measurement", *LOW, "--sketch-dim", "30", "--trials", "2"],
+    # two full blocks: the trial's thread projects the first, the helper the second, and the
+    # readout reads the R both came from
+    "measurement-two-blocks": ["measurement", "--d", "2048", "--n", "20", "--rank", "3",
+                               "--sketch-dim", "30", "--trials", "2"],
     "span-error": ["span-error", *LOW, "--sketch-dim", "30", "--loss", "smoothed_hinge:0.5",
                    "--trials", "2"],
     "span-error-csv": ["span-error", "--data", "csv", "--csv", "low.csv", "--sketch-dim", "25",

@@ -15,8 +15,9 @@ never the records.  Every run first applies one per-process runtime policy
 BLAS thread), as does each pool worker when it starts, and the report's
 ``runtime`` block says what took.  Each process has one helper thread,
 which fills every trial's Gaussian R while the trial generates its
-dataset; when R has landed by then, the helper also solves the trial's
-reference while the trial solves its sketch.  The run's
+dataset and projects R's last row block once it is filled; when R has
+landed by the time the dataset is ready, the helper also solves the
+trial's reference while the trial solves its sketch.  The run's
 constants (the sketch size m, the full-rank k, the bound value and, for
 ``--csv`` data, the dataset, its reference solution and its spectrum) are
 derived once, before the first trial, so a config error never costs a
@@ -300,6 +301,14 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
       projects each block once it has landed.  R is then held through the
       reference solve, whose span check keeps no d x n temporary.
 
+    On both paths the helper projects a multi-block R's last block right
+    after its last fill, while this thread projects the others
+    (``project(..., helper=...)``); on a 2-core host that ends a d = 5000,
+    m = 500 trial's projection one block product after the last fill, not
+    two.  ``project`` waits for the helper's product even when it fails,
+    so, like the fills this function's ``finally`` settles, none runs on
+    into the next trial.
+
     Either way the records are the same: both solves read only the
     dataset, and every error is the same ``relative_error`` call.  A
     failed reference outranks a failed sketched solve, as when the two ran
@@ -322,7 +331,7 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
         if cfg.identity_sketch:
             sk = identity_sketch(data)
         else:
-            sk = project(data, r_matrix, plan.m, seed, landed)
+            sk = project(data, r_matrix, plan.m, seed, landed, helper=plan.helper)
     finally:
         for fill in landed:  # a trial that fails before projecting leaves no fill writing to R
             fill.cancel()

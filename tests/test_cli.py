@@ -14,7 +14,7 @@ import time
 import tracemalloc
 import weakref
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -831,6 +831,48 @@ class TestRunExperiment:
         assert threading.active_count() == before
         assert finished == [True] * 3
 
+    def test_failed_projection_leaves_no_product_running(self, monkeypatch):
+        # block 0 fails on the trial's thread while the helper computes the last block's
+        # product; the trial still waits for that product, so none runs on into the next
+        # trial, and no helper thread outlives the run
+        started, finished = [], []
+
+        def slow_product(*args):
+            started[-1].set()
+            time.sleep(0.05)
+            product = np.matmul(*args)
+            finished.append(threading.current_thread() is not threading.main_thread())
+            return product
+
+        class SlowProducts(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                return super().submit(slow_product if fn is np.matmul else fn, *args, **kwargs)
+
+        class FailedBlock(Future):  # read, it fails once the product job has started
+            def result(self, timeout=None):
+                started[-1].wait(timeout=30)
+                return super().result(timeout)
+
+        def drawing(*args):
+            r_matrix, landed = draw_blocks(*args)
+            started.append(threading.Event())
+            failed = FailedBlock()
+            failed.set_exception(ConvergenceError("block 0 failed", None))
+            return r_matrix, [failed, *landed[1:]]
+
+        monkeypatch.setattr(experiments, "draw_blocks", drawing)
+        cfg = config_from_mapping({"experiment": "naive_vs_drp", "d": 3000, "n": 20, "rank": 3,
+                                   "sketch_dim": 20, "trials": 2})
+        with SlowProducts(max_workers=1) as helper:
+            plan = replace(experiments._plan(cfg), helper=helper)
+            assert experiments._run_one(cfg, plan, 0)["error"] == "block 0 failed"
+            assert finished == [True]
+        before = threading.active_count()
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SlowProducts)
+        assert run_experiment(cfg).errored_trials == 2
+        assert threading.active_count() == before
+        assert finished == [True] * 3
+
     def test_zero_norm_reference_on_the_helper_keeps_its_exit(self, monkeypatch, capsys):
         # lambda 1e300 underflows w* to zero; raised on the helper, the error reaches the CLI
         # as the same dataset error, exit 3
@@ -875,8 +917,8 @@ class TestRunExperiment:
         refs = []
 
         def watching(make):
-            def wrapped(*args):
-                sk = make(*args)
+            def wrapped(*args, **kwargs):
+                sk = make(*args, **kwargs)
                 refs.append(weakref.ref(sk.matrix_r))
                 return sk
             return wrapped

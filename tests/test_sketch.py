@@ -1,7 +1,7 @@
 """Gaussian projection determinism and statistics."""
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -146,11 +146,78 @@ class TestRowBlocks:
         try:
             with ThreadPoolExecutor(max_workers=1) as helper:
                 for _ in range(5):
-                    r_matrix, landed = draw_blocks(9000, 9, 4, helper)
-                    sk = project(data, r_matrix, 9, 4, landed)
-                    assert np.array_equal(sk.sketched_features, expected)
+                    for shared in (None, helper):  # the last block's product on the helper, or not
+                        r_matrix, landed = draw_blocks(9000, 9, 4, helper)
+                        sk = project(data, r_matrix, 9, 4, landed, helper=shared)
+                        assert np.array_equal(sk.sketched_features, expected)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("d", [SKETCH_BLOCK, SKETCH_BLOCK + 1, 2048, 3000, 5000])
+    def test_helper_projects_the_last_block(self, d):
+        # d = 1025 leaves a one-row last block; one block submits no job at all
+        data = make_low_rank(d, 30, 3, "random", seed=d)
+        expected = gaussian_sketch(data, 12, 5).sketched_features
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = _Recording(pool)
+            r_matrix, landed = draw_blocks(d, 12, 5, helper)
+            sk = project(data, r_matrix, 12, 5, landed, helper=helper)
+        assert np.array_equal(sk.sketched_features, expected)
+        products = [args for fn, args in helper.jobs if fn is np.matmul]
+        if d <= SKETCH_BLOCK:
+            assert products == []
+        else:
+            last = row_blocks(d)[-1]
+            assert len(products) == 1
+            assert np.array_equal(products[0][0], r_matrix[last].T)
+            assert np.array_equal(products[0][1], data.features[last])
+
+    @pytest.mark.parametrize("deferred", [False, True], ids=["before", "after"])
+    @pytest.mark.parametrize("d", [SKETCH_BLOCK + 1, 2048, 5000])
+    def test_helper_product_done_before_or_after_the_callers_blocks(self, d, deferred):
+        # run at submission, or only once the caller has summed its own blocks and asks for
+        # it: a job that read its block's slice when it ran, not when it was submitted,
+        # would project another block in the second case
+        data = make_low_rank(d, 30, 3, "random", seed=d)
+        r = gaussian_matrix(d, 12, 5)
+        sk = project(data, r, 12, 5, helper=_Inline(deferred))
+        assert np.array_equal(sk.sketched_features, gaussian_sketch(data, 12, 5).sketched_features)
+
+
+class _Recording(Executor):
+    """Passes jobs on to ``pool``, keeping each job's function and arguments."""
+
+    def __init__(self, pool):
+        self.pool, self.jobs = pool, []
+
+    def submit(self, fn, /, *args):
+        self.jobs.append((fn, args))
+        return self.pool.submit(fn, *args)
+
+
+class _Inline(Executor):
+    """Runs each job on the calling thread: at submission, or when its result is first asked for."""
+
+    def __init__(self, deferred):
+        self.deferred = deferred
+
+    def submit(self, fn, /, *args):
+        future = _OnDemand(fn, args)
+        if not self.deferred:
+            future.result()
+        return future
+
+
+class _OnDemand(Future):
+    def __init__(self, fn, args):
+        super().__init__()
+        self.job = (fn, args)
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.job
+            self.set_result(fn(*args))
+        return super().result(timeout)
 
 
 class TestIdentityInjection:
