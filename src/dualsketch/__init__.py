@@ -30,7 +30,6 @@ from .recover import (
     IterationTrace,
     RecoveryResult,
     measurement_error,
-    recover_drp,
     recover_iterative,
     recover_naive,
     relative_error,

@@ -6,8 +6,8 @@ features, n columns of examples) plus a vector of binary labels in
 ``default_rng(seed)`` (NumPy PCG64).  ``sketch.gaussian_matrix`` seeds the
 same way, so a dataset and a sketch drawn from one seed share a stream, not
 independent ones: the sketch's first entries are the dataset's draws.  The
-experiments draw both from the trial seed; ROADMAP item 3 gives the sketch
-a stream of its own.
+experiments draw both from the trial seed; a stream of the sketch's own is
+an open ROADMAP item.
 """
 
 from __future__ import annotations

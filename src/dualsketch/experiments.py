@@ -13,16 +13,30 @@ from the DUALSKETCH_WORKERS environment variable) only changes wall time,
 never the records.  Every run first applies one per-process runtime policy
 (``_process_policy``: pinned malloc thresholds, one malloc arena and one
 BLAS thread), as does each pool worker when it starts, and the report's
-``runtime`` block says what took.  Each process has one helper thread,
-which fills every trial's Gaussian R while the trial generates its
-dataset and projects R's last row block once it is filled; when R has
-landed by the time the dataset is ready, the helper also solves the
-trial's reference while the trial solves its sketch.  The run's
-constants (the sketch size m, the full-rank k, the bound value and, for
-``--csv`` data, the dataset, its reference solution and its spectrum) are
-derived once, before the first trial, so a config error never costs a
-solve.  A pool worker receives them once, when it starts; each job then
-carries only its trial index.
+``runtime`` block says what took.  The run's constants (the sketch size
+m, the full-rank k, the bound value and, for ``--csv`` data, the dataset,
+its reference solution and its spectrum) are derived once, before the
+first trial, so a config error never costs a solve.  A pool worker
+receives them once, when it starts; each job then carries only its trial
+index.
+
+The runtime schedule.  Each process has one helper thread, a one-thread
+first-in, first-out pool, started at its first job.  A trial allocates
+its Gaussian R first, and the helper fills R's row blocks in order while
+the trial makes its dataset; the identity sketch, sqrt(m) I, has nothing
+to fill.  If R has landed by then, the trial projects it and the helper
+solves the reference w* (generated data only; a --csv run solves it
+once) while the trial runs ``recover_iterative``, whose pass 1 joins it.
+Otherwise the trial solves w* itself meanwhile, holding R (the solve's
+span check keeps no d x n temporary), then projects each block as it
+lands.  Either way the helper computes a multi-block R's last block
+product right after the last fill while the trial computes the others,
+which on a 2-core host ends a d = 5000, m = 500 projection one block
+product after the last fill, not two.  The trial settles every job it
+gave the helper before it returns or raises.  Records do not depend on
+the schedule: R, the block sum and both solves are the same wherever and
+whenever they run, and a failed reference outranks a failed sketched
+solve, as when the two ran in turn.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
-from .sketch import draw_blocks, identity_sketch, project
+from .sketch import draw_blocks, project
 from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
@@ -148,8 +162,7 @@ class _Plan:
     bound: float  # the experiment's bound value; 0.0 where it has none
     w_star: np.ndarray | None  # the --csv reference solution; None for generated data
     reference_error: str  # why the --csv reference solve failed; every trial reports it
-    # the one-thread pool that fills each trial's Gaussian R; set per process by run_experiment
-    # or a pool worker's _install_run, never pickled to a worker
+    # the process's helper thread (module docstring); set per process, never pickled to a worker
     helper: ThreadPoolExecutor | None = None
 
 
@@ -285,53 +298,23 @@ def _landed(fills) -> bool:
 def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     """Trial t of a sketched experiment: one ``recover_iterative`` run and its readouts.
 
-    The run makes ``iters`` passes for iterate and one elsewhere; DRP is its
-    recovered weights, and naive recovery and the measurement ratio read
-    its sketched solution z*.  A Gaussian R exists before the dataset does:
-    this thread allocates it first, and the plan's helper thread fills its
-    row blocks in order while this thread generates the dataset.  Who then
-    solves the reference w* (generated data only; a --csv run has solved
-    it once) depends on one runtime fact, whether R has landed:
-
-    - every block has landed (always so under the identity sketch): this
-      thread projects, lets R go, and hands the reference to the helper,
-      which solves it while this thread runs ``recover_iterative``; pass 1
-      joins it when its error is due.
-    - R is still filling: this thread solves the reference meanwhile, then
-      projects each block once it has landed.  R is then held through the
-      reference solve, whose span check keeps no d x n temporary.
-
-    On both paths the helper projects a multi-block R's last block right
-    after its last fill, while this thread projects the others
-    (``project(..., helper=...)``); on a 2-core host that ends a d = 5000,
-    m = 500 trial's projection one block product after the last fill, not
-    two.  ``project`` waits for the helper's product even when it fails,
-    so, like the fills this function's ``finally`` settles, none runs on
-    into the next trial.
-
-    Either way the records are the same: both solves read only the
-    dataset, and every error is the same ``relative_error`` call.  A
-    failed reference outranks a failed sketched solve, as when the two ran
-    one after the other.  Only naive recovery and the measurement ratio
-    read R; on every other route it is freed right after projection,
-    before the sketched solve.  The draws are not independent: dataset
-    and sketch both seed ``default_rng(seed)``, so the sketch's first
-    entries are the dataset's draws (ROADMAP item 3 gives the sketch a
-    stream of its own).
+    The module docstring gives its runtime schedule.  Only naive recovery
+    and the measurement ratio read R; every other route frees it right
+    after projection, before the sketched solve.  Dataset and sketch share
+    the seed's stream, not independent ones (see the data module).
     """
     seed, exp = cfg.seed + t, cfg.experiment
-    landed = []
-    if not cfg.identity_sketch:
-        d = cfg.d if plan.data is None else plan.data.d
+    d = cfg.d if plan.data is None else plan.data.d
+    if cfg.identity_sketch:  # exact, m = d: nothing to draw
+        r_matrix, landed = np.sqrt(plan.m) * np.eye(d), []
+    else:
         r_matrix, landed = draw_blocks(d, plan.m, seed, plan.helper)
     try:
         data, w_star = _dataset(cfg, plan, seed), plan.w_star
         if w_star is None and not _landed(landed):  # solved here while R lands
             w_star = _reference(cfg, data, plan.loss)
-        if cfg.identity_sketch:
-            sk = identity_sketch(data)
-        else:
-            sk = project(data, r_matrix, plan.m, seed, landed, helper=plan.helper)
+        sk = project(data, r_matrix, plan.m, None if cfg.identity_sketch else seed, landed,
+                     helper=plan.helper)
     finally:
         for fill in landed:  # a trial that fails before projecting leaves no fill writing to R
             fill.cancel()

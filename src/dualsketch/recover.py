@@ -1,17 +1,15 @@
 """Recovery of the high-dimensional solution from a sketched solve.
 
-Three routes are implemented:
+Two routes are implemented:
 
 - ``recover_naive``: map the sketched solution back through the projection
   matrix, R z / sqrt(m).  Lands in the random subspace and is a provably
   poor approximation of the true weights.
-- ``recover_drp``: solve the sketched problem, read its dual vector off the
-  loss gradient, and rebuild the weights through the *original* data
-  matrix, w = -(1/lam) X D(y) alpha.  Lands in the span of the data.  It
-  is the first pass of ``recover_iterative``.
-- ``recover_iterative``: repeat the dual recovery on the residual using
-  shifted losses, reusing the single sketch; the error contracts
-  geometrically per pass.
+- ``recover_iterative``: read the sketched solve's dual vector off the
+  loss gradient and rebuild the weights through the *original* data
+  matrix, w = -(1/lam) X D(y) alpha, in the span of the data.  One pass
+  is DRP; each later pass repeats it on the residual with shifted losses,
+  reusing the one sketch, and the error contracts geometrically per pass.
 
 Plus the error functionals used to check the recovery guarantees.
 """
@@ -25,13 +23,12 @@ import numpy as np
 from .data import Dataset, SpectrumInfo
 from .losses import LossSpec
 from .sketch import ProjectionSketch
-from .solve import ConvergenceError, SolverConfig, primal_from_dual, solve_primal
+from .solve import ConvergenceError, SolverConfig, dual_from_primal, primal_from_dual, solve_primal
 
 __all__ = [
     "RecoveryResult",
     "IterationTrace",
     "recover_naive",
-    "recover_drp",
     "recover_iterative",
     "span_restricted_error",
     "measurement_error",
@@ -78,23 +75,6 @@ def recover_naive(r_matrix, z_star, m: int) -> np.ndarray:
     if r_matrix.ndim != 2 or z_star.shape != (r_matrix.shape[1],) or r_matrix.shape[1] != m:
         raise ValueError("projection matrix must be d x m and z of length m")
     return (r_matrix @ z_star) / np.sqrt(m)
-
-
-def recover_drp(
-    data: Dataset,
-    loss: LossSpec,
-    lam: float,
-    sketch: ProjectionSketch,
-    config: SolverConfig = SolverConfig(),
-    reference=None,
-) -> RecoveryResult:
-    """Dual recovery from one sketched solve: pass 1 of ``recover_iterative``.
-
-    Solves the m-dimensional sketched problem, forms the dual vector
-    alpha_i = grad l(y_i xhat_i' z), and maps it back through the original
-    features.  No d-dimensional optimization problem is ever solved.
-    """
-    return recover_iterative(data, loss, lam, sketch, 1, config, reference)[0]
 
 
 def recover_iterative(
@@ -153,7 +133,7 @@ def recover_iterative(
             v = solve_primal(xs, data.labels, loss, lam, config, margin_shift=shift).weights
         except ConvergenceError as exc:
             raise ConvergenceError(f"pass {t}: {exc}", exc.best) from exc
-        alphas = np.asarray(loss.grad(data.labels * (xs.T @ v) + shift), dtype=float)
+        alphas = dual_from_primal(xs, data.labels, loss, v, margin_shift=shift)
         w = primal_from_dual(data.features, data.labels, lam, alphas)
         if callable(ref):
             ref = ref()

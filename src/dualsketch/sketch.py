@@ -11,12 +11,9 @@ call or block by block (``draw_blocks``): both read one stream in order.
 The sketched features are the sum of R_b' X_b over R's row blocks of
 ``SKETCH_BLOCK`` rows, added in block order, so each block can be applied
 as soon as it is drawn.  For d <= ``SKETCH_BLOCK`` that is the single
-product R' X.  When R is drawn on a helper thread (``draw_blocks``),
-``project`` hands the last block's product to that thread, which computes
-it right after the last fill, while the calling thread computes the other
-blocks as they land.  On a 2-core host that takes a d = 5000, m = 500
-trial's projection from trailing the draw by two block products to one,
-and the ``drp_highdim`` benchmark workload from 18.9 to 20.2 trials/s.
+product R' X.  ``draw_blocks`` fills R on a helper thread, and ``project``
+can hand that thread the last block's product; the experiments module
+docstring describes how a trial schedules both.
 """
 
 from __future__ import annotations
@@ -116,9 +113,7 @@ def project(data: Dataset, r_matrix: np.ndarray, m: int, seed: int | None = None
     """
     r_matrix = np.asarray(r_matrix, dtype=float)
     if r_matrix.shape != (data.d, m):
-        raise ValueError(
-            f"projection matrix must be {data.d} x {m}, got {r_matrix.shape}"
-        )
+        raise ValueError(f"projection matrix must be {data.d} x {m}, got {r_matrix.shape}")
     blocks, job = row_blocks(data.d), None
     if helper is not None and len(blocks) > 1:
         last = blocks.pop()  # the job's arguments are its block's slices, bound here

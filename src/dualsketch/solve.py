@@ -336,9 +336,14 @@ def solve_primal(
         iters += 1
 
 
-def dual_from_primal(features, labels, loss: LossSpec, weights) -> np.ndarray:
-    """Dual vector read off a primal solution: alpha_i = grad l(y_i x_i' w), one per example."""
+def dual_from_primal(features, labels, loss: LossSpec, weights, margin_shift=None) -> np.ndarray:
+    """Dual vector read off a primal solution: alpha_i = grad l(y_i x_i' w + margin_shift_i).
+
+    ``margin_shift`` is ``solve_primal``'s; without it the margins are unshifted.
+    """
     margins = np.asarray(labels, dtype=float) * (np.asarray(features, dtype=float).T @ weights)
+    if margin_shift is not None:
+        margins = margins + np.asarray(margin_shift, dtype=float)
     return np.asarray(loss.grad(margins), dtype=float)
 
 

@@ -104,7 +104,7 @@ def test_criterion_1_ridge_path_equivalence():
         data = ds.make_low_rank(200, 100, 10, "random", seed=60000 + i)
         sk = ds.gaussian_sketch(data, 60, 70000 + i)
         lam = lams[i % 3]
-        drp = ds.recover_drp(data, ds.square_loss(), lam, sk, SOLVER)
+        drp = ds.recover_iterative(data, ds.square_loss(), lam, sk, 1, SOLVER)[0]
         closed = ridge_drp_closed_form(data, lam, sk)
         worst = max(worst, float(np.linalg.norm(drp.recovered - closed)
                                  / np.linalg.norm(closed)))
@@ -285,7 +285,7 @@ def test_criterion_8_full_rank_recovery():
                                          label_rule="sign_of_plant")
         sk = ds.gaussian_sketch(data, m, 120000 + t)
         ref = solve_reference(data.features, data.labels, loss, lam, REFERENCE_TOL)
-        res = ds.recover_drp(data, loss, lam, sk, SOLVER, reference=ref.weights)
+        res = ds.recover_iterative(data, loss, lam, sk, 1, SOLVER, ref.weights)[0]
         basis = ds.spectrum(data).left_vectors[:, :k]
         w = ref.weights
         leaks.append(float(np.linalg.norm(w - basis @ (basis.T @ w)) / np.linalg.norm(w)))

@@ -50,7 +50,6 @@ from dualsketch.experiments import _reference, run_experiment, solve_reference
 from dualsketch.losses import parse_loss
 from dualsketch.recover import (
     measurement_error,
-    recover_drp,
     recover_iterative,
     recover_naive,
     relative_error,
@@ -680,21 +679,31 @@ class TestRunExperiment:
     @pytest.mark.parametrize("experiment, entries", HELPER_ROUTES, ids=HELPER_ROUTE_IDS)
     def test_helper_moves_no_record(self, monkeypatch, experiment, entries):
         # every Gaussian R fills on the helper, one block at d = 60 and two at d = 1100; the
-        # records are those of R drawn in one call on the trial's thread
+        # records are those of R drawn in one call on the trial's thread.  The identity sketch
+        # draws nothing, but at d = 1100 the helper still computes its last block's product;
+        # its records are those of identity_sketch, projected on the trial's thread alone
         identity = entries.get("identity_sketch", False)
         for d in (60, 1100):
             cfg = helper_route_config(experiment, entries, d)
-            draws = []
+            draws, helpers = [], []
 
             def counting(*args):
                 draws.append(args[:3])
                 return draw_blocks(*args)
 
+            def projecting(*args, helper=None):
+                helpers.append(helper is not None)
+                return project(*args, helper=helper)
+
             monkeypatch.setattr(experiments, "draw_blocks", counting)
+            monkeypatch.setattr(experiments, "project", projecting)
             filled = run_experiment(cfg)
             assert draws == ([] if identity else [(d, 20, 3), (d, 20, 4)])  # once a trial
+            assert helpers == [True, True]
             monkeypatch.setattr(experiments, "draw_blocks",
                                 lambda d, m, seed, helper: (gaussian_matrix(d, m, seed), []))
+            monkeypatch.setattr(experiments, "project", project if not identity else
+                                lambda data, *args, **kwargs: identity_sketch(data))
             one_call = run_experiment(cfg)
             assert one_call.errored_trials == 0
             assert filled.records == one_call.records
@@ -923,9 +932,8 @@ class TestRunExperiment:
                 return sk
             return wrapped
 
-        # a Gaussian R, filled on the helper thread, reaches the trial through project
+        # every R, Gaussian or identity, reaches the trial through project
         monkeypatch.setattr(experiments, "project", watching(project))
-        monkeypatch.setattr(experiments, "identity_sketch", watching(identity_sketch))
         return refs
 
     @pytest.mark.parametrize("experiment, method, entries", [
@@ -1084,7 +1092,7 @@ class TestRunExperiment:
         solver = SolverConfig(tolerance=cfg.tol, max_iterations=cfg.max_iters)
         z = solve_primal(sk.sketched_features, data.labels, loss, cfg.lam, solver).weights
         naive = recover_naive(sk.matrix_r, z, sk.m)
-        drp = recover_drp(data, loss, cfg.lam, sk, solver, reference=w_star).rel_error
+        drp = recover_iterative(data, loss, cfg.lam, sk, 1, solver, w_star)[0].rel_error
         if experiment == "recover":
             rel = {"drp": drp, "naive": relative_error(naive, w_star)}
             expected = {"rel_error": rel[method]}

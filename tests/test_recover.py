@@ -9,14 +9,13 @@ from dualsketch.data import make_low_rank, spectrum
 from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
 from dualsketch.recover import (
     measurement_error,
-    recover_drp,
     recover_iterative,
     recover_naive,
     relative_error,
     span_restricted_error,
 )
 from dualsketch.sketch import gaussian_sketch, identity_sketch, project
-from dualsketch.solve import SolverConfig, solve_primal
+from dualsketch.solve import SolverConfig, dual_from_primal, primal_from_dual, solve_primal
 
 from closed_forms import ridge_closed_form, ridge_drp_closed_form
 
@@ -61,7 +60,7 @@ class TestDrp:
         lam = 1.0
         sk = identity_sketch(data)
         ref = reference(data, loss, lam)
-        res = recover_drp(data, loss, lam, sk, CFG, reference=ref.weights)
+        res = recover_iterative(data, loss, lam, sk, 1, CFG, ref.weights)[0]
         assert res.rel_error <= 10.0 * TOL / lam
 
     def test_square_path_matches_closed_form(self):
@@ -70,7 +69,7 @@ class TestDrp:
             data = make_low_rank(80, 40, 5, "random", seed=40 + trial)
             lam = float(rng.choice([0.1, 1.0, 10.0]))
             sk = gaussian_sketch(data, 25, seed=140 + trial)
-            drp = recover_drp(data, square_loss(), lam, sk, CFG)
+            drp = recover_iterative(data, square_loss(), lam, sk, 1, CFG)[0]
             closed = ridge_drp_closed_form(data, lam, sk)
             rel = np.linalg.norm(drp.recovered - closed) / np.linalg.norm(closed)
             assert rel <= 1e-8
@@ -78,7 +77,7 @@ class TestDrp:
     def test_output_lies_in_data_span(self):
         data = make_low_rank(70, 30, 4, "random", seed=5)
         sk = gaussian_sketch(data, 20, seed=6)
-        res = recover_drp(data, logistic_loss(), 1.0, sk, CFG)
+        res = recover_iterative(data, logistic_loss(), 1.0, sk, 1, CFG)[0]
         info = spectrum(data)
         basis = info.top_left_basis()
         out = res.recovered - basis @ (basis.T @ res.recovered)
@@ -89,13 +88,13 @@ class TestDrp:
         other = make_low_rank(10, 6, 2, "random", seed=8)
         sk = gaussian_sketch(other, 4, seed=9)
         with pytest.raises(ValueError):
-            recover_drp(data, square_loss(), 1.0, sk, CFG)
+            recover_iterative(data, square_loss(), 1.0, sk, 1, CFG)
 
     def test_rel_error_recomputable(self):
         data = make_low_rank(30, 12, 3, "random", seed=10)
         sk = gaussian_sketch(data, 8, seed=11)
         ref = reference(data, square_loss(), 1.0)
-        res = recover_drp(data, square_loss(), 1.0, sk, CFG, reference=ref.weights)
+        res = recover_iterative(data, square_loss(), 1.0, sk, 1, CFG, ref.weights)[0]
         again = relative_error(res.recovered, ref.weights)
         assert abs(res.rel_error - again) <= 1e-12
 
@@ -127,10 +126,13 @@ class TestIterative:
         data = make_low_rank(50, 25, 4, "random", seed=13)
         lam = 1.0
         sk = gaussian_sketch(data, 15, seed=14)
-        one_shot = recover_drp(data, logistic_loss(), lam, sk, CFG)
-        res, _ = recover_iterative(data, logistic_loss(), lam, sk, 1, CFG)
-        gap = np.linalg.norm(res.recovered - one_shot.recovered)
-        assert gap <= 10.0 * TOL / lam
+        # one-shot DRP from its layers: the sketched solve, its duals, the map back through X
+        z = solve_primal(sk.sketched_features, data.labels, logistic_loss(), lam, CFG).weights
+        alphas = dual_from_primal(sk.sketched_features, data.labels, logistic_loss(), z)
+        one_shot = primal_from_dual(data.features, data.labels, lam, alphas)
+        res, trace = recover_iterative(data, logistic_loss(), lam, sk, 1, CFG)
+        np.testing.assert_array_equal(trace.sketched_weights, z)
+        np.testing.assert_array_equal(res.recovered, one_shot)
 
     @pytest.mark.parametrize("passes", [1, 3])
     def test_no_pass_reads_projection_matrix(self, passes):

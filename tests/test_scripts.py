@@ -1,10 +1,13 @@
-"""The runnable scripts under scripts/ finish cleanly at tiny sizes and read CLI runs."""
+"""The runnable scripts under scripts/ finish cleanly at tiny sizes and read CLI runs; the
+README's quick start runs as written."""
 
 import ast
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +21,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # a script reads the numbers of a CLI run; it does not solve or sketch one itself
 TRIAL_LAYERS = {"solve_reference", "solve_primal", "gaussian_sketch", "recover_iterative",
-                "recover_drp", "recover_naive"}
+                "recover_naive"}
 
 
 def run_script(script, args):
@@ -62,3 +65,15 @@ def test_script_runs_no_trial_layer_by_hand(script):
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
     assert sorted(names & TRIAL_LAYERS) == []
+
+
+def test_readme_quick_start_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    # one single-shot error, then the per-pass trace: 1 and six pass errors
+    errors = [float(token) for token in out.getvalue().replace("[", " ").replace("]", " ").split()]
+    assert len(errors) == 8 and all(math.isfinite(err) for err in errors)

@@ -676,6 +676,19 @@ class TestConversions:
         back = primal_from_dual(features, labels, lam, dual)
         assert np.linalg.norm(back - sol.weights) <= 10.0 * tol / lam
 
+    @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
+    def test_dual_at_shifted_margins(self, loss):
+        # the read-off of an iterative-recovery pass: the gradient at y_i x_i' w + s_i, bit
+        # for bit; with no shift, the unshifted margins' gradient, also bit for bit
+        rng = np.random.default_rng(13)
+        features, labels = random_instance(rng, 9, 14)
+        w, shift = rng.standard_normal(9), rng.standard_normal(14)
+        shifted = dual_from_primal(features, labels, loss, w, margin_shift=shift)
+        np.testing.assert_array_equal(shifted, loss.grad(labels * (features.T @ w) + shift))
+        unshifted = dual_from_primal(features, labels, loss, w)
+        np.testing.assert_array_equal(unshifted, loss.grad(labels * (features.T @ w)))
+        assert not np.array_equal(shifted, unshifted)
+
 
 class TestDualObjective:
     def test_zero_dual_square(self):
