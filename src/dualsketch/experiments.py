@@ -26,7 +26,9 @@ its Gaussian R first, and the helper fills R's row blocks in order while
 the trial makes its dataset; the identity sketch, sqrt(m) I, has nothing
 to fill.  If R has landed by then, the trial projects it and the helper
 solves the reference w* (generated data only; a --csv run solves it
-once) while the trial runs ``recover_iterative``, whose pass 1 joins it.
+once) while the trial runs ``recover_iterative``, whose pass 1 joins it;
+the two Newton loops factor their Hessians at once, since their LU solve
+releases the interpreter lock.
 Otherwise the trial solves w* itself meanwhile, holding R (the solve's
 span check keeps no d x n temporary), then projects each block as it
 lands.  Either way the helper computes a multi-block R's last block
@@ -62,7 +64,7 @@ from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
 from .sketch import draw_blocks, project
-from .solve import ConvergenceError, PrimalSolution, SolverConfig, solve_primal
+from .solve import ConvergenceError, PrimalSolution, SolverConfig, _openblas, solve_primal
 
 __all__ = ["ReportDocument", "run_experiment", "solve_reference", "REPORT_SCHEMA_VERSION"]
 
@@ -76,8 +78,6 @@ WORKERS_ENV = "DUALSKETCH_WORKERS"
 # process keeps one malloc arena.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD = 32 << 20
-# numpy's bundled OpenBLAS: the numpy 2 wheels' symbol, then the numpy 1 wheels'
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
 
 
 @dataclass(frozen=True)
@@ -498,7 +498,6 @@ def _process_policy() -> dict:
     Neither half moves a record computed at one BLAS thread.
     """
     import ctypes  # here, so that start-up does not pay for it
-    import glob
 
     runtime = {"blas_threads": None, "malloc_thresholds": "dynamic"}
     try:
@@ -512,15 +511,9 @@ def _process_policy() -> dict:
                 and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD) == 1
                 and mallopt(_M_ARENA_MAX, 1) == 1):
             runtime["malloc_thresholds"] = "pinned"
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
-        lib = ctypes.CDLL(path)  # already loaded by numpy, so this returns its handle
-        setter = next((getattr(lib, name) for name in _OPENBLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            runtime["blas_threads"] = 1
-            break
+    if (setter := _openblas()["set_num_threads"]) is not None:
+        setter(1)
+        runtime["blas_threads"] = 1
     return runtime
 
 

@@ -34,7 +34,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -137,6 +139,50 @@ def _low_rank_pivots(cols: np.ndarray, limit: int, gram: np.ndarray | None = Non
     return None
 
 
+@functools.cache
+def _openblas() -> dict:
+    """numpy's bundled OpenBLAS routines, typed, or None each; bound on first use, not at import."""
+    import ctypes
+    import glob
+
+    size, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    routines = {  # ILP64 names, numpy 2's wheels' first, then numpy 1's; argument types
+        "set_num_threads": (("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"),
+                            [ctypes.c_int]),
+        "dgesv": (("scipy_dgesv_64_", "dgesv_64_"),  # n, nrhs, a, lda, ipiv, b, ldb, info
+                  [size, size, ptr, size, ptr, ptr, size, size]),
+    }
+    folder = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    # already loaded by numpy, so CDLL returns their handles
+    libs = [ctypes.CDLL(path) for path in sorted(glob.glob(os.path.join(folder, "*openblas*.so*")))]
+    found = {}
+    for routine, (names, argtypes) in routines.items():
+        found[routine] = next((getattr(lib, name) for lib in libs for name in names
+                               if hasattr(lib, name)), None)
+        if found[routine] is not None:
+            found[routine].argtypes, found[routine].restype = argtypes, None
+    return found
+
+
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` by LAPACK's dgesv, overwriting a Fortran-ordered ``a`` and ``b`` in place.
+
+    ``np.linalg.solve`` calls the same routine, so the bits are the same, but
+    holds the interpreter lock while it factors at most 500 unknowns; ctypes
+    releases it.  Arrays dgesv cannot take, or no bundled dgesv: numpy's solve.
+    """
+    dgesv, n = _openblas()["dgesv"], len(b)
+    if dgesv is None or not (n and a.shape == (n, n) and a.dtype == b.dtype == np.float64
+                             and a.flags.f_contiguous and a.flags.behaved and b.flags.carray):
+        return np.linalg.solve(a, b)
+    import ctypes  # bound by _openblas
+    size, info, ipiv = ctypes.c_int64(n), ctypes.c_int64(), np.empty(n, dtype=np.int64)
+    dgesv(size, ctypes.c_int64(1), a.ctypes.data, size, ipiv.ctypes.data, b.ctypes.data, size, info)
+    if info.value:  # a zero pivot
+        raise np.linalg.LinAlgError("Singular matrix")
+    return b
+
+
 def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``upper^-1 z`` for an upper-triangular ``upper``: back-substitution by blocks of rows.
 
@@ -146,7 +192,7 @@ def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
     for start in reversed(range(0, len(y), SOLVE_BLOCK)):
         block = slice(start, start + SOLVE_BLOCK)
         rhs = y[block] - upper[block, block.stop:] @ y[block.stop:]
-        y[block] = np.linalg.solve(upper[block, block], rhs)
+        y[block] = _lu_solve(np.array(upper[block, block], order="F"), rhs)
     return y
 
 
@@ -289,11 +335,11 @@ def solve_primal(
                 f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
             )
         root = x * np.sqrt(loss.curvature(margins))
-        hess = root @ root.T  # one symmetric product: BLAS syrk
-        del root  # freed before the LU solve copies hess
+        hess = root @ root.T  # one symmetric product: BLAS syrk, mirrored, so exactly symmetric
+        del root  # not held through the solve and the line search
         hess.flat[::k + 1] += lam
-        try:
-            direction = np.linalg.solve(hess, -g)
+        try:  # hess.T reads hess's buffer in Fortran order: the same matrix, factored in place
+            direction = _lu_solve(hess.T, -g)
         except np.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
             raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
         del hess  # freed before the line search's temporaries

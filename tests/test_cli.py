@@ -26,7 +26,7 @@ from numpy._core._exceptions import _ArrayMemoryError
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualsketch import experiments, recover
+from dualsketch import experiments, recover, solve
 from dualsketch.cli import _build_parser, _merge_config, main
 from dualsketch.config import (
     FILE_KEYS,
@@ -1162,7 +1162,8 @@ POLICY_CONFIG = {"experiment": "iterate", "d": 30, "n": 12, "rank": 2, "sketch_d
 
 def fake_libraries(monkeypatch, libc, openblas=None):
     """Make ``ctypes.CDLL`` return ``libc`` for libc.so.6 (raise it if an exception) and
-    ``openblas``, when given, for numpy's OpenBLAS."""
+    ``openblas``, when given, for numpy's OpenBLAS, whose routines are then bound afresh
+    (the test then needs ``unbind_openblas``)."""
     real = ctypes.CDLL
 
     def cdll(name, *args, **kwargs):
@@ -1175,6 +1176,15 @@ def fake_libraries(monkeypatch, libc, openblas=None):
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
+    if openblas is not None:
+        solve._openblas.cache_clear()
+
+
+@pytest.fixture
+def unbind_openblas():
+    """Clear the cached OpenBLAS bindings after the test, so no faked library outlives it."""
+    yield
+    solve._openblas.cache_clear()
 
 
 class TestProcessPolicy:
@@ -1225,8 +1235,8 @@ class TestProcessPolicy:
         (SimpleNamespace(mallopt=lambda param, value: 1), SimpleNamespace(),
          {"blas_threads": None, "malloc_thresholds": "pinned"}),
     ], ids=["no-libc", "no-mallopt", "mallopt-refuses", "no-openblas-setter"])
-    def test_a_missing_half_is_reported_not_raised(self, monkeypatch, blas, libc, openblas,
-                                                   expected):
+    def test_a_missing_half_is_reported_not_raised(self, monkeypatch, blas, unbind_openblas,
+                                                   libc, openblas, expected):
         get, set_ = blas
         cfg = config_from_mapping(POLICY_CONFIG)
         records = run_experiment(cfg).records
@@ -1237,6 +1247,12 @@ class TestProcessPolicy:
         assert report.records == records
         # a missing setter leaves the library's own count
         assert get() == (2 if expected["blas_threads"] is None else 1)
+
+    def test_the_bundled_openblas_binds_both_routines(self):
+        # a numpy whose OpenBLAS renames dgesv would otherwise lose the lock-free LU silently
+        if numpy_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        assert all(routine is not None for routine in solve._openblas().values())
 
 
 class TestCliProcess:
@@ -1622,6 +1638,17 @@ def test_cli_run_leaves_numpy_ma_unimported():
                           env=_subprocess_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_import_binds_no_openblas_routine():
+    # binding globs numpy.libs and opens the library through ctypes: a run pays for it when
+    # it applies its runtime policy, not at import
+    code = ("import dualsketch.cli; from dualsketch import solve; "
+            "print(solve._openblas.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_closed_stdout_is_an_output_error():

@@ -1,5 +1,8 @@
 """Primal solver certificates, closed forms, conversions, and duality."""
 
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -139,8 +142,8 @@ class TestSolvePrimal:
 
     def test_newton_step_holds_two_hessian_sized_temporaries(self):
         # an unreduced 300 x 300 logistic solve: each step drops the Hessian's square-root
-        # factor once the Hessian is formed, and the Hessian once LU has solved it, so beside
-        # the input the solve holds the Hessian and LU's copy of it (three without the drops)
+        # factor once the Hessian is formed, and the Hessian once LU has factored it in place,
+        # so beside the input the solve holds at most the Hessian and that factor
         data = make_decaying_spectrum(300, 300, 1.0, 0, 4.0, "sign_of_plant")
         tracemalloc.start()
         try:
@@ -208,15 +211,15 @@ class TestSolvePrimal:
             solve_primal(np.eye(2), np.array([1.0, -1.0]), square_loss(), 0.0)
 
     def test_hessian_factorization_failure_is_a_convergence_error(self, monkeypatch):
-        numpy_solve = np.linalg.solve
+        lu_solve = solve._lu_solve
 
         def singular_hessian(a, b):
             # the Hessian is the one full matrix; the span's map back solves triangular blocks
             if np.any(np.tril(a, -1)):
                 raise np.linalg.LinAlgError("Singular matrix")
-            return numpy_solve(a, b)
+            return lu_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", singular_hessian)
+        monkeypatch.setattr(solve, "_lu_solve", singular_hessian)
         rng = np.random.default_rng(5)
         features, labels = random_instance(rng, 30, 12)
         with pytest.raises(ConvergenceError) as err:
@@ -320,6 +323,101 @@ def test_blocked_back_substitution(n):
     upper = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
     z = rng.standard_normal(n)
     np.testing.assert_allclose(upper @ solve._solve_upper(upper, z), z, rtol=0, atol=1e-12)
+
+
+LU_SIZES = [1, 2, 55, 64, 499, 500, 501, 600]
+
+
+def lu_system(kind, n):
+    """``(a, b)``: a Newton Hessian of the loss labelled ``kind``, formed as the solver forms
+    it, or for ``kind == "upper"`` an upper-triangular matrix like a back-substitution block."""
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(n)
+    if kind == "upper":
+        return np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n), b
+    loss = THREE_LOSSES[LOSS_IDS.index(kind)]
+    root = rng.standard_normal((n, n + 7)) * np.sqrt(loss.curvature(rng.standard_normal(n + 7)))
+    hess = root @ root.T
+    hess.flat[::n + 1] += 0.1
+    return hess, b
+
+
+@pytest.fixture(params=["bundled", "fallback"])
+def lu_path(request, monkeypatch):
+    """Run ``_lu_solve`` on numpy's bundled dgesv, or on the fallback with none bound."""
+    if request.param == "bundled" and solve._openblas()["dgesv"] is None:
+        pytest.skip("numpy bundles no dgesv")
+    if request.param == "fallback":
+        monkeypatch.setattr(solve, "_openblas", lambda: {"set_num_threads": None, "dgesv": None})
+    return request.param
+
+
+class TestLuSolve:
+    @pytest.mark.parametrize("n", LU_SIZES)
+    @pytest.mark.parametrize("kind", [*LOSS_IDS, "upper"])
+    def test_same_bits_as_numpy_solve(self, lu_path, kind, n):
+        a, b = lu_system(kind, n)
+        expected = np.linalg.solve(a, b)
+        # handed over as the solver does: the Hessian's own buffer, a block's Fortran copy
+        handed = np.array(a, order="F") if kind == "upper" else a.T
+        rhs = b.copy()
+        solution = solve._lu_solve(handed, rhs)
+        assert solution.tobytes() == expected.tobytes()
+        assert (solution is rhs) == (lu_path == "bundled")  # dgesv solves in place
+
+    def test_singular_matrix_raises(self, lu_path):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            solve._lu_solve(np.ones((3, 3), order="F"), np.ones(3))
+
+    def test_another_thread_runs_while_it_factors(self):
+        # np.linalg.solve holds the interpreter lock while it factors up to 500 unknowns
+        if solve._openblas()["dgesv"] is None:
+            pytest.skip("numpy bundles no dgesv")
+        systems = [lu_system("logistic", 500) for _ in range(5)]
+        count, stop = [0], threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                count[0] += 1
+                time.sleep(0)  # lets the solving thread take the lock back when its call returns
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(10.0)  # no forced switch: the spinner runs only when the lock is free
+        spinner = threading.Thread(target=spin)
+        try:
+            spinner.start()
+            before = count[0]
+            for hess, b in systems:
+                solve._lu_solve(hess.T, b)
+            progress = count[0] - before
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            spinner.join(timeout=60)
+        assert not spinner.is_alive()
+        assert progress > 0  # exactly 0 while a solve holds the lock throughout
+
+
+@pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
+@pytest.mark.parametrize("d,n", [(40, 60), (200, 80)], ids=["unreduced", "cholesky-qr"])
+def test_newton_hands_over_an_exactly_symmetric_hessian(monkeypatch, loss, d, n):
+    # LU factors the Hessian's C-ordered buffer read in Fortran order, which is the same
+    # matrix, and np.linalg.solve's bits, only if the Hessian equals its transpose exactly
+    handed = []
+    lu_solve = solve._lu_solve
+
+    def recording_lu_solve(a, b):
+        handed.append((a.shape, a.flags.f_contiguous and np.array_equal(a, a.T)))
+        return lu_solve(a, b)
+
+    monkeypatch.setattr(solve, "_lu_solve", recording_lu_solve)
+    triangular = count_triangular_solves(monkeypatch)
+    features, labels = random_instance(np.random.default_rng(d), d, n)
+    sol = solve_primal(features, labels, loss, 0.5)
+    k = min(d, n)  # the span's blocks are at most 64 x 64, below k = 80
+    assert sol.newton_dim == k and (triangular[0] > 0) == (d > n)
+    hessians = [symmetric for shape, symmetric in handed if shape == (k, k)]
+    assert len(hessians) == sol.iterations >= 1 and all(hessians)
 
 
 class TestPivotedCholesky:
