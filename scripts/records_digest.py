@@ -48,6 +48,9 @@ HELPER = ["--data", "decaying", "--d", "30", "--n", "20", "--top-singular", "4",
 RUNS = {
     "recover-drp": ["recover", *LOW, "--sketch-dim", "20", "--loss", "logistic", "--trials", "3"],
     "recover-naive": ["recover", *LOW, "--sketch-dim", "20", "--method", "naive", "--trials", "2"],
+    # the naive lower bound counts the planted numerical rank of the decaying spectrum
+    "recover-naive-decaying": ["recover", *DECAYING, "--method", "naive", "--sketch-dim", "20",
+                               "--trials", "2"],
     "recover-identity": ["recover", *LOW, "--identity-sketch", "--loss", "logistic"],
     # without sketch_dim, m comes from the low-rank or the planted effective-rank bound
     "recover-bound-m": ["recover", *LOW, "--trials", "2"],
@@ -111,6 +114,8 @@ RUNS = {
     "naive-vs-drp-no-convergence": ["naive-vs-drp", *LOW, "--loss", "logistic", "--max-iters", "1",
                                     "--trials", "2"],
     "measurement": ["measurement", *LOW, "--sketch-dim", "30", "--trials", "2"],
+    "measurement-decaying": ["measurement", *DECAYING, "--sketch-dim", "20", "--loss", "logistic",
+                             "--trials", "2"],
     # two full blocks: the trial's thread projects the first, the helper the second, and the
     # readout reads the R both came from
     "measurement-two-blocks": ["measurement", "--d", "2048", "--n", "20", "--rank", "3",
@@ -122,6 +127,8 @@ RUNS = {
     # sigma_i = 4 i^-8 falls below the rank threshold at i = 14: the span is the planted top 13
     "span-error-decaying": ["span-error", *DECAYING, "--decay", "8", "--sketch-dim", "30",
                             "--trials", "2"],
+    # the exact sketch, m = d: R is sqrt(m) I, so the naive weights are the sketched solution
+    "span-error-identity": ["span-error", *LOW, "--identity-sketch"],
     "concentration": ["concentration", "--rank", "3", "--sketch-dim", "60", "--trials", "4"],
     "concentration-find-min-m": ["concentration", "--rank", "2", "--trials", "5", "--find-min-m"],
     # the pass rate is not monotone in m here, so a search bracketed from the run's m = 2 would
