@@ -38,6 +38,9 @@ DATA_SOURCES = ("low_rank", "decaying", "csv")
 _GENERATED = ("low_rank", "decaying")  # a CSV file fixes d and n and carries its labels
 # the experiments that draw a sketch, so need its dimension m
 SKETCHED = ("recover", "iterate", "naive_vs_drp", "measurement", "span_error", "full_rank")
+# the experiments whose records check an error against a bound in epsilon -> that error's key
+BOUNDED = {"recover": "rel_error", "iterate": "rel_error", "measurement": "measurement_error",
+           "span_error": "span_rel_error", "full_rank": "rel_error"}
 # bounds reads d, the loss and lambda for the effective-rank bound, but no data or solver key
 _SKETCHED_AND_BOUNDS = (*SKETCHED, "bounds")
 # every experiment but bounds, which reports one bound and runs no trials
@@ -179,8 +182,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if cfg.data not in meta["sources"] and value != f.default:
             raise ConfigError(f"key '{key}': only data = {' | '.join(meta['sources'])} reads it, "
                               f"not {cfg.data}")
-    if cfg.epsilon == 1.0 and cfg.experiment in ("recover", "iterate", "measurement", "span_error",
-                                                 "full_rank"):
+    if cfg.epsilon == 1.0 and cfg.experiment in BOUNDED:
         raise ConfigError("key 'epsilon': must be below 1 here, since this bound divides by 1 - epsilon")
     if cfg.rank > min(cfg.d, cfg.n) and cfg.experiment in SKETCHED and cfg.data == "low_rank":
         raise ConfigError(f"key 'rank': must not exceed min(d, n) = {min(cfg.d, cfg.n)}")

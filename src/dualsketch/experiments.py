@@ -59,7 +59,7 @@ import numpy.random  # noqa: F401
 
 from . import concentration as conc
 from . import recover as rec
-from .config import SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
+from .config import BOUNDED, SKETCHED, ConfigError, DatasetIOError, ExperimentConfig
 from .data import Dataset, load_csv, make_decaying_spectrum, make_low_rank
 from .data import DEFAULT_RANK_THRESHOLD, numerical_rank, planted_spectrum, spectrum
 from .losses import LossSpec, parse_loss
@@ -301,7 +301,9 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     The module docstring gives its runtime schedule.  Only naive recovery
     and the measurement ratio read R; every other route frees it right
     after projection, before the sketched solve.  Dataset and sketch share
-    the seed's stream, not independent ones (see the data module).
+    the seed's stream, not independent ones (see the data module).  A bounded
+    record is a head, the experiment's body and the bound, checked once
+    against the body's ``BOUNDED`` error.
     """
     seed, exp = cfg.seed + t, cfg.experiment
     d = cfg.d if plan.data is None else plan.data.d
@@ -324,50 +326,44 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     sk = replace(sk, matrix_r=None)  # the solve reads only the sketched features
 
     # R has landed and gone where no readout reads it: the helper solves the reference
-    job = None if w_star is not None else plan.helper.submit(_reference, cfg, data, plan.loss)
-    head = {"trial": t, "seed": seed, "m": sk.m}
-    bound = {"epsilon": cfg.epsilon, "value": plan.bound}
+    ref = plan.helper.submit(_reference, cfg, data, plan.loss).result if w_star is None else w_star
     try:
         result, trace = rec.recover_iterative(
             data, plan.loss, cfg.lam, sk, cfg.iters if exp == "iterate" else 1, plan.solver,
-            reference=w_star if job is None else job.result, early_stop=cfg.early_stop,
+            reference=ref, early_stop=cfg.early_stop,
         )
-    except Exception:
-        if job is not None:  # waits, so no reference runs on into the next trial
-            job.result()  # a failed reference outranks the sketch's failure
-        raise
-    if job is not None:
-        w_star = job.result()  # pass 1 has joined it
+    finally:  # no reference runs on into the next trial, and a failed one outranks the sketch's
+        w_star = ref() if callable(ref) else ref
     rel, z = result.rel_error, trace.sketched_weights
     if naive_read:
         naive = rec.recover_naive(r_matrix, z, sk.m)
         naive_rel = rec.relative_error(naive, w_star)
 
-    if exp in ("recover", "iterate"):
-        method = "drp_iterative" if exp == "iterate" else cfg.method
-        rel = naive_rel if method == "naive" else rel
-        return {
-            "trial": t, "seed": seed, "method": method, "m": sk.m, "rel_error": rel, "bound": bound,
-            # the naive bound is a lower bound: failure to be bad is the anomaly
-            "within_bound": rel >= plan.bound if method == "naive" else rel <= plan.bound,
-            "trace": [float(v) for v in trace.per_iteration_errors] if exp == "iterate" else [],
-        }
+    traced = exp in ("recover", "iterate")
+    method = "drp_iterative" if exp == "iterate" else cfg.method
+    head = {"trial": t, "seed": seed, **({"method": method} if traced else {}), "m": sk.m}
     if exp == "naive_vs_drp":
         return {**head, "naive_rel_error": naive_rel, "drp_rel_error": rel,
                 "ratio": naive_rel / rel if rel > 0 else math.inf}
-    if exp == "measurement":
-        ratio = rec.measurement_error(z, r_matrix, sk.m, w_star)
-        return {**head, "measurement_error": ratio, "bound": bound,
-                "within_bound": ratio <= plan.bound}
-    if exp == "span_error":
+    if traced:
+        body = {"rel_error": naive_rel if method == "naive" else rel}
+    elif exp == "measurement":
+        body = {"measurement_error": rec.measurement_error(z, r_matrix, sk.m, w_star)}
+    elif exp == "span_error":
         span_rel = (rec.span_restricted_error(spectrum(data), naive, w_star)
                     / float(np.linalg.norm(w_star)))
-        return {**head, "span_rel_error": span_rel, "full_rel_error": naive_rel, "bound": bound,
-                "within_bound": span_rel <= plan.bound}
-    top_k = spectrum(data).left_vectors[:, :plan.k]  # full_rank
-    leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star))
-    return {**head, "k": plan.k, "rel_error": rel, "subspace_leakage": leakage, "bound": bound,
-            "within_bound": rel <= plan.bound}
+        body = {"span_rel_error": span_rel, "full_rel_error": naive_rel}
+    else:  # full_rank
+        top_k = spectrum(data).left_vectors[:, :plan.k]
+        leakage = float(np.linalg.norm(w_star - top_k @ (top_k.T @ w_star)) / np.linalg.norm(w_star))
+        body = {"k": plan.k, "rel_error": rel, "subspace_leakage": leakage}
+    error = body[BOUNDED[exp]]  # the naive bound is a lower bound: failure to be bad is the anomaly
+    within = error >= plan.bound if method == "naive" else error <= plan.bound
+    record = {**head, **body, "bound": {"epsilon": cfg.epsilon, "value": plan.bound},
+              "within_bound": within}
+    if traced:
+        record["trace"] = [float(v) for v in trace.per_iteration_errors] if exp == "iterate" else []
+    return record
 
 
 def _trial_concentration(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
@@ -435,15 +431,7 @@ def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
             agg["mean_deviation"] = float(np.mean(devs))
             agg["success_fraction"] = float(np.mean(passes))
         return agg
-    if cfg.experiment == "bounds":
-        return agg
-    metric = {
-        "recover": "rel_error",
-        "iterate": "rel_error",
-        "measurement": "measurement_error",
-        "span_error": "span_rel_error",
-        "full_rank": "rel_error",
-    }[cfg.experiment]
+    metric = BOUNDED.get(cfg.experiment)  # bounds has none, so its records give no values
     values = _clean(records, metric)
     if values:
         agg["mean_" + metric] = float(np.mean(values))

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from dualsketch import experiments, recover, solve
 from dualsketch.cli import _build_parser, _merge_config, main
 from dualsketch.config import (
+    BOUNDED,
     FILE_KEYS,
     ConfigError,
     DatasetIOError,
@@ -62,6 +63,7 @@ SMALL = ["--d", "20", "--n", "10", "--rank", "2", "--sketch-dim", "6"]
 SMALL_RECOVER = ["recover", *SMALL, "--trials", "2"]
 DECAYING = ["--data", "decaying", "--d", "20", "--n", "10", "--top-singular", "4"]
 ZERO_CSV = ["--data", "csv", "--csv", "{tmp}/zero.csv", "--sketch-dim", "4"]
+LOW_ENTRIES = {"d": 60, "n": 20, "rank": 3}
 
 # Flag pools for the argv fuzz: each flag maps to its candidate values (None
 # for a switch).  Sizes stay small and the valid values of c and epsilon stay
@@ -421,15 +423,66 @@ class TestRunExperiment:
         second = run_experiment(cfg)
         assert first.records == second.records
 
-    def test_aggregates_recomputable_from_records(self):
-        cfg = config_from_mapping({
-            "experiment": "recover", "d": 60, "n": 30, "rank": 3,
-            "sketch_dim": 20, "trials": 5, "seed": 2,
-        })
+    # entries, the error a record checks against its bound (None: no bound), and whether some
+    # record must fall outside its bound
+    @pytest.mark.parametrize("entries, key, outside", [
+        pytest.param({"experiment": "recover", **LOW_ENTRIES, "sketch_dim": 20, "loss": "logistic",
+                      "trials": 5, "seed": 2}, "rel_error", False, id="recover"),
+        # DRP at m = 5 misses eps/(1 - eps) = 0.11: within_bound false for <=
+        pytest.param({"experiment": "recover", **LOW_ENTRIES, "sketch_dim": 5, "epsilon": 0.1,
+                      "trials": 3}, "rel_error", True, id="recover-outside"),
+        pytest.param({"experiment": "recover", **LOW_ENTRIES, "method": "naive", "sketch_dim": 20,
+                      "trials": 3}, "rel_error", False, id="recover-naive"),
+        # the exact sketch beats the naive lower bound (0.41 at eps 0.1): within_bound false for >=
+        pytest.param({"experiment": "recover", **LOW_ENTRIES, "method": "naive",
+                      "identity_sketch": True, "epsilon": 0.1}, "rel_error", True,
+                     id="recover-naive-outside"),
+        pytest.param({"experiment": "recover", **LOW_ENTRIES, "sketch_dim": 20, "loss": "logistic",
+                      "max_iters": 1, "trials": 2}, "rel_error", False, id="recover-errored"),
+        pytest.param({"experiment": "iterate", **LOW_ENTRIES, "sketch_dim": 20, "iters": 3,
+                      "trials": 3}, "rel_error", False, id="iterate"),
+        pytest.param({"experiment": "naive_vs_drp", **LOW_ENTRIES, "sketch_dim": 20, "trials": 3},
+                     None, False, id="naive_vs_drp"),
+        pytest.param({"experiment": "measurement", **LOW_ENTRIES, "sketch_dim": 30, "trials": 3},
+                     "measurement_error", False, id="measurement"),
+        pytest.param({"experiment": "span_error", **LOW_ENTRIES, "sketch_dim": 30, "trials": 3},
+                     "span_rel_error", False, id="span_error"),
+        pytest.param({"experiment": "concentration", "rank": 3, "sketch_dim": 40, "trials": 6},
+                     None, False, id="concentration"),
+        pytest.param({"experiment": "bounds", "rank": 3, "epsilon": 0.3}, None, False,
+                     id="bounds"),
+        pytest.param({"experiment": "full_rank", "data": "decaying", "d": 60, "n": 20,
+                      "top_singular": 4, "loss": "logistic", "trials": 3}, "rel_error", False,
+                     id="full_rank"),
+    ])
+    def test_aggregates_recomputable_from_records(self, entries, key, outside):
+        cfg = config_from_mapping(entries)
         report = run_experiment(cfg)
-        errors = [r["rel_error"] for r in report.records]
-        assert report.aggregates["mean_rel_error"] == float(np.mean(errors))
-        assert report.aggregates["max_rel_error"] == float(np.max(errors))
+        records = report.records
+        clean = [r for r in records if "error" not in r]
+        expected = {"trials": len(records), "errored_trials": len(records) - len(clean)}
+        if cfg.experiment == "naive_vs_drp":
+            naive = float(np.mean([r["naive_rel_error"] for r in clean]))
+            drp = float(np.mean([r["drp_rel_error"] for r in clean]))
+            expected.update(mean_naive_rel_error=naive, mean_drp_rel_error=drp,
+                            ratio_of_means=naive / drp)
+        elif cfg.experiment == "concentration":
+            devs = [r["deviation"] for r in clean]
+            expected.update(max_deviation=float(np.max(devs)), mean_deviation=float(np.mean(devs)),
+                            success_fraction=float(np.mean([r["pass"] for r in clean])))
+        assert BOUNDED.get(cfg.experiment) == key
+        if key is not None and clean:
+            errors = [r[key] for r in clean]
+            # the naive bound is a lower bound; every other bound is an upper bound
+            within = [r[key] >= r["bound"]["value"] if cfg.method == "naive"
+                      else r[key] <= r["bound"]["value"] for r in clean]
+            assert [r["within_bound"] for r in clean] == within
+            assert not outside or not all(within)
+            expected.update({f"mean_{key}": float(np.mean(errors)),
+                             f"median_{key}": float(np.median(errors)),
+                             f"max_{key}": float(np.max(errors)),
+                             "success_fraction": float(np.mean(within))})
+        assert report.aggregates == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300) | st.just(math.nan), min_size=1, max_size=12))

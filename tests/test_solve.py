@@ -230,6 +230,27 @@ class TestSolvePrimal:
             stationarity_norm(features, labels, logistic_loss(), 1.0, err.value.best.weights),
             rel=1e-12)
 
+    def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # an LU solve that returns H^-1 g, not -H^-1 g: no step along it lowers the convex
+        # objective, so without the fallback to -g the line search stalls at once
+        lu_solve, calls = solve._lu_solve, [0]
+
+        def ascent(a, b):
+            calls[0] += 1
+            return -lu_solve(a, b)
+
+        rng = np.random.default_rng(6)
+        features, labels = random_instance(rng, 5, 8)
+        features *= 0.1  # Hessian eigenvalues in [lam, 1.3 lam]: unit steps along -g contract
+        lam, cfg = 1.0, SolverConfig(tolerance=1e-10)
+        exact = solve_primal(features, labels, square_loss(), lam, cfg)
+        monkeypatch.setattr(solve, "_lu_solve", ascent)
+        sol = solve_primal(features, labels, square_loss(), lam, cfg)
+        assert exact.iterations == 1 and sol.iterations == calls[0] > 1
+        assert stationarity_norm(features, labels, square_loss(), lam, sol.weights) <= 1e-10
+        # lam-strong convexity: each solution is within its gradient norm / lam of w*
+        assert np.linalg.norm(sol.weights - exact.weights) <= 2 * cfg.tolerance / lam
+
 
 class TestCertificate:
     """The reported grad_norm is the full-space gradient norm on every exit path."""
