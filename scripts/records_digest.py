@@ -52,6 +52,10 @@ RUNS = {
     "recover-naive-decaying": ["recover", *DECAYING, "--method", "naive", "--sketch-dim", "20",
                                "--trials", "2"],
     "recover-identity": ["recover", *LOW, "--identity-sketch", "--loss", "logistic"],
+    # the exact sketch over two row blocks of R = sqrt(m) I, the second block's product on the
+    # helper thread
+    "recover-identity-two-blocks": ["recover", "--d", "1100", "--n", "20", "--rank", "3",
+                                    "--identity-sketch"],
     # without sketch_dim, m comes from the low-rank or the planted effective-rank bound
     "recover-bound-m": ["recover", *LOW, "--trials", "2"],
     "recover-bound-m-decaying": ["recover", *DECAYING, "--top-singular", "2"],
@@ -104,6 +108,9 @@ RUNS = {
     "iterate-decaying-tiny-lambda": ["iterate", *DECAYING, "--lambda", "1e-320", "--sketch-dim",
                                      "20"],
     "naive-vs-drp": ["naive-vs-drp", *LOW, "--loss", "logistic", "--trials", "2"],
+    # labels are the signs of the planted model's predictions, not coin flips
+    "naive-vs-drp-sign-of-plant": ["naive-vs-drp", *LOW, "--label-rule", "sign_of_plant",
+                                   "--sketch-dim", "20", "--trials", "2"],
     # d above sketch.SKETCH_BLOCK: the sketched features sum three row blocks of R, the last
     # one projected on the helper thread
     "naive-vs-drp-three-blocks": ["naive-vs-drp", "--d", "2500", "--n", "60", "--rank", "3",
