@@ -4,8 +4,8 @@ Each ``ExperimentConfig`` field's metadata is its schema: help text, file
 key (default the field name), CLI flag (default ``--`` plus the key with
 dashes), allowed values, range rule, the subcommands that take the flag
 (default all) and the data sources whose runs read it (default all).
-``cli`` derives its flags from it, and flag values and file values share
-one coercion and validation path, ``config_from_mapping``.
+``cli`` derives its flags from it, flag and file values share one coercion
+path, ``config_from_mapping``, and a config validates itself when it is made.
 
 The text format is one ``key = value`` pair per line, ``#`` comments, and
 optional quotes around string values.  Unknown keys, keys given twice,
@@ -20,6 +20,8 @@ import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
+
+from .losses import parse_loss
 
 __all__ = ["ExperimentConfig", "ConfigError", "DatasetIOError", "validate_config", "config_from_mapping"]
 
@@ -130,6 +132,9 @@ class ExperimentConfig:
     output: str = _field("", "report destination (default stdout)")
     format: str = _field("json", "report format", choices=("json", "csv"))
 
+    def __post_init__(self):
+        _validate(self)
+
 
 # field name -> config-file key
 FILE_KEYS = {f.name: f.metadata["key"] or f.name for f in fields(ExperimentConfig)}
@@ -167,7 +172,7 @@ def _field_of(key: str):
     return _FIELD_OF[key]
 
 
-def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+def _validate(cfg: ExperimentConfig) -> None:
     for f in fields(cfg):
         key, value, meta = FILE_KEYS[f.name], getattr(cfg, f.name), f.metadata
         if meta["choices"] and value not in meta["choices"]:
@@ -187,7 +192,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.rank > min(cfg.d, cfg.n) and cfg.experiment in SKETCHED and cfg.data == "low_rank":
         raise ConfigError(f"key 'rank': must not exceed min(d, n) = {min(cfg.d, cfg.n)}")
 
-    if cfg.experiment in SKETCHED and cfg.sketch_dim > 0 and cfg.identity_sketch:
+    if cfg.sketch_dim > 0 and cfg.identity_sketch:
         raise ConfigError("keys 'sketch_dim' and 'identity_sketch': each sets the sketch "
                           "dimension m; give one")
     if cfg.experiment == "full_rank" and cfg.data == "low_rank":
@@ -200,17 +205,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.spectrum and not os.path.exists(cfg.spectrum):
         raise DatasetIOError(f"spectrum file not found: {cfg.spectrum}")
     # the loss selector is validated by the loss module; surface its message
-    from .losses import parse_loss
-
     try:
         parse_loss(cfg.loss)
     except ValueError as exc:
         raise ConfigError(f"key 'loss': {exc}") from None
-    return cfg
 
 
 def config_from_mapping(entries: dict) -> ExperimentConfig:
-    """Build and validate a config from key/value pairs.
+    """Build a config, which validates itself, from key/value pairs.
 
     A key is a file key or a field name; a value is text, coerced as a file's
     value is, or already of the field's type.
@@ -229,7 +231,7 @@ def config_from_mapping(entries: dict) -> ExperimentConfig:
         resolved[f.name] = value
     if "experiment" not in resolved:
         raise ConfigError("missing required key 'experiment' (one of: " + ", ".join(EXPERIMENTS) + ")")
-    return _validate(ExperimentConfig(**resolved))
+    return ExperimentConfig(**resolved)
 
 
 def validate_config(raw: str, overrides: dict | None = None) -> ExperimentConfig:

@@ -43,6 +43,7 @@ solve, as when the two ran in turn.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import math
@@ -185,11 +186,13 @@ def _load_spectrum(path: str) -> np.ndarray:
 
 
 def _reference(cfg: ExperimentConfig, data: Dataset, loss: LossSpec) -> np.ndarray:
-    w_star = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol).weights
-    if np.linalg.norm(w_star) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
+    ref = solve_reference(data.features, data.labels, loss, cfg.lam, cfg.reference_tol)
+    if ref.iterations == 0 and ref.grad_norm > 0.0:  # X y != 0, yet w = 0 met the tolerance
+        raise ConfigError(f"key 'reference_tol': so loose that w = 0 meets it (grad norm {ref.grad_norm:.3g})")
+    if np.linalg.norm(ref.weights) == 0.0:  # for every loss, w* = 0 exactly when X y = 0
         raise DatasetIOError("the reference solution has zero norm (X y = 0, or lambda so large "
                              "that it underflows); relative errors are undefined")
-    return w_star
+    return ref.weights
 
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
@@ -198,29 +201,29 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     m is d under ``identity_sketch``, else ``sketch_dim`` if above 0, else
     the analytic bound: the effective-rank one given a spectrum (measured
     for ``full_rank`` on CSV data, planted for decaying data, read from
-    ``spectrum`` for ``bounds``), else the low-rank one.  Every config error
-    (the ``find_min_m`` search's first m included) is raised here, before
-    the CSV reference solve.  ``spectrum`` returns a planted SVD: generated
+    ``spectrum`` for ``bounds``), else the low-rank one.  The config checks
+    its own keys when it is made; every error that needs m (the
+    ``find_min_m`` search's first m included) is raised here, before the
+    CSV reference solve.  ``spectrum`` returns a planted SVD: generated
     decaying data's, or the one planted here on CSV data for ``span_error``
     and ``full_rank``; generated low-rank data is decomposed per trial.
     """
     exp, eps = cfg.experiment, cfg.epsilon
-    sketched = exp in SKETCHED
     loss = parse_loss(cfg.loss)
-    data = _read(load_csv, cfg.csv, "dataset") if sketched and cfg.data == "csv" else None
+    data = _read(load_csv, cfg.csv, "dataset") if cfg.data == "csv" else None
     d = cfg.d if data is None else data.d
     if data is not None and exp in ("span_error", "full_rank"):
         data = replace(data, planted=spectrum(data))
     sv = data.planted.singular_values if exp == "full_rank" and data is not None else None
-    if exp == "bounds" and cfg.spectrum:
+    if cfg.spectrum:
         sv = _read(_load_spectrum, cfg.spectrum, "spectrum")
-    elif sketched and cfg.data == "decaying":
+    elif cfg.data == "decaying":
         sv = planted_spectrum(cfg.d, cfg.n, cfg.decay, cfg.top_singular)
 
     try:
-        if sketched and cfg.identity_sketch:
+        if cfg.identity_sketch:
             m = d
-        elif exp != "bounds" and cfg.sketch_dim > 0:  # bounds always reports the analytic m
+        elif cfg.sketch_dim > 0:
             m = cfg.sketch_dim
         elif sv is None:
             m = conc.sample_size_bound(cfg.rank, eps, cfg.delta, cfg.c or conc.LOW_RANK_C)
@@ -233,11 +236,11 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     # squares of sv, or the bound itself, overflow a float; or epsilon**2 underflows to 0
     except (OverflowError, ZeroDivisionError):
         raise ConfigError("the analytic sketch-size bound overflows a float") from None
-    if sketched and m < 1:
+    if exp in SKETCHED and m < 1:
         raise ConfigError("derived sketch dimension is zero; supply sketch_dim explicitly")
     # the Gaussian draw is d x m, or rank x m for concentration; bounds only reports m
     for what, size in (("sketch dimension m", m), ("the --find-min-m search's first m", start)):
-        if exp != "bounds" and (d if sketched else cfg.rank) * size * 8 > np.iinfo(np.intp).max:
+        if exp != "bounds" and (d if exp in SKETCHED else cfg.rank) * size * 8 > np.iinfo(np.intp).max:
             raise ConfigError(f"{what} = {size} is too large for numpy to draw the sketch")
 
     k, bound = 0, 0.0
@@ -307,16 +310,13 @@ def _trial_sketched(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     """
     seed, exp = cfg.seed + t, cfg.experiment
     d = cfg.d if plan.data is None else plan.data.d
-    if cfg.identity_sketch:  # exact, m = d: nothing to draw
-        r_matrix, landed = np.sqrt(plan.m) * np.eye(d), []
-    else:
-        r_matrix, landed = draw_blocks(d, plan.m, seed, plan.helper)
+    sketch_seed = None if cfg.identity_sketch else seed  # None: the exact sketch, nothing to fill
+    r_matrix, landed = draw_blocks(d, plan.m, sketch_seed, plan.helper)
     try:
         data, w_star = _dataset(cfg, plan, seed), plan.w_star
         if w_star is None and not _landed(landed):  # solved here while R lands
             w_star = _reference(cfg, data, plan.loss)
-        sk = project(data, r_matrix, plan.m, None if cfg.identity_sketch else seed, landed,
-                     helper=plan.helper)
+        sk = project(data, r_matrix, plan.m, sketch_seed, landed, helper=plan.helper)
     finally:
         for fill in landed:  # a trial that fails before projecting leaves no fill writing to R
             fill.cancel()
@@ -372,12 +372,24 @@ def _trial_concentration(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     return {"trial": t, "seed": seed, "m": plan.m, "deviation": dev, "pass": dev <= cfg.epsilon}
 
 
+def _trial_bounds(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
+    if cfg.spectrum:
+        return {
+            "trial": t, "m": plan.m, "kind": "full_rank", "epsilon": cfg.epsilon,
+            "delta": cfg.delta, "c": cfg.c or conc.FULL_RANK_C, "d": cfg.d,
+        }
+    return {
+        "trial": t, "m": plan.m, "kind": "low_rank", "rank": cfg.rank,
+        "epsilon": cfg.epsilon, "delta": cfg.delta, "c": cfg.c or conc.LOW_RANK_C,
+    }
+
+
 def _run_one(cfg: ExperimentConfig, plan: _Plan, t: int) -> dict:
     error = plan.reference_error
     if not error:
         try:
-            trial = _trial_concentration if cfg.experiment == "concentration" else _trial_sketched
-            return trial(cfg, plan, t)
+            trial = {"bounds": _trial_bounds, "concentration": _trial_concentration}
+            return trial.get(cfg.experiment, _trial_sketched)(cfg, plan, t)
         except ConvergenceError as exc:
             error = str(exc)
     return {"trial": t, "seed": cfg.seed + t, "error": error}
@@ -430,6 +442,9 @@ def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
             agg["max_deviation"] = float(np.max(devs))
             agg["mean_deviation"] = float(np.mean(devs))
             agg["success_fraction"] = float(np.mean(passes))
+        if cfg.find_min_m:
+            agg["smallest_passing_m"] = conc.smallest_passing_m(cfg.rank, cfg.epsilon, cfg.trials,
+                                                                cfg.seed)
         return agg
     metric = BOUNDED.get(cfg.experiment)  # bounds has none, so its records give no values
     values = _clean(records, metric)
@@ -440,18 +455,6 @@ def _aggregate(cfg: ExperimentConfig, records: list) -> dict:
         within = _clean(records, "within_bound")
         agg["success_fraction"] = float(np.mean(within))
     return agg
-
-
-def _run_bounds(cfg: ExperimentConfig, plan: _Plan) -> list:
-    if cfg.spectrum:
-        return [{
-            "trial": 0, "m": plan.m, "kind": "full_rank", "epsilon": cfg.epsilon,
-            "delta": cfg.delta, "c": cfg.c or conc.FULL_RANK_C, "d": cfg.d,
-        }]
-    return [{
-        "trial": 0, "m": plan.m, "kind": "low_rank", "rank": cfg.rank,
-        "epsilon": cfg.epsilon, "delta": cfg.delta, "c": cfg.c or conc.LOW_RANK_C,
-    }]
 
 
 def _pool_size(jobs: int) -> int:
@@ -485,8 +488,6 @@ def _process_policy() -> dict:
     one arena took) or "dynamic" (glibc's rule, or another allocator's).
     Neither half moves a record computed at one BLAS thread.
     """
-    import ctypes  # here, so that start-up does not pay for it
-
     runtime = {"blas_threads": None, "malloc_thresholds": "dynamic"}
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -515,22 +516,16 @@ def run_experiment(cfg: ExperimentConfig) -> ReportDocument:
     runtime = _process_policy()  # before _plan, which solves a CSV reference
     echo = asdict(cfg)
     plan = _plan(cfg)
-    if cfg.experiment == "bounds":
-        records = _run_bounds(cfg, plan)
-    else:
-        workers = _pool_size(cfg.trials)
-        if workers > 1:  # each worker starts its own helper
-            with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
-                                     initargs=(cfg, plan)) as pool:
-                records = list(pool.map(_run_installed, range(cfg.trials)))
-        else:  # the helper's thread starts at the first draw, so a run that draws none starts none
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                plan = replace(plan, helper=helper)
-                records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
+    workers = _pool_size(cfg.trials)
+    if workers > 1:  # each worker starts its own helper
+        with ProcessPoolExecutor(max_workers=workers, initializer=_install_run,
+                                 initargs=(cfg, plan)) as pool:
+            records = list(pool.map(_run_installed, range(cfg.trials)))
+    else:  # the helper's thread starts at its first job, so a run that gives it none starts none
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            plan = replace(plan, helper=helper)
+            records = [_run_one(cfg, plan, t) for t in range(cfg.trials)]
     aggregates = _aggregate(cfg, records)
-    if cfg.find_min_m:  # a concentration key
-        aggregates["smallest_passing_m"] = conc.smallest_passing_m(cfg.rank, cfg.epsilon,
-                                                                   cfg.trials, cfg.seed)
     wall = time.perf_counter() - start
     return ReportDocument(
         schema_version=REPORT_SCHEMA_VERSION,

@@ -75,7 +75,8 @@ def _fill(rng: np.random.Generator, rows: np.ndarray) -> None:
     rng.standard_normal(out=rows)  # returns nothing, so a done future holds no view of R
 
 
-def draw_blocks(d: int, m: int, seed: int, executor: Executor) -> tuple[np.ndarray, list[Future]]:
+def draw_blocks(d: int, m: int, seed: int | None,
+                executor: Executor | None) -> tuple[np.ndarray, list[Future]]:
     """``gaussian_matrix(d, m, seed)`` filled on ``executor``, one job per row block.
 
     Returns the matrix and one future per block, done once that block has
@@ -83,8 +84,11 @@ def draw_blocks(d: int, m: int, seed: int, executor: Executor) -> tuple[np.ndarr
     run its jobs one at a time, in the order submitted (a one-thread pool);
     the matrix is then ``gaussian_matrix``'s bit for bit.  The calling
     thread allocates it, so glibc serves its pages from that thread's
-    malloc arena, not the executor thread's.
+    malloc arena, not the executor thread's.  With no seed it is the exact
+    sketch sqrt(m) I (m = d), with no futures and no job submitted.
     """
+    if seed is None:
+        return np.sqrt(m) * np.eye(d), []
     r_matrix = np.empty((d, m))
     rng = np.random.default_rng(seed)
     return r_matrix, [executor.submit(_fill, rng, r_matrix[rows]) for rows in row_blocks(d)]
@@ -144,7 +148,7 @@ def gaussian_sketch(data: Dataset, m: int, seed: int) -> ProjectionSketch:
 
 
 def identity_sketch(data: Dataset) -> ProjectionSketch:
-    """The exact sketch R = sqrt(m) I with m = d; useful as a smoke oracle."""
+    """The exact sketch R = sqrt(m) I with m = d, ``draw_blocks``' seedless draw; a smoke oracle."""
     m = data.d
-    return project(data, np.sqrt(m) * np.eye(data.d), m, seed=None)
+    return project(data, draw_blocks(m, m, None, None)[0], m, seed=None)
 

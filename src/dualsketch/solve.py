@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import ctypes
 import functools
 import math
 import os
@@ -142,7 +143,6 @@ def _low_rank_pivots(cols: np.ndarray, limit: int, gram: np.ndarray | None = Non
 @functools.cache
 def _openblas() -> dict:
     """numpy's bundled OpenBLAS routines, typed, or None each; bound on first use, not at import."""
-    import ctypes
     import glob
 
     size, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
@@ -175,7 +175,6 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if dgesv is None or not (n and a.shape == (n, n) and a.dtype == b.dtype == np.float64
                              and a.flags.f_contiguous and a.flags.behaved and b.flags.carray):
         return np.linalg.solve(a, b)
-    import ctypes  # bound by _openblas
     size, info, ipiv = ctypes.c_int64(n), ctypes.c_int64(), np.empty(n, dtype=np.int64)
     dgesv(size, ctypes.c_int64(1), a.ctypes.data, size, ipiv.ctypes.data, b.ctypes.data, size, info)
     if info.value:  # a zero pivot

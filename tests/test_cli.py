@@ -282,6 +282,24 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             config_from_mapping({"experiment": "bounds", "epsilon": 1.5})
 
+    @pytest.mark.parametrize("entries, error, key", [
+        ({"experiment": "iterate", "epsilon": 1.0, "sketch_dim": 10}, ConfigError, "'epsilon'"),
+        ({"experiment": "recover", "d": 10, "n": 10, "rank": 50, "sketch_dim": 5}, ConfigError,
+         "'rank'"),
+        ({"experiment": "bounds", "sketch_dim": 5}, ConfigError, "'sketch_dim'"),
+        ({"experiment": "recover", "data": "csv", "csv": "/nonexistent.csv"}, DatasetIOError,
+         "/nonexistent.csv"),
+    ])
+    def test_config_built_directly_checks_itself(self, entries, error, key):
+        # not only a parsed config: iterate at epsilon 1 would divide by zero in its bound
+        with pytest.raises(error, match=key):
+            ExperimentConfig(**entries)
+
+    def test_replaced_config_checks_itself(self):
+        cfg = config_from_mapping({"experiment": "recover", "sketch_dim": 10})
+        with pytest.raises(ConfigError, match="trials"):
+            replace(cfg, trials=0)
+
 
 def in_process_pool(sizes, jobs):
     """A ProcessPoolExecutor stand-in that runs jobs in this process, recording sizes and jobs."""
@@ -733,8 +751,9 @@ class TestRunExperiment:
     def test_helper_moves_no_record(self, monkeypatch, experiment, entries):
         # every Gaussian R fills on the helper, one block at d = 60 and two at d = 1100; the
         # records are those of R drawn in one call on the trial's thread.  The identity sketch
-        # draws nothing, but at d = 1100 the helper still computes its last block's product;
-        # its records are those of identity_sketch, projected on the trial's thread alone
+        # is draw_blocks' seedless draw, which fills nothing, but at d = 1100 the helper still
+        # computes its last block's product; its records are those of identity_sketch, projected
+        # on the trial's thread alone
         identity = entries.get("identity_sketch", False)
         for d in (60, 1100):
             cfg = helper_route_config(experiment, entries, d)
@@ -751,7 +770,7 @@ class TestRunExperiment:
             monkeypatch.setattr(experiments, "draw_blocks", counting)
             monkeypatch.setattr(experiments, "project", projecting)
             filled = run_experiment(cfg)
-            assert draws == ([] if identity else [(d, 20, 3), (d, 20, 4)])  # once a trial
+            assert draws == ([(d, d, None)] * 2 if identity else [(d, 20, 3), (d, 20, 4)])  # once a trial
             assert helpers == [True, True]
             monkeypatch.setattr(experiments, "draw_blocks",
                                 lambda d, m, seed, helper: (gaussian_matrix(d, m, seed), []))
@@ -934,6 +953,17 @@ class TestRunExperiment:
         assert run_experiment(cfg).errored_trials == 2
         assert threading.active_count() == before
         assert finished == [True] * 3
+
+    @pytest.mark.parametrize("landed", [False, True])
+    def test_reference_tol_that_accepts_zero_is_a_config_error(self, monkeypatch, capsys, landed):
+        # ||X y|| = 23, so w* is not zero: the tolerance is what certifies w = 0, at iteration 0,
+        # whether the trial or the helper solves the reference
+        monkeypatch.setattr(experiments, "_landed", lambda fills: landed)
+        argv = ["recover", "--d", "30", "--n", "10", "--rank", "2", "--sketch-dim", "5"]
+        assert main([*argv, "--reference-tol", "100"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: key 'reference_tol': so loose that w = 0 meets it (grad norm 23)\n")
+        assert main([*argv, "--reference-tol", "10"]) == 0
 
     def test_zero_norm_reference_on_the_helper_keeps_its_exit(self, monkeypatch, capsys):
         # lambda 1e300 underflows w* to zero; raised on the helper, the error reaches the CLI
@@ -1477,6 +1507,8 @@ class TestCliProcess:
                       "--sketch-dim", "6"], {}, 2, id="sketch-dim-and-identity-sketch"),
         pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "abc"}, 2, id="workers-not-integer"),
         pytest.param(SMALL_RECOVER, {"DUALSKETCH_WORKERS": "0"}, 2, id="workers-zero"),
+        # bounds runs its one trial through the same loop, so it reads the worker count too
+        pytest.param(["bounds"], {"DUALSKETCH_WORKERS": "abc"}, 2, id="bounds-workers-not-integer"),
         pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/nan.csv", "--sketch-dim", "4"],
                      {}, 3, id="csv-nan"),
         pytest.param(["recover", "--data", "csv", "--csv", "{tmp}/inf.csv", "--sketch-dim", "4"],
@@ -1513,6 +1545,8 @@ class TestCliProcess:
         *[pytest.param([sub, *ZERO_CSV], {}, 3, id=f"{sub}-zero-reference")
           for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
+        pytest.param(["recover", *SMALL, "--reference-tol", "100"], {}, 2,
+                     id="reference-tol-accepts-zero"),
         pytest.param(["bounds", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3, id="spectrum-nan"),
         # numpy's "input contained no data" warning must not escape as a traceback
         pytest.param(["bounds", "--spectrum", "{tmp}/empty-spectrum.txt", "--d", "10"], {}, 3,

@@ -221,6 +221,14 @@ class _OnDemand(Future):
 
 
 class TestIdentityInjection:
+    def test_seedless_draw_is_the_exact_sketch(self):
+        d = SKETCH_BLOCK + 76  # two row blocks, yet nothing to fill
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            executor = _Recording(pool)
+            r_matrix, landed = draw_blocks(d, d, None, executor)
+        assert r_matrix.tobytes() == (np.sqrt(d) * np.eye(d)).tobytes()
+        assert landed == [] and executor.jobs == []
+
     def test_identity_sketch_copies_features(self):
         data = make_low_rank(9, 6, 2, "random", seed=10)
         sk = identity_sketch(data)
