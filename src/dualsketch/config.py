@@ -45,7 +45,7 @@ BOUNDED = {"recover": "rel_error", "iterate": "rel_error", "measurement": "measu
            "span_error": "span_rel_error", "full_rank": "rel_error"}
 # bounds reads d, the loss and lambda for the effective-rank bound, but no data or solver key
 _SKETCHED_AND_BOUNDS = (*SKETCHED, "bounds")
-# every experiment but bounds, which reports one bound and runs no trials
+# every experiment but bounds, whose one record, the analytic bound, draws nothing
 _SKETCHED_AND_CONCENTRATION = (*SKETCHED, "concentration")
 
 # range rule -> the test a value must pass; the rule names it in the error

@@ -770,7 +770,8 @@ class TestRunExperiment:
             monkeypatch.setattr(experiments, "draw_blocks", counting)
             monkeypatch.setattr(experiments, "project", projecting)
             filled = run_experiment(cfg)
-            assert draws == ([(d, d, None)] * 2 if identity else [(d, 20, 3), (d, 20, 4)])  # once a trial
+            # once a trial
+            assert draws == ([(d, d, None)] * 2 if identity else [(d, 20, 3), (d, 20, 4)])
             assert helpers == [True, True]
             monkeypatch.setattr(experiments, "draw_blocks",
                                 lambda d, m, seed, helper: (gaussian_matrix(d, m, seed), []))
@@ -1545,8 +1546,6 @@ class TestCliProcess:
         *[pytest.param([sub, *ZERO_CSV], {}, 3, id=f"{sub}-zero-reference")
           for sub in ("recover", "iterate", "naive-vs-drp", "measurement", "span-error")],
         pytest.param(["recover", *SMALL, "--lambda", "1e300"], {}, 3, id="reference-norm-underflow"),
-        pytest.param(["recover", *SMALL, "--reference-tol", "100"], {}, 2,
-                     id="reference-tol-accepts-zero"),
         pytest.param(["bounds", "--spectrum", "{tmp}/nan-spectrum.txt"], {}, 3, id="spectrum-nan"),
         # numpy's "input contained no data" warning must not escape as a traceback
         pytest.param(["bounds", "--spectrum", "{tmp}/empty-spectrum.txt", "--d", "10"], {}, 3,
