@@ -175,6 +175,11 @@ def _field_of(key: str):
 def _validate(cfg: ExperimentConfig) -> None:
     for f in fields(cfg):
         key, value, meta = FILE_KEYS[f.name], getattr(cfg, f.name), f.metadata
+        if f.type is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+            object.__setattr__(cfg, f.name, value)  # a frozen field, set while it is made
+        elif not isinstance(value, f.type) or (f.type is int and isinstance(value, bool)):
+            raise ConfigError(f"key '{key}': expected {f.type.__name__}, got {value!r}")
         if meta["choices"] and value not in meta["choices"]:
             raise ConfigError(f"key '{key}': {value!r} is not one of {', '.join(meta['choices'])}")
         if f.type is float and not math.isfinite(value):
@@ -215,20 +220,14 @@ def config_from_mapping(entries: dict) -> ExperimentConfig:
     """Build a config, which validates itself, from key/value pairs.
 
     A key is a file key or a field name; a value is text, coerced as a file's
-    value is, or already of the field's type.
+    value is, or already of the field's type (an int where a float is due).
     """
     resolved = {}
     for key, value in entries.items():
         f = _field_of(key)
         if f.name in resolved:
             raise ConfigError(f"duplicate key '{key}'")
-        if isinstance(value, str):
-            value = _coerce(key, value, f.type)
-        elif f.type is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        elif not isinstance(value, f.type) or (f.type is int and isinstance(value, bool)):
-            raise ConfigError(f"key '{key}': expected {f.type.__name__}, got {value!r}")
-        resolved[f.name] = value
+        resolved[f.name] = _coerce(key, value, f.type) if isinstance(value, str) else value
     if "experiment" not in resolved:
         raise ConfigError("missing required key 'experiment' (one of: " + ", ".join(EXPERIMENTS) + ")")
     return ExperimentConfig(**resolved)

@@ -13,9 +13,11 @@ caller handed in; failure to certify raises ``ConvergenceError`` carrying
 the best iterate.
 
 The method is damped Newton on the exact Hessian, formed as one symmetric
-product and solved by LU.  When p exceeds n the iterate lies in the span of
-the feature columns, so Newton runs on coordinates in that span; the
-certificate is evaluated in the full space, from margins recomputed there.
+product and solved by Cholesky (LAPACK's dposv), LU only where Cholesky
+refuses a Hessian positive definite only up to rounding.  When p exceeds n
+the iterate lies in the span of the feature columns, so Newton runs on
+coordinates in that span; the certificate is evaluated in the full space,
+from margins recomputed there.
 A greedy pivoted Cholesky of the Gram matrix, run on the columns and forming
 only its pivots' Gram columns, looks for a rank k of at most
 ``LOW_RANK_PIVOTS``; Newton then runs on an explicit QR of the k pivot
@@ -63,8 +65,6 @@ NOISE_EPS = 8.0 * np.finfo(float).eps
 # A rank-reduced span basis must reproduce the columns to this relative
 # Frobenius residual; exactly low-rank data measures 2-6 eps.
 SPAN_RESIDUAL = 64.0 * np.finfo(float).eps
-# the rows of a triangular solve done per block
-SOLVE_BLOCK = 64
 # the rows of the span residual formed per block
 RESIDUAL_ROWS = 512
 # the most pivots taken on a span's own columns before its Gram matrix is formed
@@ -145,12 +145,19 @@ def _openblas() -> dict:
     """numpy's bundled OpenBLAS routines, typed, or None each; bound on first use, not at import."""
     import glob
 
-    size, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    size, ptr, char = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p
+    length = ctypes.c_size_t  # the hidden length of a Fortran character argument, passed last
     routines = {  # ILP64 names, numpy 2's wheels' first, then numpy 1's; argument types
         "set_num_threads": (("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"),
                             [ctypes.c_int]),
         "dgesv": (("scipy_dgesv_64_", "dgesv_64_"),  # n, nrhs, a, lda, ipiv, b, ldb, info
                   [size, size, ptr, size, ptr, ptr, size, size]),
+        "dposv": (("scipy_dposv_64_", "dposv_64_"),  # uplo, n, nrhs, a, lda, b, ldb, info
+                  [char, size, size, ptr, size, ptr, size, size, length]),
+        "dpotrf": (("scipy_dpotrf_64_", "dpotrf_64_"),  # uplo, n, a, lda, info
+                   [char, size, ptr, size, size, length]),
+        "dtrtrs": (("scipy_dtrtrs_64_", "dtrtrs_64_"),  # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
+                   [char, char, char, size, size, ptr, size, ptr, size, size, length, length, length]),
     }
     folder = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     # already loaded by numpy, so CDLL returns their handles
@@ -164,34 +171,86 @@ def _openblas() -> dict:
     return found
 
 
+def _bound(routine: str, a: np.ndarray, b: np.ndarray | None = None):
+    """The bundled ``routine`` if there is one and it can work in place on the square,
+    Fortran-ordered float64 ``a`` and the float64 vector ``b``; else None."""
+    n = len(a)
+    fits = (n and a.shape == (n, n) and a.dtype == np.float64 and a.flags.f_contiguous and a.flags.behaved
+            and (b is None or b.shape == (n,) and b.dtype == np.float64 and b.flags.carray))
+    return _openblas()[routine] if fits else None
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` for a symmetric positive definite ``a`` by LAPACK's dposv, in place.
+
+    Half LU's flops, and ctypes releases the interpreter lock for the call.
+    dposv reads the lower triangle of a Fortran-ordered ``a`` and overwrites
+    it with the factor, and ``b`` with the solution.  Raises ``LinAlgError``
+    where ``a`` is not positive definite.  Arrays dposv cannot take, or no
+    bundled dposv: ``np.linalg.solve``, an LU solve, as numpy exposes no
+    Cholesky solve.
+    """
+    if (dposv := _bound("dposv", a, b)) is None:
+        return np.linalg.solve(a, b)
+    size, info = ctypes.c_int64(len(b)), ctypes.c_int64()
+    dposv(b"L", size, ctypes.c_int64(1), a.ctypes.data, size, b.ctypes.data, size, info, 1)
+    if info.value:  # a leading minor that is not positive definite
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return b
+
+
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` by LAPACK's dgesv, overwriting a Fortran-ordered ``a`` and ``b`` in place.
 
-    ``np.linalg.solve`` calls the same routine, so the bits are the same, but
-    holds the interpreter lock while it factors at most 500 unknowns; ctypes
-    releases it.  Arrays dgesv cannot take, or no bundled dgesv: numpy's solve.
+    Newton's step where Cholesky refuses the Hessian.  ``np.linalg.solve``
+    calls the same routine, so the bits are the same, but holds the
+    interpreter lock while it factors at most 500 unknowns; ctypes releases
+    it.  Arrays dgesv cannot take, or no bundled dgesv: numpy's solve.
     """
-    dgesv, n = _openblas()["dgesv"], len(b)
-    if dgesv is None or not (n and a.shape == (n, n) and a.dtype == b.dtype == np.float64
-                             and a.flags.f_contiguous and a.flags.behaved and b.flags.carray):
+    if (dgesv := _bound("dgesv", a, b)) is None:
         return np.linalg.solve(a, b)
-    size, info, ipiv = ctypes.c_int64(n), ctypes.c_int64(), np.empty(n, dtype=np.int64)
+    size, info, ipiv = ctypes.c_int64(len(b)), ctypes.c_int64(), np.empty(len(b), dtype=np.int64)
     dgesv(size, ctypes.c_int64(1), a.ctypes.data, size, ipiv.ctypes.data, b.ctypes.data, size, info)
     if info.value:  # a zero pivot
         raise np.linalg.LinAlgError("Singular matrix")
     return b
 
 
-def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``upper^-1 z`` for an upper-triangular ``upper``: back-substitution by blocks of rows.
+def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
+    """The Cholesky factor U of ``gram = U' U``, factored in ``gram``'s own buffer by dpotrf.
 
-    Each diagonal block goes to LU, which swaps no rows of a triangular matrix.
+    The bits are ``np.linalg.cholesky(gram).T``'s, which runs where dpotrf
+    cannot take ``gram`` or numpy bundles none.  Raises ``LinAlgError``
+    where ``gram`` is not positive definite, having overwritten part of it.
+    """
+    # an exactly symmetric gram read in Fortran order is gram, and its lower factor L, read
+    # back in C order, is U = L' in the upper triangle
+    if (dpotrf := _bound("dpotrf", gram.T)) is None:
+        return np.linalg.cholesky(gram).T
+    size, info = ctypes.c_int64(len(gram)), ctypes.c_int64()
+    dpotrf(b"L", size, gram.ctypes.data, size, info, 1)
+    if info.value:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    for row in range(1, len(gram)):  # below the diagonal dpotrf leaves the Gram matrix's entries
+        gram[row, :row] = 0.0
+    return gram
+
+
+def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``upper^-1 z`` for an upper-triangular ``upper`` by LAPACK's dtrtrs: back-substitution.
+
+    dtrtrs reads ``upper``'s C-ordered buffer in Fortran order, as the
+    lower-triangular ``upper'``, and solves with its transpose.  Arrays
+    dtrtrs cannot take, or no bundled dtrtrs: ``np.linalg.solve``.
     """
     y = np.array(z, dtype=float)
-    for start in reversed(range(0, len(y), SOLVE_BLOCK)):
-        block = slice(start, start + SOLVE_BLOCK)
-        rhs = y[block] - upper[block, block.stop:] @ y[block.stop:]
-        y[block] = _lu_solve(np.array(upper[block, block], order="F"), rhs)
+    if (dtrtrs := _bound("dtrtrs", upper.T, y)) is None:
+        return np.linalg.solve(upper, y)
+    size, info = ctypes.c_int64(len(y)), ctypes.c_int64()
+    dtrtrs(b"L", b"T", b"N", size, ctypes.c_int64(1), upper.ctypes.data, size, y.ctypes.data,
+           size, info, 1, 1, 1)
+    if info.value:  # a zero on the diagonal
+        raise np.linalg.LinAlgError("Singular matrix")
     return y
 
 
@@ -213,17 +272,18 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
     """
     if (low := _low_rank_pivots(cols, LOW_RANK_PIVOTS)) is None:
         gram = cols.T @ cols
+        top = gram.diagonal().max()  # read before the factor overwrites the diagonal
         try:
-            upper = np.linalg.cholesky(gram).T
+            upper = _cholesky_upper(gram)
         except np.linalg.LinAlgError:  # a singular Gram matrix: look for the rank below n
+            gram = cols.T @ cols  # formed again, as the refused factorisation overwrote part
             low = _low_rank_pivots(cols, cols.shape[1] - 1, gram)
             del gram
         else:
             # eps * cond * ||cols||^2 from the diagonals, as max(diag G)^1.5 / min(diag U):
             # CholeskyQR's map back loses about cond digits; inf or NaN refuses the basis
             with np.errstate(over="ignore", invalid="ignore"):
-                floor = (np.finfo(float).eps * gram.diagonal().max() ** 1.5
-                         / upper.diagonal().min() * bound)
+                floor = np.finfo(float).eps * top ** 1.5 / upper.diagonal().min() * bound
             if floor <= tolerance:
                 return upper, lambda z: cols @ _solve_upper(upper, z)
             del gram, upper  # not held through the p x n temporaries below
@@ -297,6 +357,13 @@ def solve_primal(
     g = lam * z + x @ coef
     iters = 0
 
+    def hessian():
+        """lam I + X diag(l''(margins)) X' at the current margins."""
+        root = x * np.sqrt(loss.curvature(margins))
+        hess = root @ root.T  # one symmetric product: BLAS syrk, mirrored, so exactly symmetric
+        hess.flat[::k + 1] += lam
+        return hess
+
     def certified():
         """The current iterate in the full space, with its objective and gradient norm there."""
         z_f = to_full(z)
@@ -333,15 +400,15 @@ def solve_primal(
             raise ConvergenceError(
                 f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
             )
-        root = x * np.sqrt(loss.curvature(margins))
-        hess = root @ root.T  # one symmetric product: BLAS syrk, mirrored, so exactly symmetric
-        del root  # not held through the solve and the line search
-        hess.flat[::k + 1] += lam
-        try:  # hess.T reads hess's buffer in Fortran order: the same matrix, factored in place
-            direction = _lu_solve(hess.T, -g)
-        except np.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
-            raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
-        del hess  # freed before the line search's temporaries
+        # .T reads the Hessian's buffer in Fortran order: the same matrix, factored in place
+        # and freed when the solve returns, before the line search's temporaries
+        try:
+            direction = _cholesky_solve(hessian().T, -g)
+        except np.linalg.LinAlgError:  # positive definite only up to rounding, as at a tiny lam
+            try:  # dposv overwrote that Hessian: LU factors a new one
+                direction = _lu_solve(hessian().T, -g)
+            except np.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
+                raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
         slope = float(g @ direction)
         if slope >= 0.0:
             direction, slope = -g, -float(g @ g)

@@ -295,6 +295,19 @@ class TestValidateConfig:
         with pytest.raises(error, match=key):
             ExperimentConfig(**entries)
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("d", "10", "int"), ("identity_sketch", "no", "bool"), ("trials", 2.5, "int"),
+    ])
+    def test_config_built_directly_checks_its_types(self, field, value, expected):
+        # text is coerced only on the way in from a file or a flag: here "no" would be truthy
+        with pytest.raises(ConfigError, match=f"^key '{field}': expected {expected}, got "):
+            ExperimentConfig(experiment="recover", **{field: value})
+
+    def test_config_built_directly_takes_an_int_for_a_float(self):
+        cfg = ExperimentConfig(experiment="recover", lam=2)
+        assert type(cfg.lam) is float and cfg == config_from_mapping({"experiment": "recover",
+                                                                      "lambda": "2"})
+
     def test_replaced_config_checks_itself(self):
         cfg = config_from_mapping({"experiment": "recover", "sketch_dim": 10})
         with pytest.raises(ConfigError, match="trials"):
@@ -502,7 +515,7 @@ class TestRunExperiment:
                              "success_fraction": float(np.mean(within))})
         assert report.aggregates == expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300) | st.just(math.nan), min_size=1, max_size=12))
     @example([0.3, 0.1, 0.2]).via("odd length")
     @example([0.4, 0.1, 0.3, 0.2]).via("even length")
@@ -1245,9 +1258,9 @@ POLICY_CONFIG = {"experiment": "iterate", "d": 30, "n": 12, "rank": 2, "sketch_d
 
 
 def fake_libraries(monkeypatch, libc, openblas=None):
-    """Make ``ctypes.CDLL`` return ``libc`` for libc.so.6 (raise it if an exception) and
-    ``openblas``, when given, for numpy's OpenBLAS, whose routines are then bound afresh
-    (the test then needs ``unbind_openblas``)."""
+    """Make ``ctypes.CDLL`` return ``libc`` for libc.so.6 (raise it if an exception) and,
+    when ``openblas`` is given, ``openblas(library)`` for numpy's OpenBLAS ``library``, whose
+    routines are then bound afresh (the test then needs ``unbind_openblas``)."""
     real = ctypes.CDLL
 
     def cdll(name, *args, **kwargs):
@@ -1256,7 +1269,7 @@ def fake_libraries(monkeypatch, libc, openblas=None):
                 raise libc
             return libc
         if openblas is not None and "openblas" in os.path.basename(name):
-            return openblas
+            return openblas(real(name, *args, **kwargs))
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
@@ -1269,6 +1282,18 @@ def unbind_openblas():
     """Clear the cached OpenBLAS bindings after the test, so no faked library outlives it."""
     yield
     solve._openblas.cache_clear()
+
+
+class WithoutSetter:
+    """numpy's OpenBLAS without its thread-count setter; every other routine is the library's."""
+
+    def __init__(self, lib):
+        self.lib = lib
+
+    def __getattr__(self, name):
+        if "set_num_threads" in name:
+            raise AttributeError(name)
+        return getattr(self.lib, name)
 
 
 class TestProcessPolicy:
@@ -1316,7 +1341,7 @@ class TestProcessPolicy:
         (SimpleNamespace(), None, {"blas_threads": 1, "malloc_thresholds": "dynamic"}),
         (SimpleNamespace(mallopt=lambda param, value: 0), None,
          {"blas_threads": 1, "malloc_thresholds": "dynamic"}),
-        (SimpleNamespace(mallopt=lambda param, value: 1), SimpleNamespace(),
+        (SimpleNamespace(mallopt=lambda param, value: 1), WithoutSetter,
          {"blas_threads": None, "malloc_thresholds": "pinned"}),
     ], ids=["no-libc", "no-mallopt", "mallopt-refuses", "no-openblas-setter"])
     def test_a_missing_half_is_reported_not_raised(self, monkeypatch, blas, unbind_openblas,
@@ -1332,8 +1357,18 @@ class TestProcessPolicy:
         # a missing setter leaves the library's own count
         assert get() == (2 if expected["blas_threads"] is None else 1)
 
+    def test_a_run_with_no_routine_bound_succeeds(self, monkeypatch, capsys, unbind_openblas):
+        # numpy's own solves then run: records may move at rounding, as numpy has no
+        # Cholesky solve, but the run ends as one does
+        fake_libraries(monkeypatch, SimpleNamespace(mallopt=lambda param, value: 1),
+                       lambda lib: SimpleNamespace())
+        assert main(["iterate", "--d", "30", "--n", "12", "--rank", "2", "--sketch-dim", "8",
+                     "--iters", "2", "--trials", "2", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["runtime"]["blas_threads"] is None
+
     def test_the_bundled_openblas_binds_both_routines(self):
-        # a numpy whose OpenBLAS renames dgesv would otherwise lose the lock-free LU silently
+        # a numpy whose OpenBLAS renames a LAPACK routine would otherwise lose the lock-free
+        # Cholesky and LU solves silently
         if numpy_openblas() is None:
             pytest.skip("numpy bundles no OpenBLAS")
         assert all(routine is not None for routine in solve._openblas().values())

@@ -163,7 +163,7 @@ class TestSmoothnessConstants:
         assert smoothed_hinge_loss(0.25).gamma == 4.0
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, derandomize=True, deadline=None)
     def test_smoothed_hinge_gamma_is_reciprocal_mu(self, mu):
         assert smoothed_hinge_loss(mu).gamma == pytest.approx(1.0 / mu, rel=1e-15)
 

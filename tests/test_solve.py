@@ -211,15 +211,15 @@ class TestSolvePrimal:
             solve_primal(np.eye(2), np.array([1.0, -1.0]), square_loss(), 0.0)
 
     def test_hessian_factorization_failure_is_a_convergence_error(self, monkeypatch):
-        lu_solve = solve._lu_solve
+        def not_positive_definite(a, b):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        def singular_hessian(a, b):
-            # the Hessian is the one full matrix; the span's map back solves triangular blocks
-            if np.any(np.tril(a, -1)):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return lu_solve(a, b)
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(solve, "_lu_solve", singular_hessian)
+        # Cholesky refuses the Hessian, then its LU fallback finds it singular
+        monkeypatch.setattr(solve, "_cholesky_solve", not_positive_definite)
+        monkeypatch.setattr(solve, "_lu_solve", singular)
         rng = np.random.default_rng(5)
         features, labels = random_instance(rng, 30, 12)
         with pytest.raises(ConvergenceError) as err:
@@ -231,20 +231,20 @@ class TestSolvePrimal:
             rel=1e-12)
 
     def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
-        # an LU solve that returns H^-1 g, not -H^-1 g: no step along it lowers the convex
+        # a Cholesky solve that returns H^-1 g, not -H^-1 g: no step along it lowers the convex
         # objective, so without the fallback to -g the line search stalls at once
-        lu_solve, calls = solve._lu_solve, [0]
+        cholesky_solve, calls = solve._cholesky_solve, [0]
 
         def ascent(a, b):
             calls[0] += 1
-            return -lu_solve(a, b)
+            return -cholesky_solve(a, b)
 
         rng = np.random.default_rng(6)
         features, labels = random_instance(rng, 5, 8)
         features *= 0.1  # Hessian eigenvalues in [lam, 1.3 lam]: unit steps along -g contract
         lam, cfg = 1.0, SolverConfig(tolerance=1e-10)
         exact = solve_primal(features, labels, square_loss(), lam, cfg)
-        monkeypatch.setattr(solve, "_lu_solve", ascent)
+        monkeypatch.setattr(solve, "_cholesky_solve", ascent)
         sol = solve_primal(features, labels, square_loss(), lam, cfg)
         assert exact.iterations == 1 and sol.iterations == calls[0] > 1
         assert stationarity_norm(features, labels, square_loss(), lam, sol.weights) <= 1e-10
@@ -351,7 +351,7 @@ LU_SIZES = [1, 2, 55, 64, 499, 500, 501, 600]
 
 def lu_system(kind, n):
     """``(a, b)``: a Newton Hessian of the loss labelled ``kind``, formed as the solver forms
-    it, or for ``kind == "upper"`` an upper-triangular matrix like a back-substitution block."""
+    it, or for ``kind == "upper"`` an upper-triangular matrix like a Cholesky factor."""
     rng = np.random.default_rng(n)
     b = rng.standard_normal(n)
     if kind == "upper":
@@ -364,29 +364,55 @@ def lu_system(kind, n):
 
 
 @pytest.fixture(params=["bundled", "fallback"])
-def lu_path(request, monkeypatch):
-    """Run ``_lu_solve`` on numpy's bundled dgesv, or on the fallback with none bound."""
-    if request.param == "bundled" and solve._openblas()["dgesv"] is None:
-        pytest.skip("numpy bundles no dgesv")
+def lapack_path(request, monkeypatch):
+    """Run the solves on numpy's bundled LAPACK, or on their fallbacks with nothing bound."""
+    if request.param == "bundled" and None in solve._openblas().values():
+        pytest.skip("numpy bundles no OpenBLAS with these routines")
     if request.param == "fallback":
-        monkeypatch.setattr(solve, "_openblas", lambda: {"set_num_threads": None, "dgesv": None})
+        unbound = dict.fromkeys(solve._openblas())
+        monkeypatch.setattr(solve, "_openblas", lambda: unbound)
     return request.param
+
+
+def progress_beside(solves):
+    """How often a pure-Python thread ran while ``solves`` ran, switching only when the lock is free."""
+    count, stop = [0], threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            count[0] += 1
+            time.sleep(0)  # lets the solving thread take the lock back when its call returns
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)  # no forced switch: the spinner runs only when the lock is free
+    spinner = threading.Thread(target=spin)
+    try:
+        spinner.start()
+        before = count[0]
+        solves()
+        progress = count[0] - before
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        spinner.join(timeout=60)
+    assert not spinner.is_alive()
+    return progress
 
 
 class TestLuSolve:
     @pytest.mark.parametrize("n", LU_SIZES)
     @pytest.mark.parametrize("kind", [*LOSS_IDS, "upper"])
-    def test_same_bits_as_numpy_solve(self, lu_path, kind, n):
+    def test_same_bits_as_numpy_solve(self, lapack_path, kind, n):
         a, b = lu_system(kind, n)
         expected = np.linalg.solve(a, b)
-        # handed over as the solver does: the Hessian's own buffer, a block's Fortran copy
+        # handed over as the solver does, the Hessian's own buffer, or a triangle's Fortran copy
         handed = np.array(a, order="F") if kind == "upper" else a.T
         rhs = b.copy()
         solution = solve._lu_solve(handed, rhs)
         assert solution.tobytes() == expected.tobytes()
-        assert (solution is rhs) == (lu_path == "bundled")  # dgesv solves in place
+        assert (solution is rhs) == (lapack_path == "bundled")  # dgesv solves in place
 
-    def test_singular_matrix_raises(self, lu_path):
+    def test_singular_matrix_raises(self, lapack_path):
         with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
             solve._lu_solve(np.ones((3, 3), order="F"), np.ones(3))
 
@@ -395,47 +421,92 @@ class TestLuSolve:
         if solve._openblas()["dgesv"] is None:
             pytest.skip("numpy bundles no dgesv")
         systems = [lu_system("logistic", 500) for _ in range(5)]
-        count, stop = [0], threading.Event()
 
-        def spin():
-            while not stop.is_set():
-                count[0] += 1
-                time.sleep(0)  # lets the solving thread take the lock back when its call returns
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(10.0)  # no forced switch: the spinner runs only when the lock is free
-        spinner = threading.Thread(target=spin)
-        try:
-            spinner.start()
-            before = count[0]
+        def solves():
             for hess, b in systems:
                 solve._lu_solve(hess.T, b)
-            progress = count[0] - before
-        finally:
-            stop.set()
-            sys.setswitchinterval(interval)
-            spinner.join(timeout=60)
-        assert not spinner.is_alive()
-        assert progress > 0  # exactly 0 while a solve holds the lock throughout
+
+        assert progress_beside(solves) > 0  # exactly 0 while a solve holds the lock throughout
+
+
+class TestCholeskySolve:
+    @pytest.mark.parametrize("n", LU_SIZES)
+    @pytest.mark.parametrize("kind", LOSS_IDS)
+    def test_matches_numpy_solve(self, lapack_path, kind, n):
+        a, b = lu_system(kind, n)
+        expected = np.linalg.solve(a, b)
+        rhs = b.copy()
+        solution = solve._cholesky_solve(a.copy().T, rhs)  # the Hessian's own buffer, as Newton's
+        assert (solution is rhs) == (lapack_path == "bundled")  # dposv solves in place
+        # backward stable, as LU is: a residual at the rounding of a and the solution
+        scale = np.linalg.norm(a, 1) * np.linalg.norm(solution, 1)
+        assert np.linalg.norm(a @ solution - b, 1) <= 8 * n * np.finfo(float).eps * scale
+        np.testing.assert_allclose(solution, expected, rtol=1e-9 * np.linalg.cond(a, 1), atol=0)
+
+    @pytest.mark.parametrize("a", [-np.eye(3), np.diag([1.0, 0.0, 1.0]), np.ones((3, 3))],
+                             ids=["negative definite", "zero pivot", "rank one"])
+    def test_not_positive_definite_raises(self, a):
+        if solve._openblas()["dposv"] is None:
+            pytest.skip("numpy bundles no dposv")
+        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
+            solve._cholesky_solve(np.array(a, order="F"), np.ones(3))
+
+    def test_another_thread_runs_while_it_factors(self):
+        if solve._openblas()["dposv"] is None:
+            pytest.skip("numpy bundles no dposv")
+        systems = [lu_system("logistic", 500) for _ in range(5)]
+
+        def solves():
+            for hess, b in systems:
+                solve._cholesky_solve(hess.T, b)
+
+        assert progress_beside(solves) > 0  # exactly 0 while a solve holds the lock throughout
+
+    def test_a_refused_hessian_certifies_through_lu(self, monkeypatch):
+        # rank-3 features at lam = 1e-300, as the digest's tiny-lambda runs: the Hessian is
+        # singular but for rounding, which Cholesky refuses and LU's pivots get through
+        lu_solve, calls = solve._lu_solve, [0]
+
+        def counting_lu_solve(a, b):
+            calls[0] += 1
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(solve, "_lu_solve", counting_lu_solve)
+        data = make_low_rank(20, 20, 3, "random", seed=0)
+        sol = solve_primal(data.features, data.labels, square_loss(), 1e-300)
+        assert sol.newton_dim == 20 and calls[0] == sol.iterations >= 1
+        assert stationarity_norm(data.features, data.labels, square_loss(), 1e-300,
+                                 sol.weights) <= 1e-10
+
+
+class TestCholeskyUpper:
+    @pytest.mark.parametrize("p, n", [(2484, 500), (300, 60), (10, 1)])
+    def test_same_bits_as_numpy_cholesky(self, lapack_path, p, n):
+        cols = np.random.default_rng(n).standard_normal((p, n))
+        gram = cols.T @ cols
+        expected = np.linalg.cholesky(gram).T
+        upper = solve._cholesky_upper(gram)
+        assert upper.tobytes() == expected.tobytes()
+        assert (upper.base is gram or upper is gram) == (lapack_path == "bundled")  # in place
 
 
 @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
 @pytest.mark.parametrize("d,n", [(40, 60), (200, 80)], ids=["unreduced", "cholesky-qr"])
 def test_newton_hands_over_an_exactly_symmetric_hessian(monkeypatch, loss, d, n):
-    # LU factors the Hessian's C-ordered buffer read in Fortran order, which is the same
-    # matrix, and np.linalg.solve's bits, only if the Hessian equals its transpose exactly
+    # dposv reads one triangle of the Hessian's C-ordered buffer, read in Fortran order,
+    # which is the Hessian only if the Hessian equals its transpose exactly
     handed = []
-    lu_solve = solve._lu_solve
+    cholesky_solve = solve._cholesky_solve
 
-    def recording_lu_solve(a, b):
+    def recording_cholesky_solve(a, b):
         handed.append((a.shape, a.flags.f_contiguous and np.array_equal(a, a.T)))
-        return lu_solve(a, b)
+        return cholesky_solve(a, b)
 
-    monkeypatch.setattr(solve, "_lu_solve", recording_lu_solve)
+    monkeypatch.setattr(solve, "_cholesky_solve", recording_cholesky_solve)
     triangular = count_triangular_solves(monkeypatch)
     features, labels = random_instance(np.random.default_rng(d), d, n)
     sol = solve_primal(features, labels, loss, 0.5)
-    k = min(d, n)  # the span's blocks are at most 64 x 64, below k = 80
+    k = min(d, n)
     assert sol.newton_dim == k and (triangular[0] > 0) == (d > n)
     hessians = [symmetric for shape, symmetric in handed if shape == (k, k)]
     assert len(hessians) == sol.iterations >= 1 and all(hessians)
@@ -528,9 +599,11 @@ class TestLowRankPivots:
             return _low_rank_pivots(cols, limit, gram)
 
         monkeypatch.setattr(solve, "_low_rank_pivots", spy)
-        coords, _ = _span_basis(make_low_rank(60, 20, 12, "random", seed=0).features, 1e-10, 1.0)
+        cols = make_low_rank(60, 20, 12, "random", seed=0).features
+        coords, _ = _span_basis(cols, 1e-10, 1.0)
         assert coords.shape == (12, 20)
-        assert grams[0] is None and grams[1].shape == (20, 20)
+        # whole, though the refused Cholesky factorisation overwrote part of the first one
+        assert grams[0] is None and grams[1].tobytes() == (cols.T @ cols).tobytes()
 
 
 class TestSpanReduction:
@@ -570,7 +643,7 @@ class TestSpanReduction:
         def no_gram(gram):
             raise AssertionError("the Gram matrix was factored")
 
-        monkeypatch.setattr(np.linalg, "cholesky", no_gram)
+        monkeypatch.setattr(solve, "_cholesky_upper", no_gram)
         data = make_low_rank(d, n, r, "random", seed=7)
         coords, _ = _span_basis(data.features, 1e-10, 1.0)
         assert coords.shape == (r, n)
