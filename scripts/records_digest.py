@@ -99,6 +99,12 @@ RUNS = {
                                    "--loss", "logistic"],
     "iterate-low-rank-reduced": ["iterate", *LOW, "--sketch-dim", "40", "--iters", "3",
                                  "--loss", "logistic"],
+    # m > n on a full-rank span: the passes share one CholeskyQR reduction and, for the square
+    # loss, one factor of its Hessian
+    "iterate-square-reduced": ["iterate", *DECAYING, "--sketch-dim", "40", "--iters", "4"],
+    # a curvature that moves with the margins: each Newton step factors its own Hessian
+    "iterate-smoothed-hinge": ["iterate", *LOW, "--loss", "smoothed_hinge:0.5", "--sketch-dim",
+                               "20", "--iters", "4"],
     "iterate-bound-overflow": ["iterate", *LOW, "--sketch-dim", "20", "--eps", "0.99",
                                "--iters", "200"],
     # pass 1's weights overflow, so no second pass starts: rel_error reads inf, at once

@@ -28,7 +28,8 @@ to fill.  If R has landed by then, the trial projects it and the helper
 solves the reference w* (generated data only; a --csv run solves it
 once) while the trial runs ``recover_iterative``, whose pass 1 joins it;
 the two Newton loops factor their Hessians at once, since their Cholesky
-solve (dposv, LU only where Cholesky refuses) releases the interpreter lock.
+solve (dpotrf and dpotrs, LU only where Cholesky refuses) releases the
+interpreter lock.
 Otherwise the trial solves w* itself meanwhile, holding R (the solve's
 span check keeps no d x n temporary), then projects each block as it
 lands.  Either way the helper computes a multi-block R's last block

@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from .data import Dataset, SpectrumInfo
 from .losses import LossSpec
 from .sketch import ProjectionSketch
-from .solve import ConvergenceError, SolverConfig, dual_from_primal, primal_from_dual, solve_primal
+from .solve import (ConvergenceError, SolverConfig, _NewtonSetup, dual_from_primal,
+                    primal_from_dual, solve_primal)
 
 __all__ = [
     "RecoveryResult",
@@ -61,11 +64,14 @@ class IterationTrace:
 
 
 def relative_error(recovered, reference) -> float:
-    ref_norm = np.linalg.norm(reference)
+    # sqrt(v.dot(v)) is np.linalg.norm's sum for a float vector, without its overhead
+    reference = np.asarray(reference, dtype=float).ravel()
+    ref_norm = math.sqrt(reference.dot(reference))
     if ref_norm == 0.0:
         raise ValueError("reference vector has zero norm")
     with np.errstate(over="ignore"):  # weights overflowed by a tiny lambda: the error is inf
-        return float(np.linalg.norm(np.asarray(recovered) - np.asarray(reference)) / ref_norm)
+        diff = (np.asarray(recovered, dtype=float) - reference).ravel()
+        return math.sqrt(diff.dot(diff)) / ref_norm
 
 
 def recover_naive(r_matrix, z_star, m: int) -> np.ndarray:
@@ -104,6 +110,12 @@ def recover_iterative(
     ``recover_naive`` and ``measurement_error`` do.  At w_0 = 0 the offset
     and the shift are zero, so pass 1 reads only the sketched features.
 
+    Every pass solves on the same sketched features, so the passes share
+    one ``solve._NewtonSetup``: the sketched span is reduced once per sketch
+    (m > n), and for the square loss, whose Hessian lam I + Xhat Xhat' no
+    pass changes, that Hessian is factored once per sketch.  The records are
+    those of a fresh ``solve_primal`` per pass, bit for bit.
+
     ``reference`` is w* as an array, or a zero-argument callable that
     returns it; a callable is called once, when pass 1's error is due, so
     the caller can still be solving w* while pass 1's sketched solve runs.
@@ -117,20 +129,22 @@ def recover_iterative(
     """
     if t_iters < 1:
         raise ValueError("t_iters must be at least 1")
-    xs = sketch.sketched_features
+    xs = np.asarray(sketch.sketched_features, dtype=float)
     if xs.shape != (sketch.m, data.n):
         raise ValueError("sketch does not match the dataset")
     ref = reference  # a callable is replaced by what it returns when pass 1's error is due
 
     w = np.zeros(data.d)
     offset, shift = np.zeros(sketch.m), np.zeros(data.n)  # their values at w_0 = 0
+    setup = _NewtonSetup(xs)
     errors = [1.0 if ref is not None else np.nan]
     for t in range(1, t_iters + 1):
         if t > 1:  # pass 1 reads only the sketched features
             offset = primal_from_dual(xs, data.labels, lam, alphas)
             shift = data.labels * (data.features.T @ w - xs.T @ offset)
         try:
-            v = solve_primal(xs, data.labels, loss, lam, config, margin_shift=shift).weights
+            v = solve_primal(xs, data.labels, loss, lam, config, margin_shift=shift,
+                             setup=setup).weights
         except ConvergenceError as exc:
             raise ConvergenceError(f"pass {t}: {exc}", exc.best) from exc
         alphas = dual_from_primal(xs, data.labels, loss, v, margin_shift=shift)
@@ -139,8 +153,8 @@ def recover_iterative(
             ref = ref()
         errors.append(relative_error(w, ref) if ref is not None else np.nan)
         with np.errstate(over="ignore"):
-            w_norm = np.linalg.norm(w)
-        if not np.isfinite(w_norm):  # overflowed at a tiny lambda: no pass can start from w
+            w_norm = math.sqrt(w.dot(w))
+        if not math.isfinite(w_norm):  # overflowed at a tiny lambda: no pass can start from w
             break
         if early_stop and np.linalg.norm(v - offset) <= 1e-12 * w_norm:
             break

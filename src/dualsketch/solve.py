@@ -13,11 +13,11 @@ caller handed in; failure to certify raises ``ConvergenceError`` carrying
 the best iterate.
 
 The method is damped Newton on the exact Hessian, formed as one symmetric
-product and solved by Cholesky (LAPACK's dposv), LU only where Cholesky
-refuses a Hessian positive definite only up to rounding.  When p exceeds n
-the iterate lies in the span of the feature columns, so Newton runs on
-coordinates in that span; the certificate is evaluated in the full space,
-from margins recomputed there.
+product and solved by Cholesky (LAPACK's dpotrf, then dpotrs), LU only
+where Cholesky refuses a Hessian positive definite only up to rounding.
+When p exceeds n the iterate lies in the span of the feature columns, so
+Newton runs on coordinates in that span; the certificate is evaluated in
+the full space, from margins recomputed there.
 A greedy pivoted Cholesky of the Gram matrix, run on the columns and forming
 only its pivots' Gram columns, looks for a rank k of at most
 ``LOW_RANK_PIVOTS``; Newton then runs on an explicit QR of the k pivot
@@ -29,6 +29,11 @@ the pivoting on, up to rank n - 1 and reading that matrix's columns, to the
 same rank-k check.  Otherwise Newton runs on the explicit QR of all the
 columns.  Failed certificates send Newton on with margins computed from the
 weights.
+
+Solves on one feature matrix can share a ``_NewtonSetup``, as the passes
+of iterative recovery do.  The span is then reduced once per sketch, and
+the square loss's Hessian, which no pass changes, is factored once per
+sketch.
 """
 
 from __future__ import annotations
@@ -152,10 +157,10 @@ def _openblas() -> dict:
                             [ctypes.c_int]),
         "dgesv": (("scipy_dgesv_64_", "dgesv_64_"),  # n, nrhs, a, lda, ipiv, b, ldb, info
                   [size, size, ptr, size, ptr, ptr, size, size]),
-        "dposv": (("scipy_dposv_64_", "dposv_64_"),  # uplo, n, nrhs, a, lda, b, ldb, info
-                  [char, size, size, ptr, size, ptr, size, size, length]),
         "dpotrf": (("scipy_dpotrf_64_", "dpotrf_64_"),  # uplo, n, a, lda, info
                    [char, size, ptr, size, size, length]),
+        "dpotrs": (("scipy_dpotrs_64_", "dpotrs_64_"),  # uplo, n, nrhs, a, lda, b, ldb, info
+                   [char, size, size, ptr, size, ptr, size, size, length]),
         "dtrtrs": (("scipy_dtrtrs_64_", "dtrtrs_64_"),  # uplo, trans, diag, n, nrhs, a, lda, b, ldb, info
                    [char, char, char, size, size, ptr, size, ptr, size, size, length, length, length]),
     }
@@ -181,21 +186,34 @@ def _bound(routine: str, a: np.ndarray, b: np.ndarray | None = None):
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` for a symmetric positive definite ``a`` by LAPACK's dposv, in place.
+    """``a^-1 b`` for a symmetric positive definite ``a`` by LAPACK's dpotrf and dpotrs, in place.
 
-    Half LU's flops, and ctypes releases the interpreter lock for the call.
-    dposv reads the lower triangle of a Fortran-ordered ``a`` and overwrites
-    it with the factor, and ``b`` with the solution.  Raises ``LinAlgError``
-    where ``a`` is not positive definite.  Arrays dposv cannot take, or no
-    bundled dposv: ``np.linalg.solve``, an LU solve, as numpy exposes no
-    Cholesky solve.
+    Half LU's flops, and ctypes releases the interpreter lock for the calls.
+    dpotrf reads the lower triangle of a Fortran-ordered ``a`` and
+    overwrites it with the factor; ``_factored_solve`` then overwrites ``b``
+    with the solution.  Reference LAPACK's dposv is these two calls, so the
+    bits are its.  Returns ``b`` itself, ``a`` then holding the factor, which
+    is how the square loss's Hessian is factored once per sketch.
+    Raises ``LinAlgError`` where ``a`` is not positive definite.  Arrays
+    dpotrf cannot take, or no bundled dpotrf and dpotrs: ``np.linalg.solve``,
+    an LU solve, as numpy exposes no Cholesky solve; it returns a new array
+    and leaves ``a`` as it was.
     """
-    if (dposv := _bound("dposv", a, b)) is None:
+    if (dpotrf := _bound("dpotrf", a, b)) is None or _openblas()["dpotrs"] is None:
         return np.linalg.solve(a, b)
     size, info = ctypes.c_int64(len(b)), ctypes.c_int64()
-    dposv(b"L", size, ctypes.c_int64(1), a.ctypes.data, size, b.ctypes.data, size, info, 1)
+    dpotrf(b"L", size, a.ctypes.data, size, info, 1)
     if info.value:  # a leading minor that is not positive definite
         raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return _factored_solve(a, b)
+
+
+def _factored_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` by LAPACK's dpotrs, in place, from the factor of ``a`` that
+    ``_cholesky_solve`` left in ``factor``: two triangular solves."""
+    size = ctypes.c_int64(len(b))
+    _openblas()["dpotrs"](b"L", size, ctypes.c_int64(1), factor.ctypes.data, size, b.ctypes.data,
+                          size, ctypes.c_int64(), 1)
     return b
 
 
@@ -254,21 +272,25 @@ def _solve_upper(upper: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
-                ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Coordinates ``coords`` (k x n) of ``cols`` in a basis of their span, and ``to_full``.
+def _span_basis(cols: np.ndarray,
+                ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], float | None]:
+    """Coordinates ``coords`` (k x n) of ``cols`` in a basis of their span, ``to_full``
+    and CholeskyQR's gate.
 
     ``cols = basis @ coords`` and ``to_full(z) = basis @ z``.  At a rank k of
     at most ``LOW_RANK_PIVOTS``, found on the columns themselves, the basis is
     the QR of the k pivot columns if that passes the residual check.  Past
     that limit it is CholeskyQR's ``cols U^-1``, never formed, for the
-    Cholesky factor U of the Gram matrix, if the rounding the basis leaves
-    in the gradient at weights of norm ``bound`` is within ``tolerance``.
-    When U does not exist the pivoting goes on up to rank n - 1, on the
-    formed Gram matrix's columns, and a rank k it finds gets the same QR and
-    check.  Failing these, the basis is the QR of all the columns.  The
-    residual check forms ``cols - basis @ coords`` ``RESIDUAL_ROWS`` rows
-    at a time, so no p x n temporary is held beside the columns.
+    Cholesky factor U of the Gram matrix.  Its gate, eps * max(diag G)^1.5
+    / min(diag U), times a bound on the weights' norm is the rounding the
+    basis leaves in the gradient; a solve whose tolerance is below that
+    takes the QR of all the columns instead (``_NewtonSetup.reduce``).  The
+    gate is None for every other basis.  When U does not exist the pivoting
+    goes on up to rank n - 1, on the formed Gram matrix's columns, and a
+    rank k it finds gets the same QR and check.  Failing these, the basis is
+    the QR of all the columns.  The residual check forms ``cols - basis @
+    coords`` ``RESIDUAL_ROWS`` rows at a time, so no p x n temporary is held
+    beside the columns.
     """
     if (low := _low_rank_pivots(cols, LOW_RANK_PIVOTS)) is None:
         gram = cols.T @ cols
@@ -283,10 +305,8 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
             # eps * cond * ||cols||^2 from the diagonals, as max(diag G)^1.5 / min(diag U):
             # CholeskyQR's map back loses about cond digits; inf or NaN refuses the basis
             with np.errstate(over="ignore", invalid="ignore"):
-                floor = np.finfo(float).eps * top ** 1.5 / upper.diagonal().min() * bound
-            if floor <= tolerance:
-                return upper, lambda z: cols @ _solve_upper(upper, z)
-            del gram, upper  # not held through the p x n temporaries below
+                gate = np.finfo(float).eps * top ** 1.5 / upper.diagonal().min()
+            return upper, lambda z: cols @ _solve_upper(upper, z), gate
     if low is not None and low[1] > 0:
         basis = np.linalg.qr(cols[:, low[0]])[0]
         coords = basis.T @ cols
@@ -298,9 +318,79 @@ def _span_basis(cols: np.ndarray, tolerance: float, bound: float,
             squares += float(np.vdot(residual, residual))
             del residual  # freed before the next block's is formed
         if math.sqrt(squares) <= SPAN_RESIDUAL * np.linalg.norm(cols):
-            return coords, lambda z: basis @ z
+            return coords, lambda z: basis @ z, None
+    return *_explicit_basis(cols), None
+
+
+def _explicit_basis(cols: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``coords`` and ``to_full`` of the QR of all of ``cols``: ``cols = Q coords``."""
     basis, coords = np.linalg.qr(cols)
     return coords, lambda z: basis @ z
+
+
+class _NewtonSetup:
+    """What Newton's solves on one feature matrix share: the span reduction (p > n),
+    formed at the first solve, and the square loss's Hessian factor.
+
+    Only CholeskyQR's gate reads the solve, through its bound on the weights'
+    norm; a refused gate takes the QR of all the columns, formed at the first
+    refusal and kept.  The square loss's Hessian lam I + X X' depends on the
+    Newton features X and lam alone, so the factor Cholesky leaves in place
+    is kept with them and later steps solve by dpotrs alone.  Other losses,
+    and a Hessian Cholesky refuses, keep nothing.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+        self._basis = None  # _span_basis(cols), at the first reduction
+        self._explicit = None  # _explicit_basis(cols), at the first refused gate
+        self._factor = None  # (x, lam, factor) of the square loss's Hessian
+
+    def reduce(self, tolerance: float, bound: float,
+               ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """``coords`` and ``to_full`` for a solve to ``tolerance`` whose weights' norm is at
+        most ``bound``."""
+        if self._basis is None:
+            self._basis = _span_basis(self.cols)
+        coords, to_full, gate = self._basis
+        if gate is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                floor = gate * bound
+            if not floor <= tolerance:  # NaN refuses too
+                if self._explicit is None:
+                    self._explicit = _explicit_basis(self.cols)
+                return self._explicit
+        return coords, to_full
+
+    def direction(self, x: np.ndarray, lam: float, loss: LossSpec, margins: np.ndarray,
+                  g: np.ndarray) -> np.ndarray:
+        """The Newton direction ``-H^-1 g`` for ``H = lam I + x diag(l''(margins)) x'``.
+
+        By Cholesky, or LU where Cholesky refuses ``H``, positive definite only
+        up to rounding, as at a tiny lam; raises ``LinAlgError`` where LU fails too.
+        """
+        if loss.kind == "square" and (kept := self._factor) and kept[0] is x and kept[1] == lam:
+            return _factored_solve(kept[2], -g)
+        rhs = -g
+        # .T reads the Hessian's buffer in Fortran order: the same matrix, factored in place
+        # and, unless kept, freed on return, before the line search's temporaries
+        hess = _hessian(x, lam, loss, margins).T
+        try:
+            direction = _cholesky_solve(hess, rhs)
+        except np.linalg.LinAlgError:
+            del hess  # overwritten by the refused factorisation: LU factors a new one
+            return _lu_solve(_hessian(x, lam, loss, margins).T, -g)
+        if loss.kind == "square" and direction is rhs:  # solved in place: hess holds the factor
+            self._factor = x, lam, hess
+        return direction
+
+
+def _hessian(x: np.ndarray, lam: float, loss: LossSpec, margins: np.ndarray) -> np.ndarray:
+    """lam I + x diag(l''(margins)) x'."""
+    root = x * np.sqrt(loss.curvature(margins))
+    hess = root @ root.T  # one symmetric product: BLAS syrk, mirrored, so exactly symmetric
+    hess.flat[::len(hess) + 1] += lam
+    return hess
 
 
 def solve_primal(
@@ -310,6 +400,8 @@ def solve_primal(
     lam: float,
     config: SolverConfig = SolverConfig(),
     margin_shift=None,
+    *,
+    setup: _NewtonSetup | None = None,
 ) -> PrimalSolution:
     """Minimize the regularized ERM objective with a gradient-norm certificate.
 
@@ -322,6 +414,11 @@ def solve_primal(
     A translated regularizer lam/2 ||z + u||^2 is this problem in w = z + u
     with margin_shift_i reduced by y_i u' x_i; iterative recovery poses
     every pass that way.
+
+    ``setup`` is a ``_NewtonSetup`` built on ``features``, which iterative
+    recovery hands to every pass: the span is then reduced once per sketch,
+    and the square loss's Hessian factored once per sketch.  Without one the
+    call builds its own, so the records are the same either way.
 
     Raises ``ConvergenceError`` carrying the best iterate when the
     certificate cannot be met within ``config.max_iterations``, and at once
@@ -336,11 +433,15 @@ def solve_primal(
         raise ValueError("features must be p x n with one label per column")
     p, n = x_full.shape
     shift = np.zeros(n) if margin_shift is None else np.asarray(margin_shift, dtype=float)
+    if setup is None:
+        setup = _NewtonSetup(x_full)
+    elif setup.cols is not x_full:
+        raise ValueError("the Newton set-up was built on other features")
 
     # The minimizer lies in the span of the columns of X; reduce when that helps.  Its
     # norm is at most sqrt(2 F(0) / lam), as F(w*) <= F(0) and the loss is nonnegative.
-    x, to_full = (x_full, lambda z: z) if p <= n else _span_basis(
-        x_full, config.tolerance, np.sqrt(2.0 * float(np.sum(loss.value(shift))) / lam))
+    x, to_full = (x_full, lambda z: z) if p <= n else setup.reduce(
+        config.tolerance, np.sqrt(2.0 * float(np.sum(loss.value(shift))) / lam))
     k = x.shape[0]
     refine = False  # set once the reduced margins have failed the certificate
 
@@ -357,26 +458,20 @@ def solve_primal(
     g = lam * z + x @ coef
     iters = 0
 
-    def hessian():
-        """lam I + X diag(l''(margins)) X' at the current margins."""
-        root = x * np.sqrt(loss.curvature(margins))
-        hess = root @ root.T  # one symmetric product: BLAS syrk, mirrored, so exactly symmetric
-        hess.flat[::k + 1] += lam
-        return hess
-
     def certified():
         """The current iterate in the full space, with its objective and gradient norm there."""
         z_f = to_full(z)
         if x is x_full:  # Newton ran in the caller's space, where g is the gradient
-            f_f, grad_norm = f, float(np.linalg.norm(g))
+            f_f, grad_norm = f, math.sqrt(g.dot(g))
         else:
             f_f, margins_f = (f, margins) if refine else objective(z_f, x_full)
-            grad_norm = float(np.linalg.norm(lam * z_f + x_full @ (y * loss.grad(margins_f))))
+            g_f = lam * z_f + x_full @ (y * loss.grad(margins_f))
+            grad_norm = math.sqrt(g_f.dot(g_f))
         return PrimalSolution(weights=z_f, objective=f_f, grad_norm=grad_norm,
                               iterations=iters, newton_dim=k)
 
     while True:
-        grad_norm = float(np.linalg.norm(g))
+        grad_norm = math.sqrt(g.dot(g))  # np.linalg.norm's sum, without its overhead
         if not (math.isfinite(f) and math.isfinite(grad_norm)):  # at the start or an accepted step
             raise ConvergenceError(
                 f"non-finite objective or gradient after {iters} iterations "
@@ -400,15 +495,10 @@ def solve_primal(
             raise ConvergenceError(
                 f"no convergence after {iters} iterations (grad norm {best.grad_norm:.3e})", best
             )
-        # .T reads the Hessian's buffer in Fortran order: the same matrix, factored in place
-        # and freed when the solve returns, before the line search's temporaries
         try:
-            direction = _cholesky_solve(hessian().T, -g)
-        except np.linalg.LinAlgError:  # positive definite only up to rounding, as at a tiny lam
-            try:  # dposv overwrote that Hessian: LU factors a new one
-                direction = _lu_solve(hessian().T, -g)
-            except np.linalg.LinAlgError as exc:  # lam > 0 makes this unlikely
-                raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
+            direction = setup.direction(x, lam, loss, margins, g)
+        except np.linalg.LinAlgError as exc:  # LU failed too; lam > 0 makes this unlikely
+            raise ConvergenceError(f"Hessian solve failed: {exc}", certified()) from None
         slope = float(g @ direction)
         if slope >= 0.0:
             direction, slope = -g, -float(g @ g)
@@ -436,7 +526,7 @@ def solve_primal(
             f_new, margins_new = evaluate(z_new)
         coef_new = y * loss.grad(margins_new)
         g_new = lam * z_new + x @ coef_new
-        if step < MIN_STEP and not (np.linalg.norm(g_new) <= 0.9 * np.linalg.norm(g)
+        if step < MIN_STEP and not (math.sqrt(g_new.dot(g_new)) <= 0.9 * grad_norm
                                     and f_new <= f + 1e-12 * (1.0 + abs(f))):
             best = certified()
             raise ConvergenceError(

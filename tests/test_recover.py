@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dualsketch.data import make_low_rank, spectrum
+from dualsketch import recover, solve
+from dualsketch.data import make_decaying_spectrum, make_low_rank, spectrum
 from dualsketch.losses import logistic_loss, smoothed_hinge_loss, square_loss
 from dualsketch.recover import (
     measurement_error,
@@ -239,6 +240,93 @@ class TestIterative:
         sk = gaussian_sketch(data, 4, seed=25)
         with pytest.raises(ValueError):
             recover_iterative(data, square_loss(), 1.0, sk, 0, CFG)
+
+
+def bundled_cholesky():
+    """Skip unless numpy bundles the LAPACK routines a Newton step factors and solves by."""
+    if None in (solve._openblas()["dpotrf"], solve._openblas()["dpotrs"]):
+        pytest.skip("numpy bundles no dpotrf and dpotrs")
+
+
+def counting(monkeypatch, owner, name):
+    """Calls of ``owner.name`` from here on, in a one-item list; ``owner`` is a module or dict."""
+    calls, original = [0], (owner[name] if isinstance(owner, dict) else getattr(owner, name))
+
+    def count(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, count)
+    else:
+        monkeypatch.setattr(owner, name, count)
+    return calls
+
+
+class TestSharedSetup:
+    """The passes of one run reduce the sketched span once and, for the square loss, factor
+    its Hessian once, with the records of a fresh solve per pass."""
+
+    LOSSES = [square_loss(), logistic_loss()]
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=["square", "logistic"])
+    @pytest.mark.parametrize("m, reductions", [(80, 1), (20, 0)], ids=["m>n", "m<=n"])
+    def test_one_span_reduction_per_trial(self, monkeypatch, loss, m, reductions):
+        data = make_low_rank(200, 40, 3, "random", seed=30)
+        sk = gaussian_sketch(data, m, seed=31)
+        calls = counting(monkeypatch, solve, "_span_basis")
+        recover_iterative(data, loss, 1.0, sk, 8, CFG)
+        assert calls == [reductions]
+
+    @pytest.mark.parametrize("loss", [*LOSSES, smoothed_hinge_loss(0.5)],
+                             ids=["square", "logistic", "smoothed_hinge:0.5"])
+    @pytest.mark.parametrize("span, m", [("low-rank", 80), ("cholesky-qr", 120), ("low-rank", 20)],
+                             ids=["rank-3 m>n", "full-rank m>n", "m<=n"])
+    def test_passes_equal_fresh_solves(self, monkeypatch, loss, span, m):
+        data = (make_low_rank(200, 40, 3, "random", seed=30) if span == "low-rank"
+                else make_decaying_spectrum(200, 40, 1.0, seed=15))
+        sk = gaussian_sketch(data, m, seed=31)
+        ref = reference(data, loss, 1.0).weights
+        shared, shared_trace = recover_iterative(data, loss, 1.0, sk, 8, CFG, reference=ref)
+
+        def fresh_solve(*args, setup, **kwargs):
+            return solve_primal(*args, **kwargs)
+
+        monkeypatch.setattr(recover, "solve_primal", fresh_solve)
+        fresh, fresh_trace = recover_iterative(data, loss, 1.0, sk, 8, CFG, reference=ref)
+        assert shared.recovered.tobytes() == fresh.recovered.tobytes()
+        assert (shared_trace.per_iteration_errors.tobytes()
+                == fresh_trace.per_iteration_errors.tobytes())
+
+    def test_square_loss_factors_once_per_sketch(self, monkeypatch):
+        # the iterate_lowrank shape: m <= n, so Newton runs on the sketched features and the
+        # only Cholesky factorisations are the Hessian's
+        bundled_cholesky()
+        data = make_low_rank(500, 200, 2, "random", seed=0)
+        sk = gaussian_sketch(data, 55, seed=0)
+        factors = counting(monkeypatch, solve._openblas(), "dpotrf")
+        solves = counting(monkeypatch, solve._openblas(), "dpotrs")
+        recover_iterative(data, square_loss(), 1.0, sk, 8, CFG)
+        assert factors == [1] and solves[0] >= 8
+
+    def test_logistic_loss_factors_once_per_step_and_keeps_nothing(self, monkeypatch):
+        bundled_cholesky()
+        data = make_low_rank(500, 200, 2, "random", seed=0)
+        sk = gaussian_sketch(data, 55, seed=0)
+        setups = []
+
+        def recording_solve(*args, setup, **kwargs):
+            setups.append(setup)
+            return solve_primal(*args, setup=setup, **kwargs)
+
+        monkeypatch.setattr(recover, "solve_primal", recording_solve)
+        factors = counting(monkeypatch, solve._openblas(), "dpotrf")
+        steps = counting(monkeypatch, solve._NewtonSetup, "direction")
+        recover_iterative(data, logistic_loss(), 1.0, sk, 8, CFG)
+        assert len(setups) == 8 and all(setup is setups[0] for setup in setups)
+        assert factors == steps and steps[0] > 8
+        held = [value for value in vars(setups[0]).values() if isinstance(value, (tuple, np.ndarray))]
+        assert held == [sk.sketched_features]  # no k x k factor, and no reduction at m <= n
 
 
 class TestErrorFunctionals:

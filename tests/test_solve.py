@@ -1,5 +1,9 @@
 """Primal solver certificates, closed forms, conversions, and duality."""
 
+import ctypes
+import glob
+import math
+import os
 import sys
 import threading
 import time
@@ -363,6 +367,18 @@ def lu_system(kind, n):
     return hess, b
 
 
+def bundled_routine(name, argtypes):
+    """numpy's bundled LAPACK routine ``name`` by its ILP64 name, typed, or skip."""
+    lib = next((lib for lib in map(ctypes.CDLL, glob.glob(os.path.join(
+        os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*.so*")))
+        if hasattr(lib, f"scipy_{name}_64_")), None)
+    if lib is None:
+        pytest.skip(f"numpy bundles no {name}")
+    routine = getattr(lib, f"scipy_{name}_64_")
+    routine.argtypes, routine.restype = argtypes, None
+    return routine
+
+
 @pytest.fixture(params=["bundled", "fallback"])
 def lapack_path(request, monkeypatch):
     """Run the solves on numpy's bundled LAPACK, or on their fallbacks with nothing bound."""
@@ -437,23 +453,42 @@ class TestCholeskySolve:
         expected = np.linalg.solve(a, b)
         rhs = b.copy()
         solution = solve._cholesky_solve(a.copy().T, rhs)  # the Hessian's own buffer, as Newton's
-        assert (solution is rhs) == (lapack_path == "bundled")  # dposv solves in place
+        assert (solution is rhs) == (lapack_path == "bundled")  # dpotrs solves in place
         # backward stable, as LU is: a residual at the rounding of a and the solution
         scale = np.linalg.norm(a, 1) * np.linalg.norm(solution, 1)
         assert np.linalg.norm(a @ solution - b, 1) <= 8 * n * np.finfo(float).eps * scale
         np.testing.assert_allclose(solution, expected, rtol=1e-9 * np.linalg.cond(a, 1), atol=0)
 
+    @pytest.mark.parametrize("n", LU_SIZES)
+    @pytest.mark.parametrize("kind", LOSS_IDS)
+    def test_same_bits_as_dposv(self, kind, n):
+        # reference LAPACK's dposv is dpotrf then dpotrs; bind numpy's bundled one here
+        size_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+        # uplo, n, nrhs, a, lda, b, ldb, info and uplo's hidden length
+        dposv = bundled_routine("dposv", [ctypes.c_char_p, size_p, size_p, ptr, size_p, ptr,
+                                          size_p, size_p, ctypes.c_size_t])
+        a, b = lu_system(kind, n)
+        expected_a, expected = a.copy().T, b.copy()
+        size, info = ctypes.c_int64(n), ctypes.c_int64()
+        dposv(b"L", size, ctypes.c_int64(1), expected_a.ctypes.data, size, expected.ctypes.data,
+              size, info, 1)
+        assert info.value == 0
+        handed = a.copy().T
+        solution = solve._cholesky_solve(handed, b.copy())
+        assert solution.tobytes() == expected.tobytes()
+        assert handed.tobytes() == expected_a.tobytes()  # the same factor, kept for dpotrs
+
     @pytest.mark.parametrize("a", [-np.eye(3), np.diag([1.0, 0.0, 1.0]), np.ones((3, 3))],
                              ids=["negative definite", "zero pivot", "rank one"])
     def test_not_positive_definite_raises(self, a):
-        if solve._openblas()["dposv"] is None:
-            pytest.skip("numpy bundles no dposv")
+        if None in (solve._openblas()["dpotrf"], solve._openblas()["dpotrs"]):
+            pytest.skip("numpy bundles no dpotrf and dpotrs")
         with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
             solve._cholesky_solve(np.array(a, order="F"), np.ones(3))
 
     def test_another_thread_runs_while_it_factors(self):
-        if solve._openblas()["dposv"] is None:
-            pytest.skip("numpy bundles no dposv")
+        if None in (solve._openblas()["dpotrf"], solve._openblas()["dpotrs"]):
+            pytest.skip("numpy bundles no dpotrf and dpotrs")
         systems = [lu_system("logistic", 500) for _ in range(5)]
 
         def solves():
@@ -479,6 +514,64 @@ class TestCholeskySolve:
                                  sol.weights) <= 1e-10
 
 
+class TestNewtonSetup:
+    """One set-up shared by solves on the same features gives each the bits of a fresh one."""
+
+    def test_a_refused_hessian_is_never_kept(self, monkeypatch):
+        # rank-3 features at lam = 1e-300: Cholesky refuses the square loss's Hessian, which
+        # LU then solves, and the set-up keeps no factor for a later step to reuse
+        lu_solve, calls = solve._lu_solve, [0]
+
+        def counting_lu_solve(a, b):
+            calls[0] += 1
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(solve, "_lu_solve", counting_lu_solve)
+        data = make_low_rank(20, 20, 3, "random", seed=0)
+        x, loss, lam = data.features, square_loss(), 1e-300
+        setup = solve._NewtonSetup(x)
+        margins, g = np.zeros(20), x @ (data.labels * loss.grad(np.zeros(20)))
+        direction = setup.direction(x, lam, loss, margins, g)
+        hess = x @ x.T
+        hess.flat[::21] += lam
+        assert direction.tobytes() == np.linalg.solve(hess, -g).tobytes()  # dgesv's bits
+        assert calls == [1] and setup._factor is None
+
+    def test_a_later_solve_the_gate_refuses_matches_a_fresh_one(self, monkeypatch):
+        # top singular value 1 and lam = 0.01: the zero shift's norm bound passes CholeskyQR's
+        # gate, and shifts of -1000, whose bound is 1000 times larger, fail it
+        data = make_decaying_spectrum(200, 40, 2.0, seed=8, top_singular_value=1.0)
+        loss, lam = square_loss(), 0.01
+        shifts = [np.zeros(40), np.full(40, -1000.0), np.full(40, -1000.0), np.zeros(40)]
+        setup = solve._NewtonSetup(data.features)
+        qr_calls = count_qr_calls(monkeypatch)
+        shared = []
+        for shift, explicit in zip(shifts, [[], [(200, 40)], [(200, 40)], [(200, 40)]]):
+            shared.append(solve_primal(data.features, data.labels, loss, lam, margin_shift=shift,
+                                       setup=setup))
+            assert qr_calls == explicit  # the QR formed at the first refusal, and kept
+        fresh = [solve_primal(data.features, data.labels, loss, lam, margin_shift=shift)
+                 for shift in shifts]
+        assert qr_calls == [(200, 40)] * 3
+        for one, other in zip(shared, fresh):
+            assert one.weights.tobytes() == other.weights.tobytes()
+            assert (one.grad_norm, one.iterations) == (other.grad_norm, other.iterations)
+
+    def test_rejects_a_setup_of_other_features(self):
+        features, labels = random_instance(np.random.default_rng(0), 30, 10)
+        with pytest.raises(ValueError, match="other features"):
+            solve_primal(features, labels, square_loss(), 1.0,
+                         setup=solve._NewtonSetup(features.copy()))
+
+    @pytest.mark.parametrize("v", [np.array([]), np.array([1.0, np.inf]), np.array([np.nan, 1.0]),
+                                   np.full(3, 1e200), np.full(100, 1e200), np.arange(7.0)],
+                             ids=["empty", "inf", "nan", "overflow", "long overflow", "finite"])
+    def test_the_norm_taken_is_numpys(self, v):
+        # the solver's and the recovery's norms are sqrt(v.dot(v)), np.linalg.norm's own sum
+        with np.errstate(over="ignore"):
+            assert np.float64(math.sqrt(v.dot(v))).tobytes() == np.linalg.norm(v).tobytes()
+
+
 class TestCholeskyUpper:
     @pytest.mark.parametrize("p, n", [(2484, 500), (300, 60), (10, 1)])
     def test_same_bits_as_numpy_cholesky(self, lapack_path, p, n):
@@ -493,7 +586,7 @@ class TestCholeskyUpper:
 @pytest.mark.parametrize("loss", THREE_LOSSES, ids=LOSS_IDS)
 @pytest.mark.parametrize("d,n", [(40, 60), (200, 80)], ids=["unreduced", "cholesky-qr"])
 def test_newton_hands_over_an_exactly_symmetric_hessian(monkeypatch, loss, d, n):
-    # dposv reads one triangle of the Hessian's C-ordered buffer, read in Fortran order,
+    # dpotrf reads one triangle of the Hessian's C-ordered buffer, read in Fortran order,
     # which is the Hessian only if the Hessian equals its transpose exactly
     handed = []
     cholesky_solve = solve._cholesky_solve
@@ -600,7 +693,7 @@ class TestLowRankPivots:
 
         monkeypatch.setattr(solve, "_low_rank_pivots", spy)
         cols = make_low_rank(60, 20, 12, "random", seed=0).features
-        coords, _ = _span_basis(cols, 1e-10, 1.0)
+        coords, _, _ = _span_basis(cols)
         assert coords.shape == (12, 20)
         # whole, though the refused Cholesky factorisation overwrote part of the first one
         assert grams[0] is None and grams[1].tobytes() == (cols.T @ cols).tobytes()
@@ -613,7 +706,7 @@ class TestSpanReduction:
     @pytest.mark.parametrize("d,n,r", [(3000, 200, 20), (5000, 300, 5), (600, 120, 100)])
     def test_low_rank_runs_in_rank_dimensions(self, d, n, r):
         data = make_low_rank(d, n, r, "random", seed=7)
-        coords, to_full = _span_basis(data.features, 1e-10, 1.0)
+        coords, to_full, _ = _span_basis(data.features)
         assert coords.shape == (r, n)
         basis = np.column_stack([to_full(e) for e in np.eye(r)])
         assert basis.shape == (d, r)
@@ -631,7 +724,7 @@ class TestSpanReduction:
         data = make_low_rank(5000, 300, 5, "random", seed=7)
         tracemalloc.start()
         try:
-            coords, _ = _span_basis(data.features, 1e-10, 1.0)
+            coords, _, _ = _span_basis(data.features)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -645,7 +738,7 @@ class TestSpanReduction:
 
         monkeypatch.setattr(solve, "_cholesky_upper", no_gram)
         data = make_low_rank(d, n, r, "random", seed=7)
-        coords, _ = _span_basis(data.features, 1e-10, 1.0)
+        coords, _, _ = _span_basis(data.features)
         assert coords.shape == (r, n)
 
     # Full rank but ill-conditioned: the Cholesky factor may not exist or
